@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -189,14 +190,15 @@ def _read_f_table(path: str) -> tuple[tuple[float, float], ...]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigurationError(f"cannot read f_policy table {path}: {err}") from err
+    lines = [
+        (lineno, raw, [part.strip() for part in raw.split(",")])
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip() and not raw.strip().startswith("#")
+    ]
+    if lines and lines[0][2][:2] == ["e", "f"]:
+        lines = lines[1:]  # optional header row
     knots: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [part.strip() for part in line.split(",")]
-        if lineno == 1 and parts[:2] == ["e", "f"]:
-            continue  # optional header row
+    for lineno, raw, parts in lines:
         if len(parts) != 2:
             raise ConfigurationError(f"{path}:{lineno}: expected 'e,f', got {raw!r}")
         try:
@@ -307,12 +309,15 @@ def cmd_rate(cfg: RunConfig, args: argparse.Namespace) -> int:
     for distance in distances:
         scenario = _scenario(cfg, family, distance, f_policy)
         eta = scenario.channel.total_eta()
-        for param in params:
-            b = rate_at(scenario, param)
-            rows.append(
-                (family.value, distance, eta, param, b.p_s, b.p_s_bar, b.p_m,
-                 b.e, b.rho, b.tau, b.h, b.f, b.R, b.R_raw)
+        b = rate_at(scenario, params)
+        if not np.all(b.p_s_bar > 0.0):
+            raise DegenerateInputError(
+                f"{family.value} at l = {distance:g} km: no detection events (no signal "
+                "and no dark counts), so the error rate is undefined"
             )
+        columns = (b.p_s, b.p_s_bar, b.p_m, b.e, b.rho, b.tau, b.h, b.f, b.R, b.R_raw)
+        for param, *values in zip(params, *(column.tolist() for column in columns)):
+            rows.append((family.value, distance, eta, param, *values))
     comments = (_sign_note(cfg), f"f_policy = {cfg.f_policy}")
     sys.stdout.write(_csv_text(comments, RATE_HEADER, rows))
     return EXIT_OK
@@ -323,21 +328,20 @@ def cmd_figure1(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.fig1_points < 2 or cfg.fig1_param_max <= 0.0:
         raise ConfigurationError("need fig1_points >= 2 and fig1_param_max > 0")
     f_policy = parse_f_policy(cfg.f_policy)
-    params = [cfg.fig1_param_max * i / (cfg.fig1_points - 1) for i in range(cfg.fig1_points)]
+    params = np.array(
+        [cfg.fig1_param_max * i / (cfg.fig1_points - 1) for i in range(cfg.fig1_points)]
+    )
     eta = _scenario(cfg, SourceFamily.COHERENT_BB84, distance, f_policy).channel.total_eta()
     rows = []
     curves = []
     for family in SourceFamily:
-        scenario = _scenario(cfg, family, distance, f_policy)
-        points = []
-        for param in params:
-            try:
-                b = rate_at(scenario, param)
-            except DegenerateInputError:
-                continue  # vacuum source with zero dark counts: no detection events
-            rows.append((family.value, param, b.p_s, b.p_s_bar, b.p_m, b.e, b.rho, b.tau, b.R))
-            points.append((param, b.R))
-        curves.append((_family_label(family), points))
+        b = rate_at(_scenario(cfg, family, distance, f_policy), params)
+        # a vacuum source with zero dark counts has no detection events: no row
+        detected = b.p_s_bar > 0.0
+        columns = (params, b.p_s, b.p_s_bar, b.p_m, b.e, b.rho, b.tau, b.R)
+        family_rows = list(zip(repeat(family.value), *(c[detected].tolist() for c in columns)))
+        rows.extend(family_rows)
+        curves.append((_family_label(family), [(row[1], row[-1]) for row in family_rows]))
     eta_db = 10.0 * math.log10(eta)
     comments = (
         f"distance_km = {_fmt(distance)}",
@@ -534,8 +538,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except DomainError as err:
-        # invalid physical parameters are reachable only through configuration
+    except (DomainError, DegenerateInputError) as err:
+        # invalid physical parameters and inputs without any detection events
+        # are reachable only through configuration
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

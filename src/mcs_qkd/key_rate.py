@@ -16,15 +16,20 @@ Both the leading factor and rho use the dark-adjusted detection probability:
 dark counts are indistinguishable from signal at the receiver, so they dilute
 the single-photon fraction exactly like any other detection event.
 
+The formula is written once, elementwise over numpy arrays, in
+``rate_formula``; ``secure_rate`` and the scalar helpers validate one point
+and evaluate it, or one of its pieces, there.
+
 All functions are pure; the record types are immutable and thread-safe.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
 
@@ -38,9 +43,9 @@ __all__ = [
     "RateBreakdown",
     "TableF",
     "adjusted_signal",
-    "channel_eta",
     "error_rate",
     "f_ec",
+    "rate_formula",
     "secure_rate",
     "shannon_h",
     "tau_compression",
@@ -103,15 +108,14 @@ KTH15_CHANNEL = ChannelModel(loss_coeff_a=0.2, distance_l=5.0, receiver_loss_L=1
 KTH15_DETECTOR = DetectorModel(dark_prob_Pd=2e-4, baseline_error_c=0.01)
 
 
-def channel_eta(channel: ChannelModel) -> float:
-    """Total detection efficiency of the channel: 10**(-(a*l+L)/10) * eta_d."""
-    return channel.total_eta()
+def _dark_adjusted(p_s, dark_prob):
+    return p_s + dark_prob - p_s * dark_prob
 
 
 def adjusted_signal(p_s: float, det: DetectorModel) -> float:
     """Detection probability including dark counts (union of independent events)."""
     _require_prob("p_s", p_s)
-    return p_s + det.dark_prob_Pd - p_s * det.dark_prob_Pd
+    return _dark_adjusted(p_s, det.dark_prob_Pd)
 
 
 def error_rate(p_s: float, det: DetectorModel) -> float:
@@ -122,20 +126,25 @@ def error_rate(p_s: float, det: DetectorModel) -> float:
     clamped to [0, 1/2].  Raises ``DegenerateInputError`` when Ps_bar is zero
     (no detection events, error rate undefined).
     """
-    _require_prob("p_s", p_s)
-    p_bar = adjusted_signal(p_s, det)
-    if p_bar <= 0.0:
-        raise DegenerateInputError("no detection events: error rate is undefined")
-    e = (det.baseline_error_c * p_s + det.dark_prob_Pd / 2.0) / p_bar
-    return min(0.5, max(0.0, e))
+    return secure_rate(p_s, 0.0, det).e
+
+
+def _entropy(e):
+    h = -e * np.log2(e) - (1.0 - e) * np.log2(1.0 - e)
+    return np.where((e <= 0.0) | (e >= 1.0), 0.0, h)
 
 
 def shannon_h(e: float) -> float:
     """Binary Shannon entropy with the continuity convention h(0) = h(1) = 0."""
     _require_prob("e", e)
-    if e <= 0.0 or e >= 1.0:
-        return 0.0
-    return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_entropy(np.float64(e)))
+
+
+def _compression(e, rho):
+    u = e / rho
+    tau = np.log2(1.0 + 4.0 * u - 4.0 * u * u)
+    return np.where((rho > 0.0) & (u < 0.5), tau, 1.0)
 
 
 def tau_compression(e: float, rho: float) -> float:
@@ -146,12 +155,8 @@ def tau_compression(e: float, rho: float) -> float:
     Callers must check rho first; a non-positive rho returns the cap rather
     than raising.
     """
-    if rho <= 0.0:
-        return 1.0
-    u = e / rho
-    if u >= 0.5:
-        return 1.0
-    return math.log2(1.0 + 4.0 * u - 4.0 * u * u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_compression(np.float64(e), np.float64(rho)))
 
 
 @dataclass(frozen=True)
@@ -174,6 +179,8 @@ class TableF:
     def __post_init__(self) -> None:
         if not self.knots:
             raise ConfigurationError("f(e) table must contain at least one (e, f) knot")
+        if not all(math.isfinite(e) and math.isfinite(f) and f > 0.0 for e, f in self.knots):
+            raise ConfigurationError("f(e) table knots must have finite e and finite f > 0")
         es = [e for e, _ in self.knots]
         if any(b <= a for a, b in zip(es, es[1:])):
             raise ConfigurationError("f(e) table knots must have strictly ascending e")
@@ -182,22 +189,13 @@ class TableF:
 DEFAULT_F_POLICY = ConstantF(1.16)
 
 
-def f_ec(e: float, policy: ConstantF | TableF = DEFAULT_F_POLICY) -> float:
-    """Error-correction inefficiency factor at error rate ``e``."""
+def f_ec(e, policy: ConstantF | TableF = DEFAULT_F_POLICY):
+    """Error-correction inefficiency factor at error rate ``e``, elementwise."""
     if isinstance(policy, ConstantF):
-        return policy.f0
+        return np.full(np.shape(e), policy.f0)
     if isinstance(policy, TableF):
-        es = [knot[0] for knot in policy.knots]
-        fs = [knot[1] for knot in policy.knots]
-        i = bisect.bisect_left(es, e)
-        if i < len(es) and es[i] == e:
-            return fs[i]
-        if i == 0:
-            return fs[0]
-        if i == len(es):
-            return fs[-1]
-        frac = (e - es[i - 1]) / (es[i] - es[i - 1])
-        return fs[i - 1] + frac * (fs[i] - fs[i - 1])
+        es, fs = zip(*policy.knots)
+        return np.interp(e, es, fs)
     raise ConfigurationError(f"unknown f policy {policy!r}")
 
 
@@ -206,7 +204,9 @@ class RateBreakdown:
     """Every intermediate of one operating point, plus the clamped rate.
 
     ``R_raw`` keeps its sign so cutoff searches can bisect on it; ``R`` is
-    clamped to zero where the protocol is insecure.
+    clamped to zero where the protocol is insecure.  ``rate_formula`` returns
+    one breakdown whose fields are arrays of a common shape; ``at`` picks one
+    operating point out of it.
     """
 
     p_s: float
@@ -224,16 +224,21 @@ class RateBreakdown:
     def is_secure(self) -> bool:
         return self.R_raw > 0.0
 
+    def at(self, index) -> "RateBreakdown":
+        """Float breakdown of the cell ``index`` of an array-valued breakdown."""
+        values = (getattr(self, field.name)[index] for field in dataclasses.fields(self))
+        return RateBreakdown(*map(float, values))
 
-def secure_rate(
-    p_s: float,
-    p_m: float,
+
+def rate_formula(
+    p_s,
+    p_m,
     det: DetectorModel,
     f_policy: ConstantF | TableF = DEFAULT_F_POLICY,
     *,
     paper_literal_sign: bool = False,
 ) -> RateBreakdown:
-    """Secure rate per slot from the raw signal and multi-photon probabilities.
+    """Secure rate per slot, elementwise over broadcast arrays of Ps and Pm.
 
     Computes the dark-adjusted signal Ps_bar, the error rate e, the
     single-photon fraction rho = (Ps_bar - Pm) / Ps_bar, and
@@ -243,21 +248,24 @@ def secure_rate(
     with R = max(R_raw, 0).  When rho <= 0 there is no single-photon surplus:
     tau is reported at its cap and R_raw collapses to the non-positive
     -(Ps_bar/2) * f * h regardless of the sign flag.
+
+    Inputs are not validated; callers check them once where they enter.  A
+    cell with no detection events (Ps_bar = 0) has no error rate: its e, h
+    and R_raw are nan and its R is 0.
     """
-    _require_prob("p_s", p_s)
-    _require_prob("p_m", p_m)
-    p_bar = adjusted_signal(p_s, det)
-    e = error_rate(p_s, det)
-    rho = (p_bar - p_m) / p_bar
-    h = shannon_h(e)
-    f = f_ec(e, f_policy)
-    if rho <= 0.0:
-        tau = 1.0
-        r_raw = -0.5 * p_bar * f * h
-    else:
-        tau = tau_compression(e, rho)
-        sign = 1.0 if paper_literal_sign else -1.0
-        r_raw = 0.5 * p_bar * (rho * (1.0 - tau) + sign * f * h)
+    p_s, p_m = np.broadcast_arrays(p_s, p_m)
+    p_bar = _dark_adjusted(p_s, det.dark_prob_Pd)
+    sign = 1.0 if paper_literal_sign else -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = (det.baseline_error_c * p_s + det.dark_prob_Pd / 2.0) / p_bar
+        e = np.minimum(0.5, np.maximum(0.0, e))
+        rho = (p_bar - p_m) / p_bar
+        h = _entropy(e)
+        f = f_ec(e, f_policy)
+        tau = _compression(e, rho)
+        r_raw = np.where(
+            rho > 0.0, 0.5 * p_bar * (rho * (1.0 - tau) + sign * f * h), -0.5 * p_bar * f * h
+        )
     return RateBreakdown(
         p_s=p_s,
         p_s_bar=p_bar,
@@ -267,6 +275,26 @@ def secure_rate(
         tau=tau,
         h=h,
         f=f,
-        R=max(r_raw, 0.0),
+        R=np.where(r_raw > 0.0, r_raw, 0.0),
         R_raw=r_raw,
     )
+
+
+def secure_rate(
+    p_s: float,
+    p_m: float,
+    det: DetectorModel,
+    f_policy: ConstantF | TableF = DEFAULT_F_POLICY,
+    *,
+    paper_literal_sign: bool = False,
+) -> RateBreakdown:
+    """``rate_formula`` at one validated operating point.
+
+    Raises ``DegenerateInputError`` when there are no detection events.
+    """
+    _require_prob("p_s", p_s)
+    _require_prob("p_m", p_m)
+    breakdown = rate_formula(p_s, p_m, det, f_policy, paper_literal_sign=paper_literal_sign)
+    if not breakdown.p_s_bar > 0.0:
+        raise DegenerateInputError("no detection events: error rate is undefined")
+    return breakdown.at(())

@@ -7,8 +7,14 @@ clear maximum, so a coarse logarithmic grid brackets it and golden-section
 refinement polishes it; the grid guard means a hypothetical second mode would
 still be caught at grid resolution.
 
-Distances in a sweep are independent pure computations and could run in
-parallel; they are evaluated in grid order here, which is already cheap.
+Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
+source statistics and the rate formula elementwise over broadcast arrays of
+total efficiency and source parameter.  A sweep evaluates the coarse grid of
+all its distances as one 2-D pass, taken in blocks of ``_ROW_BLOCK`` rows so
+that memory does not grow with the number of distances, and then refines the
+secure distances together: each row takes the same golden-section steps as
+a one-distance search and leaves the loop when its bracket is narrow enough.
+``optimize_param`` is the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -29,9 +35,14 @@ from .key_rate import (
     DetectorModel,
     RateBreakdown,
     TableF,
+    rate_formula,
     secure_rate,
 )
-from .photon_source import Protocol, make_state, mcs_state, p_multi, p_multi_min, p_signal
+
+# p_multi, p_multi_min, p_signal and secure_rate are not called here: the
+# kernel re-derives them and they remain its tested references.  They stay
+# importable from this module, where bench/spans.py wraps them for tracing.
+from .photon_source import Protocol, p_multi, p_multi_min, p_signal
 
 __all__ = [
     "DistanceSweep",
@@ -45,6 +56,9 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Distances per block of the coarse-grid pass of a sweep.
+_ROW_BLOCK = 16
 
 
 class SourceFamily(enum.Enum):
@@ -99,31 +113,128 @@ class DistanceSweep:
     cutoff_l: float | None
 
 
-def rate_at(scenario: Scenario, param: float) -> RateBreakdown:
-    """Rate breakdown of ``scenario`` at one value of the free source parameter.
+def _breakdown(scenario: Scenario, eta, param) -> RateBreakdown:
+    """Rate breakdown elementwise over broadcast arrays of efficiency and parameter.
 
-    Coherent sources are evaluated at mean photon number ``param`` with the
-    generic multi-photon probability; tuned sources are built at squeeze
-    ``param`` with their closed-form multi-photon minimum.
+    Coherent sources are evaluated at mean photon number ``param``; tuned
+    sources at squeeze ``param`` with the displacement that cancels their
+    leading multi-photon term (the closed forms of ``p_multi``,
+    ``p_multi_min`` and ``p_signal_mcs``).  Inputs are not validated.
     """
-    param = float(param)
-    if not math.isfinite(param) or param < 0.0:
-        raise DomainError(f"param must be finite and >= 0, got {param!r}")
     family = scenario.source_family
     if family is SourceFamily.COHERENT_BB84:
-        state = make_state(math.sqrt(param), 0.0)
-        p_m = p_multi(state, Protocol.BB84)
+        alpha2, nu, mu = param, 0.0, 1.0
+        p_m = 1.0 - (1.0 + param) * np.exp(-param)
     else:
-        state = mcs_state(param, family.protocol)
-        p_m = p_multi_min(param, family.protocol)
-    p_s = p_signal(state, scenario.channel.total_eta())
-    return secure_rate(
-        p_s,
-        p_m,
+        nu = param
+        mu = np.sqrt(1.0 + nu * nu)
+        ratio = nu / mu
+        if family.protocol is Protocol.BB84:
+            alpha2 = mu * nu
+            p_m = 1.0 - (1.0 + ratio) * np.exp(-(mu - nu) * nu) / mu
+        else:
+            alpha2 = 3.0 * mu * nu
+            kept = (1.0 + ratio) * (1.0 + 2.0 * ratio) * np.exp(-3.0 * (mu - nu) * nu) / mu
+            p_m = 1.0 - kept
+    p_vacuum = np.exp(-eta * alpha2 * (mu - nu) / (mu + nu * (1.0 - eta))) / np.sqrt(
+        1.0 + nu * nu * eta * (2.0 - eta)
+    )
+    return rate_formula(
+        1.0 - np.minimum(p_vacuum, 1.0),
+        np.maximum(p_m, 0.0),  # at most 1 by construction; rounding can dip below 0
         scenario.detector,
         scenario.f_policy,
         paper_literal_sign=scenario.paper_literal_sign,
     )
+
+
+def rate_at(scenario: Scenario, param) -> RateBreakdown:
+    """Rate breakdown of ``scenario`` at a value, or an array, of the free parameter.
+
+    An array gives a breakdown of arrays of its shape.  Parameter values with
+    no detection events (vacuum source, zero dark counts) are marked, not
+    raised: their ``p_s_bar`` is 0, their ``e`` nan and their ``R`` 0.
+    """
+    values = np.asarray(param, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
+        raise DomainError(f"param must be finite and >= 0, got {param!r}")
+    breakdown = _breakdown(scenario, scenario.channel.total_eta(), values)
+    return breakdown.at(()) if values.ndim == 0 else breakdown
+
+
+def _search(
+    param_min: float = 1e-5,
+    param_max: float = 4.0,
+    grid_points: int = 200,
+    rtol: float = 1e-5,
+) -> tuple[np.ndarray, float]:
+    """The coarse parameter grid and ``rtol``, after checking every search setting."""
+    if not (0.0 < param_min < param_max and math.isfinite(param_max)):
+        raise DomainError("need 0 < param_min < param_max < inf")
+    if grid_points < 2:
+        raise DomainError("grid_points must be >= 2")
+    if not rtol > 0.0:
+        raise DomainError(f"rtol must be > 0, got {rtol!r}")
+    return np.geomspace(param_min, param_max, grid_points), rtol
+
+
+def _eta(scenario: Scenario, distance_l: float) -> float:
+    return scenario.channel.at_distance(distance_l).total_eta()
+
+
+def _secure_at(scenario: Scenario, distance_l: float, grid: np.ndarray) -> bool:
+    """Whether ``optimize_param`` finds a positive unclamped rate at ``distance_l``.
+
+    The refined optimum never falls below the best grid point, so its R_raw is
+    positive exactly when some grid point's R is; no refinement is needed.
+    """
+    return bool(_breakdown(scenario, _eta(scenario, distance_l), grid).R.max() > 0.0)
+
+
+def _optimize_rows(
+    scenario: Scenario, etas: np.ndarray, grid: np.ndarray, rtol: float
+) -> list[OptimumPoint | None]:
+    """Refined optimum for each total efficiency in ``etas``; None where insecure."""
+    best_i = np.empty(len(etas), dtype=np.intp)
+    best_r = np.empty(len(etas))
+    for start in range(0, len(etas), _ROW_BLOCK):
+        rates = _breakdown(scenario, etas[start:start + _ROW_BLOCK, None], grid).R
+        best_i[start:start + len(rates)] = np.argmax(rates, axis=1)
+        best_r[start:start + len(rates)] = rates.max(axis=1)
+    rows = np.flatnonzero(best_r > 0.0)
+    eta, cell = etas[rows], best_i[rows]
+    lo = grid[np.maximum(cell - 1, 0)]
+    hi = grid[np.minimum(cell + 1, len(grid) - 1)]
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = _breakdown(scenario, eta[:, None], np.stack((c, d), axis=1)).R.T
+    active = hi - lo > rtol * 0.5 * (lo + hi)
+    while active.any():
+        # left rows keep [lo, d] and probe a new c; right rows keep [c, hi] and
+        # probe a new d; inactive rows keep their bracket, and their probes and
+        # rates are never read again
+        left = active & (fc >= fd)
+        hi = np.where(left, d, hi)
+        lo = np.where(active & ~left, c, lo)
+        c, d = (
+            np.where(left, hi - _INV_PHI * (hi - lo), d),
+            np.where(left, c, lo + _INV_PHI * (hi - lo)),
+        )
+        probed = _breakdown(scenario, eta, np.where(left, c, d)).R
+        fc, fd = np.where(left, probed, fd), np.where(left, fc, probed)
+        active &= hi - lo > rtol * 0.5 * (lo + hi)
+    # keep the coarse-grid winner if refinement somehow lost ground
+    candidates = np.stack((0.5 * (lo + hi), grid[cell]), axis=1)
+    final = _breakdown(scenario, eta[:, None], candidates)
+    pick = (final.R[:, 1] > final.R[:, 0]).astype(np.intp)
+    optima: list[OptimumPoint | None] = [None] * len(etas)
+    for k, row in enumerate(rows):
+        optima[row] = OptimumPoint(
+            param_value=float(candidates[k, pick[k]]),
+            breakdown=final.at((k, pick[k])),
+            bracket=(float(lo[k]), float(hi[k])),
+        )
+    return optima
 
 
 def optimize_param(
@@ -142,33 +253,8 @@ def optimize_param(
     which is a result, not an error.  The returned optimum never falls below
     the best coarse-grid point.
     """
-    if not 0.0 < param_min < param_max:
-        raise DomainError("need 0 < param_min < param_max")
-    if grid_points < 2:
-        raise DomainError("grid_points must be >= 2")
-    grid = [float(p) for p in np.geomspace(param_min, param_max, grid_points)]
-    rates = [rate_at(scenario, p).R for p in grid]
-    best_i = max(range(len(grid)), key=rates.__getitem__)
-    if rates[best_i] <= 0.0:
-        return None
-    lo = grid[best_i - 1] if best_i > 0 else grid[0]
-    hi = grid[best_i + 1] if best_i + 1 < len(grid) else grid[-1]
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc = rate_at(scenario, c).R
-    fd = rate_at(scenario, d).R
-    while hi - lo > rtol * 0.5 * (lo + hi):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = rate_at(scenario, c).R
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = rate_at(scenario, d).R
-    # keep the coarse-grid winner if refinement somehow lost ground
-    best_param = max((0.5 * (lo + hi), grid[best_i]), key=lambda p: rate_at(scenario, p).R)
-    return OptimumPoint(param_value=best_param, breakdown=rate_at(scenario, best_param), bracket=(lo, hi))
+    grid, rtol = _search(param_min, param_max, grid_points, rtol)
+    return _optimize_rows(scenario, np.array([scenario.channel.total_eta()]), grid, rtol)[0]
 
 
 def sweep_distance(
@@ -182,15 +268,21 @@ def sweep_distance(
 
     When the final grid point is insecure (and the scenario is secure at zero
     distance) the cutoff is located by bisection within the swept range.
-    Keyword arguments in ``search`` forward to :func:`optimize_param`.
+    Keyword arguments in ``search`` are those of :func:`optimize_param`.
     """
     distances = [float(l) for l in l_grid]
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise DomainError("l_grid must be sorted ascending")
-    points = tuple((l, optimize_param(scenario.at_distance(l), **search)) for l in distances)
+    grid, rtol = _search(**search)
+    etas = np.array([_eta(scenario, l) for l in distances])
+    points = tuple(zip(distances, _optimize_rows(scenario, etas, grid, rtol)))
     cutoff_l = None
     if points and points[-1][1] is None:
-        if optimize_param(scenario.at_distance(0.0), **search) is not None:
+        if distances[0] == 0.0:
+            secure_at_zero = points[0][1] is not None
+        else:
+            secure_at_zero = _secure_at(scenario, 0.0, grid)
+        if secure_at_zero:
             cutoff_l = cutoff_distance(
                 scenario, distances[-1], resolution_km=cutoff_resolution_km, **search
             )
@@ -207,25 +299,22 @@ def cutoff_distance(
     """Largest distance with a positive unclamped optimal rate, by bisection.
 
     The unclamped rate's sign drives the bisection; the clamped rate is flat at
-    zero past the cutoff and would give the search nothing to work with.
-    Returns ``l_max`` itself when still secure there (no cutoff within range);
-    raises ``DegenerateInputError`` when insecure already at zero distance.
+    zero past the cutoff and would give the search nothing to work with.  Each
+    step needs only the coarse grid (see ``_secure_at``).  Returns ``l_max``
+    itself when still secure there (no cutoff within range); raises
+    ``DegenerateInputError`` when insecure already at zero distance.
     """
     if not math.isfinite(l_max) or l_max <= 0.0:
         raise DomainError(f"l_max must be finite and > 0, got {l_max!r}")
-
-    def secure(l: float) -> bool:
-        point = optimize_param(scenario.at_distance(l), **search)
-        return point is not None and point.breakdown.R_raw > 0.0
-
-    if not secure(0.0):
+    grid, _ = _search(**search)
+    if not _secure_at(scenario, 0.0, grid):
         raise DegenerateInputError("scenario is insecure even at zero distance")
-    if secure(l_max):
+    if _secure_at(scenario, l_max, grid):
         return l_max
     lo, hi = 0.0, l_max
     while hi - lo > resolution_km:
         mid = 0.5 * (lo + hi)
-        if secure(mid):
+        if _secure_at(scenario, mid, grid):
             lo = mid
         else:
             hi = mid

@@ -1,7 +1,10 @@
+import math
 from pathlib import Path
 
 import pytest
 
+from mcs_qkd import DegenerateInputError
+from mcs_qkd import cli
 from mcs_qkd.cli import main
 
 FAST_FIGURE2 = "grid_points = 60\nl_step_km = 5\nl_max_km = 30\n"
@@ -104,6 +107,25 @@ class TestConfigHandling:
         code = main(["rate", "--config", str(config), "--family", "mcs-bb84", "--nu", "0.1"])
         assert code == 2
 
+    def test_no_detection_events_exits_2_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "silent.cfg"
+        config.write_text("dark_prob_Pd = 0\n", encoding="utf-8")
+        code = main(["rate", "--config", str(config), "--family", "mcs-bb84", "--nu", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("config error:")
+        assert "no detection events" in err_lines[0]
+
+    def test_degenerate_input_from_any_command_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_events(*args, **kwargs):
+            raise DegenerateInputError("no detection events")
+
+        monkeypatch.setattr(cli, "sweep_distance", no_events)
+        assert main(["figure2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: no detection events"]
+
     def test_unwritable_out_dir_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory", encoding="utf-8")
@@ -135,6 +157,28 @@ class TestFPolicy:
                      "--f-policy", f"table:{table}"])
         assert code == 2
 
+    @pytest.mark.parametrize("bad_row", ["0.1,nan", "0.1,-1.2", "0.1,0", "inf,1.2"])
+    def test_bad_table_exits_2_with_one_line(self, tmp_path, capsys, bad_row):
+        table = tmp_path / "f.csv"
+        table.write_text(f"e,f\n0.0,1.05\n{bad_row}\n", encoding="utf-8")
+        code = main(["rate", "--family", "mcs-bb84", "--nu", "0.2",
+                     "--f-policy", f"table:{table}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("config error:")
+
+    def test_header_after_comment_lines(self, tmp_path, capsys):
+        table = tmp_path / "f.csv"
+        table.write_text("# measured code efficiencies\n\ne,f\n0.0,1.05\n0.1,1.3\n",
+                         encoding="utf-8")
+        code = main(["rate", "--family", "mcs-bb84", "--nu", "0.2",
+                     "--f-policy", f"table:{table}"])
+        assert code == 0
+        f_value = float(parse_stdout_rows(capsys.readouterr().out)[0]["f"])
+        assert 1.05 < f_value < 1.3
+
     def test_bad_spec_exits_2(self, capsys):
         code = main(["rate", "--family", "mcs-bb84", "--nu", "0.2", "--f-policy", "fancy"])
         assert code == 2
@@ -164,6 +208,17 @@ class TestFigure1:
         assert main(["figure1", "--out", str(out_b)]) == 0
         assert (out_a / "figure1.csv").read_bytes() == (out_b / "figure1.csv").read_bytes()
         assert (out_a / "figure1.svg").read_bytes() == (out_b / "figure1.svg").read_bytes()
+
+    def test_no_dark_counts_drops_only_the_vacuum_rows(self, tmp_path, capsys):
+        config = tmp_path / "silent.cfg"
+        config.write_text("dark_prob_Pd = 0\nfig1_points = 11\n", encoding="utf-8")
+        out = tmp_path / "fig1"
+        assert main(["figure1", "--config", str(config), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "figure1.csv")
+        for family in ("coherent-bb84", "mcs-bb84", "mcs-sarg04"):
+            params = [float(r["param"]) for r in rows if r["family"] == family]
+            assert params == [0.6 * i / 10 for i in range(1, 11)]
+        assert all(math.isfinite(float(v)) for r in rows for k, v in r.items() if k != "family")
 
     def test_shorter_distance_raises_all_curves(self, tmp_path):
         near, far = tmp_path / "near", tmp_path / "far"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from mcs_qkd import (
     DomainError,
     TableF,
     adjusted_signal,
-    channel_eta,
     error_rate,
     f_ec,
     secure_rate,
@@ -24,27 +24,27 @@ from mcs_qkd import (
 
 class TestChannel:
     def test_kth15_at_5km(self, kth15_channel):
-        eta = channel_eta(kth15_channel)
+        eta = kth15_channel.total_eta()
         assert eta == pytest.approx(10.0 ** (-0.2) * 0.18, abs=1e-15)
         assert 10.0 * math.log10(eta) == pytest.approx(-9.45, abs=0.005)
 
     def test_lossless(self):
-        assert channel_eta(ChannelModel(0.0, 0.0, 0.0, 1.0)) == 1.0
+        assert ChannelModel(0.0, 0.0, 0.0, 1.0).total_eta() == 1.0
 
     def test_zero_distance(self):
-        eta = channel_eta(ChannelModel(0.2, 0.0, 1.0, 0.18))
+        eta = ChannelModel(0.2, 0.0, 1.0, 0.18).total_eta()
         assert eta == pytest.approx(10.0 ** (-0.1) * 0.18, abs=1e-15)
 
     def test_strictly_decreasing_in_distance(self):
-        etas = [channel_eta(ChannelModel(0.2, l, 1.0, 0.18)) for l in range(0, 100, 5)]
+        etas = [ChannelModel(0.2, l, 1.0, 0.18).total_eta() for l in range(0, 100, 5)]
         assert all(b < a for a, b in zip(etas, etas[1:]))
 
     @given(l1=st.floats(0.0, 100.0), l2=st.floats(0.0, 100.0), L=st.floats(0.0, 10.0))
     def test_multiplicative_composition(self, l1, l2, L):
-        combined = channel_eta(ChannelModel(0.2, l1 + l2, L, 0.18))
+        combined = ChannelModel(0.2, l1 + l2, L, 0.18).total_eta()
         composed = (
-            channel_eta(ChannelModel(0.2, l1, 0.0, 1.0))
-            * channel_eta(ChannelModel(0.2, l2, 0.0, 1.0))
+            ChannelModel(0.2, l1, 0.0, 1.0).total_eta()
+            * ChannelModel(0.2, l2, 0.0, 1.0).total_eta()
             * 10.0 ** (-L / 10.0)
             * 0.18
         )
@@ -168,6 +168,20 @@ class TestErrorCorrectionPolicy:
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigurationError):
             TableF(())
+
+    @pytest.mark.parametrize(
+        "knots",
+        [((0.0, math.nan),), ((0.0, 1.1), (0.1, -1.2)), ((0.0, 0.0),), ((math.inf, 1.1),),
+         ((math.nan, 1.1),), ((0.0, math.inf),)],
+    )
+    def test_non_finite_or_non_positive_knots_rejected(self, knots):
+        with pytest.raises(ConfigurationError):
+            TableF(knots)
+
+    def test_interpolates_arrays_elementwise(self):
+        table = TableF(((0.0, 1.0), (0.1, 1.2)))
+        values = f_ec(np.array([-1.0, 0.0, 0.05, 0.1, 0.5]), table)
+        assert values == pytest.approx([1.0, 1.0, 1.1, 1.2, 1.2], abs=1e-15)
 
     def test_unsorted_table_rejected(self):
         with pytest.raises(ConfigurationError):

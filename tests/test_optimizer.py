@@ -90,6 +90,10 @@ class TestOptimizeParam:
             optimize_param(scenario, param_min=0.0)
         with pytest.raises(DomainError):
             optimize_param(scenario, grid_points=1)
+        with pytest.raises(DomainError):
+            optimize_param(scenario, rtol=0.0)
+        with pytest.raises(DomainError):
+            optimize_param(scenario, param_max=float("inf"))
 
 
 class TestSweepDistance:
