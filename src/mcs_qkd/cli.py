@@ -21,15 +21,18 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DomainError
+from .errors import ConfigurationError, DegenerateInputError, DomainError, TruncationError
 from .fock_oracle import (
+    DEFAULT_ALPHAS,
+    DEFAULT_ETAS,
     DEFAULT_FOCK_N_MAX,
+    DEFAULT_NUS,
     DEFAULT_QUAD_NODES,
     max_abs_diff_by_formula,
     verify_closed_forms,
@@ -79,9 +82,9 @@ class RunConfig:
     # oracle verification
     oracle_fock_n_max: int = DEFAULT_FOCK_N_MAX
     oracle_quad_nodes: int = DEFAULT_QUAD_NODES
-    verify_alphas: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
-    verify_nus: tuple[float, ...] = (0.0, 0.3, 0.8)
-    verify_etas: tuple[float, ...] = (0.05, 0.5, 0.95)
+    verify_alphas: tuple[float, ...] = DEFAULT_ALPHAS
+    verify_nus: tuple[float, ...] = DEFAULT_NUS
+    verify_etas: tuple[float, ...] = DEFAULT_ETAS
     # output
     out_dir: str = "."
 
@@ -102,35 +105,10 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-_COERCERS = {
-    "loss_coeff_a": float,
-    "receiver_loss_L": float,
-    "detector_eff": float,
-    "dark_prob_Pd": float,
-    "baseline_error_c": float,
-    "f_policy": str,
-    "paper_literal_sign": _parse_bool,
-    "distance_km": float,
-    "l_max_km": float,
-    "l_step_km": float,
-    "family": str,
-    "alpha2": float,
-    "nu": float,
-    "param_min": float,
-    "param_max": float,
-    "grid_points": int,
-    "golden_rtol": float,
-    "cutoff_resolution_km": float,
-    "fig1_param_max": float,
-    "fig1_points": int,
-    "oracle_fock_n_max": int,
-    "oracle_quad_nodes": int,
-    "verify_alphas": _parse_float_list,
-    "verify_nus": _parse_float_list,
-    "verify_etas": _parse_float_list,
-    "out_dir": str,
-}
-assert set(_COERCERS) == {f.name for f in fields(RunConfig)}
+#: Config-value parsers by annotated field type; an optional field parses as its base type.
+_PARSERS = {"str": str, "float": float, "int": int, "bool": _parse_bool,
+            "tuple[float, ...]": _parse_float_list}
+_COERCERS = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -426,18 +404,8 @@ def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     n_max = args.fock_n_max if args.fock_n_max is not None else cfg.oracle_fock_n_max
     nodes = args.quad_nodes if args.quad_nodes is not None else cfg.oracle_quad_nodes
-    grid = [
-        (alpha, nu, eta)
-        for alpha in cfg.verify_alphas
-        for nu in cfg.verify_nus
-        for eta in cfg.verify_etas
-    ]
-    reports = verify_closed_forms(
-        grid,
-        fock_n_max=n_max,
-        quad_nodes=nodes,
-        closed_form_offset=args.inject_offset,
-    )
+    grid = product(cfg.verify_alphas, cfg.verify_nus, cfg.verify_etas)
+    reports = verify_closed_forms(grid, fock_n_max=n_max, quad_nodes=nodes)
     rows = [
         (r.formula, r.alpha, r.nu, r.eta, r.method, r.resolution,
          r.closed_form_value, r.oracle_value, r.abs_diff, r.within_tolerance)
@@ -522,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="truncation order of the Fock-sum oracle (default 128)")
     p_verify.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None,
                           help="quadrature nodes per axis (default 96)")
-    p_verify.add_argument("--inject-offset", dest="inject_offset", type=float, default=0.0,
-                          help=argparse.SUPPRESS)  # test hook: shifts every closed form
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -542,6 +508,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # invalid physical parameters and inputs without any detection events
         # are reachable only through configuration
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except TruncationError as err:
+        # the Fock oracle's truncation order is a configuration value
+        print(f"config error: {err}; raise fock_n_max", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -26,12 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InsufficientTruncationError, TruncationError
 from .photon_source import (
+    FockDistribution,
     Protocol,
     SqueezedCoherentState,
     fock_coefficients,
@@ -43,8 +45,11 @@ from .photon_source import (
 )
 
 __all__ = [
+    "DEFAULT_ALPHAS",
+    "DEFAULT_ETAS",
     "DEFAULT_FOCK_N_MAX",
     "DEFAULT_GRID",
+    "DEFAULT_NUS",
     "DEFAULT_QUAD_NODES",
     "FOCK_SUM",
     "FOCK_TOLERANCE",
@@ -71,12 +76,11 @@ DEFAULT_QUAD_NODES = 96
 #: Fock oracle refuses to run with more unresolved probability mass than this.
 _MAX_UNRESOLVED_MASS = 1e-10
 
-DEFAULT_GRID: tuple[tuple[float, float, float], ...] = tuple(
-    (alpha, nu, eta)
-    for alpha in (0.0, 0.5, 1.0, 2.0)
-    for nu in (0.0, 0.3, 0.8)
-    for eta in (0.05, 0.5, 0.95)
-)
+#: Default verification axes; the grid is their product, alpha outermost.
+DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
+DEFAULT_NUS = (0.0, 0.3, 0.8)
+DEFAULT_ETAS = (0.05, 0.5, 0.95)
+DEFAULT_GRID = tuple(product(DEFAULT_ALPHAS, DEFAULT_NUS, DEFAULT_ETAS))
 
 
 @dataclass(frozen=True)
@@ -121,19 +125,27 @@ def p0_via_fock(state: SqueezedCoherentState, eta: float, n_max: int = DEFAULT_F
     """
     if not math.isfinite(eta) or eta < 0.0 or eta > 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
+    return _p0_from_amplitudes(_truncated_distribution(state, n_max), eta)
+
+
+def _truncated_distribution(state: SqueezedCoherentState, n_max: int) -> FockDistribution:
+    """Amplitudes up to order ``n_max``, accepting a cap hit with a negligible remainder."""
     if n_max < 8:
         raise DomainError(f"n_max must be >= 8, got {n_max!r}")
     try:
-        dist = fock_coefficients(state, n_cap=n_max)
+        return fock_coefficients(state, n_cap=n_max)
     except TruncationError as err:
         if 1.0 - err.partial_mass > _MAX_UNRESOLVED_MASS:
             raise InsufficientTruncationError(
-                f"{1.0 - err.partial_mass:.3e} of probability mass is unresolved at order "
-                f"{n_max}; raise n_max",
+                f"{1.0 - err.partial_mass:.3e} of probability mass is unresolved at Fock "
+                f"order {n_max}",
                 partial_mass=err.partial_mass,
                 partial=err.partial,
             ) from err
-        dist = err.partial
+        return err.partial
+
+
+def _p0_from_amplitudes(dist: FockDistribution, eta: float) -> float:
     loss = 1.0 - eta
     return min(1.0, math.fsum(c * c * loss**n for n, c in enumerate(dist.amplitudes)))
 
@@ -151,10 +163,11 @@ def p0_via_quadrature(
 
     The integrand decays Gaussianly with per-axis rates
     a_u = 1/(1-eta) + nu/mu and a_v = 1/(1-eta) - nu/mu (both positive since
-    mu > nu*(1-eta)), so the nodes are scaled per axis to match.  The squared
-    overlap is evaluated in complex arithmetic -- its -nu*conj(beta)**2 term
-    mixes the two axes -- and weights are recombined in log space so the
-    e**(t**2) de-weighting cannot overflow at large nodes.
+    mu > nu*(1-eta)), so the nodes are scaled per axis to match.  With
+    beta = u + i*v, Re(-nu*conj(beta)**2) = -nu*(u**2 - v**2), so the log of the
+    squared overlap is a term in u plus a term in v, in real arithmetic.  Their
+    outer sum, taken at every node pair, carries the e**(t**2) de-weighting in
+    log space so it cannot overflow at large nodes.
 
     Only interior efficiencies are integrable: the Gaussian weight degenerates
     at eta = 0 and eta = 1, where callers should use the Fock sum instead.
@@ -170,23 +183,19 @@ def p0_via_quadrature(
     t, w = _hermgauss(nodes)
     a_u = 1.0 / (1.0 - eta) + nu / mu
     a_v = 1.0 / (1.0 - eta) - nu / mu
-    u = t[:, None] / math.sqrt(a_u)  # Re(beta)
-    v = t[None, :] / math.sqrt(a_v)  # Im(beta)
-    beta_conj = u - 1j * v
-    abs_sq = u * u + v * v
-    log_overlap_sq = 2.0 * np.real(
-        -0.5 * (alpha * alpha + abs_sq)
-        + (nu * alpha * alpha - nu * beta_conj**2 + 2.0 * beta_conj * alpha) / (2.0 * mu)
-    ) - math.log(mu)
-    log_weight = -eta * abs_sq / (1.0 - eta) - math.log(math.pi * (1.0 - eta))
-    exponent = log_weight + log_overlap_sq + t[:, None] ** 2 + t[None, :] ** 2
-    total = float(np.sum(w[:, None] * w[None, :] * np.exp(exponent))) / math.sqrt(a_u * a_v)
+    u = t / math.sqrt(a_u)  # Re(beta)
+    v = t / math.sqrt(a_v)  # Im(beta)
+    # log |<beta|U|alpha>|^2 = (nu*alpha^2 - nu*u^2 + nu*v^2 + 2*u*alpha)/mu - alpha^2 - |beta|^2
+    # - log(mu); the weight adds -eta*|beta|^2/(1-eta) - log(pi*(1-eta))
+    constant = nu * alpha * alpha / mu - alpha * alpha - math.log(mu * math.pi * (1.0 - eta))
+    in_u = (2.0 * alpha - nu * u) * u / mu - u * u / (1.0 - eta) + t * t + constant
+    in_v = nu * v * v / mu - v * v / (1.0 - eta) + t * t
+    total = float(w @ np.exp(in_u[:, None] + in_v[None, :]) @ w) / math.sqrt(a_u * a_v)
     return min(1.0, total)
 
 
-def _pm_via_fock(nu: float, protocol: Protocol, n_max: int) -> float:
-    """Multi-photon probability of the tuned source from the truncated expansion."""
-    dist = fock_coefficients(mcs_state(nu, protocol), n_cap=n_max)
+def _pm_via_fock(dist: FockDistribution, protocol: Protocol) -> float:
+    """Multi-photon probability of the tuned source from its truncated expansion."""
     orders = 2 if protocol is Protocol.BB84 else 3
     return max(0.0, 1.0 - math.fsum(dist.amplitudes[n] ** 2 for n in range(orders)))
 
@@ -196,7 +205,6 @@ def verify_closed_forms(
     *,
     fock_n_max: int = DEFAULT_FOCK_N_MAX,
     quad_nodes: int = DEFAULT_QUAD_NODES,
-    closed_form_offset: float = 0.0,
 ) -> list[OracleReport]:
     """Check every closed form against its brute-force counterpart on a grid.
 
@@ -204,19 +212,26 @@ def verify_closed_forms(
     of the lossy vacuum probability, the quadrature check of the same formula
     (skipped at eta endpoints where the weight degenerates), and Fock-sum
     checks of the tuned-source multi-photon minima and signal probabilities
-    for both protocols.  ``closed_form_offset`` shifts every closed-form value
-    and exists only so callers can confirm the checker detects discrepancies.
+    for both protocols.  Each distinct state is expanded once per call: the
+    tuned states depend on nu alone, and no expansion outlives the call.
     """
     if grid is None:
         grid = DEFAULT_GRID
+    dists: dict[SqueezedCoherentState, FockDistribution] = {}
+
+    def expand(state: SqueezedCoherentState) -> FockDistribution:
+        if state not in dists:
+            dists[state] = _truncated_distribution(state, fock_n_max)
+        return dists[state]
+
     reports: list[OracleReport] = []
     for alpha, nu, eta in grid:
         state = make_state(alpha, nu)
-        closed = p_vacuum_lossy(state, eta) + closed_form_offset
+        closed = p_vacuum_lossy(state, eta)
         reports.append(
             OracleReport(
                 "p_vacuum_lossy", alpha, nu, eta, FOCK_SUM, fock_n_max,
-                closed, p0_via_fock(state, eta, fock_n_max),
+                closed, _p0_from_amplitudes(expand(state), eta),
             )
         )
         if 0.0 < eta < 1.0:
@@ -228,20 +243,18 @@ def verify_closed_forms(
             )
         for protocol in Protocol:
             tuned = mcs_state(nu, protocol)
+            dist = expand(tuned)
             reports.append(
                 OracleReport(
                     f"p_multi_min[{protocol.value}]", tuned.alpha, nu, eta,
-                    FOCK_SUM, fock_n_max,
-                    p_multi_min(nu, protocol) + closed_form_offset,
-                    _pm_via_fock(nu, protocol, fock_n_max),
+                    FOCK_SUM, fock_n_max, p_multi_min(nu, protocol), _pm_via_fock(dist, protocol),
                 )
             )
             reports.append(
                 OracleReport(
                     f"p_signal_mcs[{protocol.value}]", tuned.alpha, nu, eta,
                     FOCK_SUM, fock_n_max,
-                    p_signal_mcs(nu, eta, protocol) + closed_form_offset,
-                    1.0 - p0_via_fock(tuned, eta, fock_n_max),
+                    p_signal_mcs(nu, eta, protocol), 1.0 - _p0_from_amplitudes(dist, eta),
                 )
             )
     return reports

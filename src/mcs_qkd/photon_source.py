@@ -51,8 +51,8 @@ __all__ = [
 #: 0/0; the exact Poissonian branch is used instead.
 COHERENT_NU_THRESHOLD = 1e-12
 
-#: Adaptive truncation: stop once this many consecutive photon-number
-#: probabilities fall below the tolerance.
+#: Adaptive truncation: once half the probability mass is summed, stop after
+#: this many consecutive photon-number probabilities fall below the tolerance.
 _TAIL_RUN = 5
 
 DEFAULT_TOL = 1e-14
@@ -172,7 +172,7 @@ def _expand_amplitudes(
         c = math.exp(nu * alpha * alpha / (2.0 * mu) - 0.5 * alpha * alpha) / math.sqrt(mu)
     amps = [c]
     c_prev = 0.0
-    small_run = 1 if c * c < tol else 0
+    mass, small_run = c * c, 0  # small leading terms of a far-displaced state are no tail
     n = 0
     while small_run < _TAIL_RUN and n < n_cap:
         if state.is_coherent:
@@ -185,7 +185,8 @@ def _expand_amplitudes(
         c_prev, c = c, c_next
         amps.append(c)
         n += 1
-        small_run = small_run + 1 if c * c < tol else 0
+        mass += c * c
+        small_run = small_run + 1 if c * c < tol and mass > 0.5 else 0
     return amps, small_run >= _TAIL_RUN
 
 
@@ -196,10 +197,10 @@ def fock_coefficients(
 ) -> FockDistribution:
     """Photon-number amplitudes of ``state``, truncated adaptively.
 
-    Iteration stops once ``_TAIL_RUN`` consecutive probabilities fall below
-    ``tol``; all computed amplitudes (including the small trailing ones) are
-    kept.  Raises ``TruncationError`` carrying the partial distribution when
-    order ``n_cap`` is reached first.
+    Once the summed probability exceeds 1/2, iteration stops at ``_TAIL_RUN``
+    consecutive probabilities below ``tol``; all computed amplitudes (including
+    the small trailing ones) are kept.  Raises ``TruncationError`` carrying the
+    partial distribution when order ``n_cap`` is reached first.
     """
     if not 0.0 < tol <= 1e-6:
         raise DomainError(f"tol must be in (0, 1e-6], got {tol!r}")

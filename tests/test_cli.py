@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mcs_qkd
 from mcs_qkd import DegenerateInputError
-from mcs_qkd import cli
+from mcs_qkd import cli, fock_oracle
 from mcs_qkd.cli import main
 
 FAST_FIGURE2 = "grid_points = 60\nl_step_km = 5\nl_max_km = 30\n"
@@ -303,8 +307,29 @@ class TestVerifyCommand:
         assert rows
         assert all(row["method"] == "FockSum" for row in rows)
 
-    def test_corrupted_closed_form_exits_1(self, tmp_path, capsys):
+    def test_corrupted_closed_form_exits_1(self, tmp_path, capsys, monkeypatch):
+        exact = fock_oracle.p_vacuum_lossy
+        monkeypatch.setattr(fock_oracle, "p_vacuum_lossy", lambda state, eta: exact(state, eta) + 1e-5)
         out = tmp_path / "verify"
-        code = main(["verify", "--inject-offset", "1e-5", "--out", str(out)])
+        code = main(["verify", "--out", str(out)])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+        _, rows = read_csv(out / "verify.csv")
+        failed = {row["formula"] for row in rows if row["within_tol"] == "false"}
+        assert failed == {"p_vacuum_lossy"}
+
+    @pytest.mark.parametrize("grid", ["verify_nus = 3\n", "verify_alphas = 12\n"])
+    def test_unresolved_fock_truncation_exits_2(self, tmp_path, grid):
+        config = tmp_path / "grid.cfg"
+        config.write_text(grid, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcs_qkd", "verify", "--config", str(config),
+             "--out", str(tmp_path / "verify")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(mcs_qkd.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: ")
+        assert proc.stderr.rstrip().endswith("raise fock_n_max")
+        assert proc.stderr.count("\n") == 1

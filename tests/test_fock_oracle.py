@@ -1,5 +1,8 @@
 import math
+import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from mcs_qkd import (
@@ -9,6 +12,8 @@ from mcs_qkd import (
     InsufficientTruncationError,
     Protocol,
     QUADRATURE,
+    fock_coefficients,
+    fock_oracle,
     make_state,
     max_abs_diff_by_formula,
     mcs_state,
@@ -17,6 +22,52 @@ from mcs_qkd import (
     p_vacuum_lossy,
     verify_closed_forms,
 )
+
+
+def _seeded_grid(seed: int = 2024) -> list[tuple[float, float, float]]:
+    """8 x 6 x 6 points with distinct, non-zero alphas and nus."""
+    rng = random.Random(seed)
+    alphas = sorted(rng.uniform(0.05, 2.0) for _ in range(8))
+    nus = sorted(rng.uniform(0.05, 0.8) for _ in range(6))
+    etas = sorted(rng.uniform(0.05, 0.95) for _ in range(6))
+    return list(product(alphas, nus, etas))
+
+
+def _per_point_oracles(grid) -> list[float]:
+    """Oracle values in report order, each computed from scratch at its point."""
+    values = []
+    for alpha, nu, eta in grid:
+        state = make_state(alpha, nu)
+        values.append(p0_via_fock(state, eta))
+        if 0.0 < eta < 1.0:
+            values.append(p0_via_quadrature(state, eta))
+        for protocol in Protocol:
+            tuned = mcs_state(nu, protocol)
+            amplitudes = fock_coefficients(tuned, n_cap=fock_oracle.DEFAULT_FOCK_N_MAX).amplitudes
+            orders = 2 if protocol is Protocol.BB84 else 3
+            values.append(max(0.0, 1.0 - math.fsum(c * c for c in amplitudes[:orders])))
+            values.append(1.0 - p0_via_fock(tuned, eta))
+    return values
+
+
+def _complex_quadrature(state, eta, nodes=96) -> float:
+    """The quadrature with the overlap's log taken in complex arithmetic."""
+    alpha, nu, mu = state.alpha, state.nu, state.mu
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    a_u = 1.0 / (1.0 - eta) + nu / mu
+    a_v = 1.0 / (1.0 - eta) - nu / mu
+    u = t[:, None] / math.sqrt(a_u)
+    v = t[None, :] / math.sqrt(a_v)
+    beta_conj = u - 1j * v
+    abs_sq = u * u + v * v
+    log_overlap_sq = 2.0 * np.real(
+        -0.5 * (alpha * alpha + abs_sq)
+        + (nu * alpha * alpha - nu * beta_conj**2 + 2.0 * beta_conj * alpha) / (2.0 * mu)
+    ) - math.log(mu)
+    log_weight = -eta * abs_sq / (1.0 - eta) - math.log(math.pi * (1.0 - eta))
+    exponent = log_weight + log_overlap_sq + t[:, None] ** 2 + t[None, :] ** 2
+    total = float(np.sum(w[:, None] * w[None, :] * np.exp(exponent))) / math.sqrt(a_u * a_v)
+    return min(1.0, total)
 
 
 class TestFockSumOracle:
@@ -94,6 +145,13 @@ class TestQuadratureOracle:
         with pytest.raises(DomainError):
             p0_via_quadrature(make_state(0.5, 0.1), 0.5, nodes=16)
 
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, _seeded_grid()], ids=["default", "seeded"])
+    def test_real_arithmetic_matches_complex_log_overlap(self, grid):
+        for alpha, nu, eta in grid:
+            if 0.0 < eta < 1.0:
+                state = make_state(alpha, nu)
+                assert abs(p0_via_quadrature(state, eta) - _complex_quadrature(state, eta)) <= 2e-15
+
     @pytest.mark.parametrize("alpha,nu,eta", [(0.5, 0.3, 0.5), (2.0, 1.0, 0.05), (1.0, 0.8, 0.95)])
     def test_stable_under_node_doubling(self, alpha, nu, eta):
         state = make_state(alpha, nu)
@@ -136,9 +194,38 @@ class TestVerifyClosedForms:
         for report in verify_closed_forms([(1.0, 0.3, 0.5)]):
             assert report.abs_diff == abs(report.closed_form_value - report.oracle_value)
 
-    def test_corruption_hook_is_detected(self):
-        reports = verify_closed_forms([(0.5, 0.3, 0.5)], closed_form_offset=1e-6)
-        assert any(not r.within_tolerance for r in reports)
+    def test_corruption_hook_is_detected(self, monkeypatch):
+        exact = fock_oracle.p_vacuum_lossy
+        monkeypatch.setattr(fock_oracle, "p_vacuum_lossy", lambda state, eta: exact(state, eta) + 1e-6)
+        reports = verify_closed_forms([(0.5, 0.3, 0.5)])
+        failed = [r for r in reports if not r.within_tolerance]
+        assert ("p_vacuum_lossy", FOCK_SUM) in {(r.formula, r.method) for r in failed}
+        assert {r.formula for r in failed} == {"p_vacuum_lossy"}
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, _seeded_grid()], ids=["default", "seeded"])
+    def test_matches_per_point_oracles(self, grid):
+        reports = verify_closed_forms(grid)
+        reference = _per_point_oracles(grid)
+        assert len(reports) == len(reference)
+        for report, value in zip(reports, reference):
+            if report.method == QUADRATURE:
+                assert abs(report.oracle_value - value) <= 2e-15, report
+            else:
+                assert report.oracle_value == value, report
+
+    def test_expands_each_distinct_state_once(self, monkeypatch):
+        calls = []
+
+        def counting(state, *args, **kwargs):
+            calls.append(state)
+            return fock_coefficients(state, *args, **kwargs)
+
+        monkeypatch.setattr(fock_oracle, "fock_coefficients", counting)
+        verify_closed_forms(_seeded_grid())
+        # 8 alphas x 6 nus raw states, plus 6 nus x 2 protocols tuned states
+        assert len(calls) == len(set(calls)) == 60
+        verify_closed_forms(_seeded_grid())
+        assert len(calls) == 120  # nothing is kept between calls
 
     def test_max_by_formula_summary(self):
         reports = verify_closed_forms([(0.5, 0.3, 0.5)])

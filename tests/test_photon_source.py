@@ -132,6 +132,13 @@ class TestFockCoefficients:
         assert 0.0 < excinfo.value.partial_mass < 1.0
         assert len(excinfo.value.partial.amplitudes) == 9
 
+    def test_small_leading_terms_are_not_a_converged_tail(self):
+        # c0**2 ~ 3e-45 and the mean photon number is ~80: the leading orders
+        # are below tol, and the tail only falls below it past this cap
+        with pytest.raises(TruncationError):
+            fock_coefficients(make_state(12.0, 0.3), n_cap=128)
+        assert fock_coefficients(make_state(12.0, 0.3)).total_mass() == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-5, 2e-6])
     def test_rejects_out_of_range_tol(self, tol):
         with pytest.raises(DomainError):
