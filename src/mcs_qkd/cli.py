@@ -29,15 +29,13 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, TruncationError
 from .fock_oracle import (
-    DEFAULT_ALPHAS,
-    DEFAULT_ETAS,
-    DEFAULT_FOCK_N_MAX,
-    DEFAULT_NUS,
-    DEFAULT_QUAD_NODES,
-    max_abs_diff_by_formula,
-    verify_closed_forms,
+    DEFAULT_ALPHAS, DEFAULT_ETAS, DEFAULT_FOCK_N_MAX, DEFAULT_NUS, DEFAULT_QUAD_NODES,
+    max_abs_diff_by_formula, verify_closed_forms,
 )
-from .key_rate import ChannelModel, ConstantF, DetectorModel, TableF
+from .key_rate import (
+    DEFAULT_F_POLICY, KTH15_CHANNEL, KTH15_DETECTOR,
+    ChannelModel, ConstantF, DetectorModel, RateBreakdown, TableF,
+)
 from .optimizer import Scenario, SourceFamily, rate_at, sweep_distance
 from .svgplot import render_line_chart
 
@@ -48,22 +46,25 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+#: Most distances a figure2 range, and most points a figure1 scan, may hold.
+_MAX_POINTS = 100_000
+
 
 @dataclass
 class RunConfig:
     """Run configuration; field names double as the config-file keys."""
 
     # channel and detector (KTH15 defaults)
-    loss_coeff_a: float = 0.2  # dB/km
-    receiver_loss_L: float = 1.0  # dB
-    detector_eff: float = 0.18
-    dark_prob_Pd: float = 2e-4
-    baseline_error_c: float = 0.01
+    loss_coeff_a: float = KTH15_CHANNEL.loss_coeff_a  # dB/km
+    receiver_loss_L: float = KTH15_CHANNEL.receiver_loss_L  # dB
+    detector_eff: float = KTH15_CHANNEL.detector_eff
+    dark_prob_Pd: float = KTH15_DETECTOR.dark_prob_Pd
+    baseline_error_c: float = KTH15_DETECTOR.baseline_error_c
     # rate formula
-    f_policy: str = "const:1.16"
+    f_policy: str = f"const:{DEFAULT_F_POLICY.f0}"
     paper_literal_sign: bool = False
     # geometry
-    distance_km: float = 5.0
+    distance_km: float = KTH15_CHANNEL.distance_l
     l_max_km: float = 100.0  # extends past the longest default cutoff (~78 km)
     l_step_km: float = 1.0
     # source parameters for the `rate` command (no safe defaults)
@@ -111,18 +112,24 @@ _PARSERS = {"str": str, "float": float, "int": int, "bool": _parse_bool,
 _COERCERS = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment line."""
+def _content_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """Numbered lines of the flat file ``path``, without blank and '#' comment lines."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise ConfigurationError(f"cannot read config file {path}: {err}") from err
+        raise ConfigurationError(f"cannot read {what} {path}: {err}") from err
+    return [
+        (lineno, raw)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip() and not raw.strip().startswith("#")
+    ]
+
+
+def load_config_file(path: str) -> dict[str, str]:
+    """Read a flat ``key = value`` file; '#' starts a comment line."""
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
+    for lineno, raw in _content_lines(path, "config file"):
+        key, sep, value = raw.partition("=")
         if not sep:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         entries[key.strip()] = value.strip()
@@ -130,7 +137,11 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overridden by the config file, overridden by CLI flags."""
+    """Defaults, overridden by the config file, overridden by CLI flags.
+
+    A flag that overrides a config key stores under that key's name and is
+    absent from ``args`` unless given.
+    """
     cfg = RunConfig()
     config_path = getattr(args, "config", None)
     if config_path:
@@ -141,12 +152,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, _COERCERS[key](raw))
             except ValueError as err:
                 raise ConfigurationError(f"config key '{key}': {err}") from err
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "f_policy", None) is not None:
-        cfg.f_policy = args.f_policy
-    if getattr(args, "paper_literal_sign", None) is not None:
-        cfg.paper_literal_sign = True
+    for key, value in vars(args).items():
+        if key in _COERCERS:
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -164,14 +172,9 @@ def parse_f_policy(spec: str) -> ConstantF | TableF:
 
 
 def _read_f_table(path: str) -> tuple[tuple[float, float], ...]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigurationError(f"cannot read f_policy table {path}: {err}") from err
     lines = [
         (lineno, raw, [part.strip() for part in raw.split(",")])
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if raw.strip() and not raw.strip().startswith("#")
+        for lineno, raw in _content_lines(path, "f_policy table")
     ]
     if lines and lines[0][2][:2] == ["e", "f"]:
         lines = lines[1:]  # optional header row
@@ -187,29 +190,11 @@ def _read_f_table(path: str) -> tuple[tuple[float, float], ...]:
 
 
 def _scenario(cfg: RunConfig, family: SourceFamily, distance_km: float, f_policy) -> Scenario:
-    channel = ChannelModel(
-        loss_coeff_a=cfg.loss_coeff_a,
-        distance_l=distance_km,
-        receiver_loss_L=cfg.receiver_loss_L,
-        detector_eff=cfg.detector_eff,
-    )
+    channel = ChannelModel(loss_coeff_a=cfg.loss_coeff_a, distance_l=distance_km,
+                           receiver_loss_L=cfg.receiver_loss_L, detector_eff=cfg.detector_eff)
     detector = DetectorModel(dark_prob_Pd=cfg.dark_prob_Pd, baseline_error_c=cfg.baseline_error_c)
-    return Scenario(
-        source_family=family,
-        channel=channel,
-        detector=detector,
-        f_policy=f_policy,
-        paper_literal_sign=cfg.paper_literal_sign,
-    )
-
-
-def _search_kwargs(cfg: RunConfig) -> dict:
-    return {
-        "param_min": cfg.param_min,
-        "param_max": cfg.param_max,
-        "grid_points": cfg.grid_points,
-        "rtol": cfg.golden_rtol,
-    }
+    return Scenario(source_family=family, channel=channel, detector=detector,
+                    f_policy=f_policy, paper_literal_sign=cfg.paper_literal_sign)
 
 
 def _fmt(value) -> str:
@@ -238,6 +223,15 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _write_figure(cfg: RunConfig, name: str, comments, header, rows, curves, **chart) -> str:
+    """Write ``name``.csv, then ``name``.svg charting ``curves``; returns the line saying so."""
+    out = _out_dir(cfg)
+    csv_path, svg_path = out / f"{name}.csv", out / f"{name}.svg"
+    _write_text(csv_path, _csv_text(comments, header, rows))
+    _write_text(svg_path, render_line_chart(curves, **chart))
+    return f"wrote {csv_path} and {svg_path}"
+
+
 def _sign_note(cfg: RunConfig) -> str:
     return "sign = " + ("paper-literal" if cfg.paper_literal_sign else "corrected")
 
@@ -259,29 +253,29 @@ VERIFY_HEADER = (
     "formula", "alpha", "nu", "eta", "method", "resolution",
     "closed_form", "oracle", "abs_diff", "within_tol",
 )
+_BREAKDOWN_FIELDS = frozenset(field.name for field in fields(RateBreakdown))
+
+
+def _breakdown_values(b: RateBreakdown, header: Sequence[str]) -> list:
+    """The fields of ``b`` that ``header`` names, in header order."""
+    return [getattr(b, name) for name in header if name in _BREAKDOWN_FIELDS]
 
 
 def cmd_rate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    family_name = args.family or cfg.family
-    if not family_name:
+    if not cfg.family:
         raise ConfigurationError("missing 'family' (flag --family or config key family)")
     try:
-        family = SourceFamily(family_name)
+        family = SourceFamily(cfg.family)
     except ValueError as err:
-        raise ConfigurationError(f"unknown family '{family_name}'") from err
-    if family is SourceFamily.COHERENT_BB84:
-        if args.nu:
-            raise ConfigurationError("'nu' does not apply to coherent-bb84; set alpha2")
-        params = args.alpha2 or ([cfg.alpha2] if cfg.alpha2 is not None else None)
-        if params is None:
-            raise ConfigurationError("missing 'alpha2' (flag --alpha2 or config key alpha2)")
-    else:
-        if args.alpha2:
-            raise ConfigurationError(f"'alpha2' does not apply to {family.value}; set nu")
-        params = args.nu or ([cfg.nu] if cfg.nu is not None else None)
-        if params is None:
-            raise ConfigurationError("missing 'nu' (flag --nu or config key nu)")
-    distances = args.l or [cfg.distance_km]
+        raise ConfigurationError(f"unknown family '{cfg.family}'") from err
+    name = family.param_name
+    other = "nu" if name == "alpha2" else "alpha2"
+    if getattr(args, f"{other}_points"):
+        raise ConfigurationError(f"'{other}' does not apply to {family.value}; set {name}")
+    params = getattr(args, f"{name}_points") or [getattr(cfg, name)]
+    if params == [None]:
+        raise ConfigurationError(f"missing '{name}' (flag --{name} or config key {name})")
+    distances = args.distances or [cfg.distance_km]
     f_policy = parse_f_policy(cfg.f_policy)
     rows = []
     for distance in distances:
@@ -293,7 +287,7 @@ def cmd_rate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"{family.value} at l = {distance:g} km: no detection events (no signal "
                 "and no dark counts), so the error rate is undefined"
             )
-        columns = (b.p_s, b.p_s_bar, b.p_m, b.e, b.rho, b.tau, b.h, b.f, b.R, b.R_raw)
+        columns = _breakdown_values(b, RATE_HEADER)
         for param, *values in zip(params, *(column.tolist() for column in columns)):
             rows.append((family.value, distance, eta, param, *values))
     comments = (_sign_note(cfg), f"f_policy = {cfg.f_policy}")
@@ -301,65 +295,67 @@ def cmd_rate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_figure1(cfg: RunConfig, args: argparse.Namespace) -> int:
-    distance = args.l if args.l is not None else cfg.distance_km
-    if cfg.fig1_points < 2 or cfg.fig1_param_max <= 0.0:
+def cmd_figure1(cfg: RunConfig, _args: argparse.Namespace) -> int:
+    distance = cfg.distance_km
+    if cfg.fig1_points < 2 or not cfg.fig1_param_max > 0.0:
         raise ConfigurationError("need fig1_points >= 2 and fig1_param_max > 0")
+    if cfg.fig1_points > _MAX_POINTS or not math.isfinite(cfg.fig1_param_max):
+        raise ConfigurationError(f"need fig1_points <= {_MAX_POINTS} and a finite fig1_param_max")
     f_policy = parse_f_policy(cfg.f_policy)
     params = np.array(
         [cfg.fig1_param_max * i / (cfg.fig1_points - 1) for i in range(cfg.fig1_points)]
     )
     eta = _scenario(cfg, SourceFamily.COHERENT_BB84, distance, f_policy).channel.total_eta()
+    if eta == 0.0:  # its dB value for the CSV header would be -inf
+        raise ConfigurationError(f"total efficiency underflows to 0 at l = {distance:g} km")
     rows = []
     curves = []
     for family in SourceFamily:
         b = rate_at(_scenario(cfg, family, distance, f_policy), params)
         # a vacuum source with zero dark counts has no detection events: no row
         detected = b.p_s_bar > 0.0
-        columns = (params, b.p_s, b.p_s_bar, b.p_m, b.e, b.rho, b.tau, b.R)
+        columns = (params, *_breakdown_values(b, FIGURE1_HEADER))
         family_rows = list(zip(repeat(family.value), *(c[detected].tolist() for c in columns)))
         rows.extend(family_rows)
         curves.append((_family_label(family), [(row[1], row[-1]) for row in family_rows]))
     eta_db = 10.0 * math.log10(eta)
-    comments = (
-        f"distance_km = {_fmt(distance)}",
-        f"eta_db = {_fmt(eta_db)}",
-        _sign_note(cfg),
-        f"f_policy = {cfg.f_policy}",
-    )
-    out = _out_dir(cfg)
-    _write_text(out / "figure1.csv", _csv_text(comments, FIGURE1_HEADER, rows))
-    _write_text(
-        out / "figure1.svg",
-        render_line_chart(
-            curves,
-            title=f"Secure rate vs source parameter at l = {distance:g} km",
-            x_label="source parameter (mean photon number alpha2 or squeeze nu)",
-            y_label="secure rate per slot",
-        ),
+    comments = (f"distance_km = {_fmt(distance)}", f"eta_db = {_fmt(eta_db)}",
+                _sign_note(cfg), f"f_policy = {cfg.f_policy}")
+    wrote = _write_figure(
+        cfg, "figure1", comments, FIGURE1_HEADER, rows, curves,
+        title=f"Secure rate vs source parameter at l = {distance:g} km",
+        x_label="source parameter (mean photon number alpha2 or squeeze nu)",
+        y_label="secure rate per slot",
     )
     print(f"figure1: eta = {eta_db:.2f} dB at l = {distance:g} km")
-    print(f"wrote {out / 'figure1.csv'} and {out / 'figure1.svg'}")
+    print(wrote)
     return EXIT_OK
 
 
-def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
-    l_max = args.l_max if args.l_max is not None else cfg.l_max_km
-    l_step = args.l_step if args.l_step is not None else cfg.l_step_km
-    if l_max <= 0.0 or l_step <= 0.0:
+def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
+    l_max, l_step = cfg.l_max_km, cfg.l_step_km
+    if not (l_max > 0.0 and l_step > 0.0):
         raise ConfigurationError("need l_max_km > 0 and l_step_km > 0")
+    # np.arange below makes ceil(span) distances; span is compared as a float, as it may be inf
+    span = (l_max + 0.5 * l_step) / l_step
+    if not (math.isfinite(l_max) and math.isfinite(l_step) and span <= _MAX_POINTS):
+        raise ConfigurationError(f"need finite l_max_km, l_step_km and <= {_MAX_POINTS} distances")
     f_policy = parse_f_policy(cfg.f_policy)
     l_grid = [float(l) for l in np.arange(0.0, l_max + 0.5 * l_step, l_step)]
-    search = _search_kwargs(cfg)
+    search = dict(param_min=cfg.param_min, param_max=cfg.param_max,
+                  grid_points=cfg.grid_points, rtol=cfg.golden_rtol)
     rows = []
     curves = []
-    cutoffs: dict[str, float | None] = {}
+    notes = []
     for family in SourceFamily:
         scenario = _scenario(cfg, family, 0.0, f_policy)
         sweep = sweep_distance(
             scenario, l_grid, cutoff_resolution_km=cfg.cutoff_resolution_km, **search
         )
-        cutoffs[family.value] = sweep.cutoff_l
+        if sweep.cutoff_l is None:
+            notes.append(f"cutoff[{family.value}]: none within {l_max:g} km")
+        else:
+            notes.append(f"cutoff[{family.value}]: {sweep.cutoff_l:.2f} km")
         cutoff_cell = sweep.cutoff_l if sweep.cutoff_l is not None else ""
         points = []
         for distance, optimum in sweep.points:
@@ -367,43 +363,25 @@ def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
                 continue
             b = optimum.breakdown
             eta = scenario.channel.at_distance(distance).total_eta()
-            rows.append(
-                (family.value, distance, eta, optimum.param_value, b.p_s, b.p_s_bar,
-                 b.p_m, b.e, b.rho, b.tau, b.R, cutoff_cell)
-            )
+            rows.append((family.value, distance, eta, optimum.param_value,
+                         *_breakdown_values(b, FIGURE2_HEADER), cutoff_cell))
             points.append((distance, b.R))
         curves.append((_family_label(family), points))
-    comments = (
-        f"l_max_km = {_fmt(l_max)}",
-        f"l_step_km = {_fmt(l_step)}",
-        _sign_note(cfg),
-        f"f_policy = {cfg.f_policy}",
-    )
-    out = _out_dir(cfg)
-    _write_text(out / "figure2.csv", _csv_text(comments, FIGURE2_HEADER, rows))
-    _write_text(
-        out / "figure2.svg",
-        render_line_chart(
-            curves,
-            title="Optimal secure rate vs transmission distance",
-            x_label="distance (km)",
-            y_label="optimal secure rate per slot",
-            log_y=True,
-        ),
-    )
-    for family in SourceFamily:
-        cutoff = cutoffs[family.value]
-        if cutoff is None:
-            print(f"cutoff[{family.value}]: none within {l_max:g} km")
-        else:
-            print(f"cutoff[{family.value}]: {cutoff:.2f} km")
-    print(f"wrote {out / 'figure2.csv'} and {out / 'figure2.svg'}")
+    comments = (f"l_max_km = {_fmt(l_max)}", f"l_step_km = {_fmt(l_step)}",
+                _sign_note(cfg), f"f_policy = {cfg.f_policy}")
+    notes.append(_write_figure(
+        cfg, "figure2", comments, FIGURE2_HEADER, rows, curves,
+        title="Optimal secure rate vs transmission distance",
+        x_label="distance (km)",
+        y_label="optimal secure rate per slot",
+        log_y=True,
+    ))
+    print("\n".join(notes))
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    n_max = args.fock_n_max if args.fock_n_max is not None else cfg.oracle_fock_n_max
-    nodes = args.quad_nodes if args.quad_nodes is not None else cfg.oracle_quad_nodes
+def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
+    n_max, nodes = cfg.oracle_fock_n_max, cfg.oracle_quad_nodes
     grid = product(cfg.verify_alphas, cfg.verify_nus, cfg.verify_etas)
     reports = verify_closed_forms(grid, fock_n_max=n_max, quad_nodes=nodes)
     rows = [
@@ -430,24 +408,35 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_override(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+    """Add ``flag`` as an override of config key ``key``: ``args.key`` exists only if given.
+
+    ``{default}`` in the help text is the key's ``RunConfig`` default, and a typed
+    flag keeps the metavar that argparse derives from the flag name.
+    """
+    if "type" in kwargs:
+        kwargs.setdefault("metavar", flag.lstrip("-").replace("-", "_").upper())
+    if "help" in kwargs:
+        kwargs["help"] = kwargs["help"].format(default=getattr(RunConfig, key))
+    parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config", metavar="PATH", default=argparse.SUPPRESS,
         help="flat 'key = value' configuration file",
     )
-    common.add_argument(
-        "--out", metavar="DIR", default=argparse.SUPPRESS,
-        help="output directory for generated files (default '.')",
-    )
-    common.add_argument(
-        "--paper-literal-sign", action="store_const", const=True, default=argparse.SUPPRESS,
+    _add_override(common, "--out", "out_dir", metavar="DIR",
+                  help="output directory for generated files (default '{default}')")
+    _add_override(
+        common, "--paper-literal-sign", "paper_literal_sign", action="store_const", const=True,
         help="use the additive error-correction sign found in some printed "
         "statements of the rate formula (comparison runs only)",
     )
-    common.add_argument(
-        "--f-policy", metavar="SPEC", default=argparse.SUPPRESS,
-        help="error-correction inefficiency: 'const:F' or 'table:PATH' (default const:1.16)",
+    _add_override(
+        common, "--f-policy", "f_policy", metavar="SPEC",
+        help="error-correction inefficiency: 'const:F' or 'table:PATH' (default {default})",
     )
 
     parser = argparse.ArgumentParser(
@@ -460,36 +449,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate = sub.add_parser(
         "rate", parents=[common], help="rate breakdown at explicit operating points"
     )
-    p_rate.add_argument("--family", choices=[f.value for f in SourceFamily])
-    p_rate.add_argument("--alpha2", type=float, action="append",
-                        help="mean photon number for coherent-bb84 (repeatable)")
-    p_rate.add_argument("--nu", type=float, action="append",
+    _add_override(p_rate, "--family", "family", choices=[f.value for f in SourceFamily])
+    # repeatable point lists rather than config overrides
+    p_rate.add_argument("--alpha2", dest="alpha2_points", metavar="ALPHA2", type=float,
+                        action="append", help="mean photon number for coherent-bb84 (repeatable)")
+    p_rate.add_argument("--nu", dest="nu_points", metavar="NU", type=float, action="append",
                         help="squeeze magnitude for mcs families (repeatable)")
-    p_rate.add_argument("--l", type=float, action="append", help="distance in km (repeatable)")
+    p_rate.add_argument("--l", dest="distances", metavar="L", type=float, action="append",
+                        help="distance in km (repeatable)")
     p_rate.set_defaults(func=cmd_rate)
 
     p_fig1 = sub.add_parser(
         "figure1", parents=[common], help="rate-vs-parameter curves at fixed distance"
     )
-    p_fig1.add_argument("--l", type=float, default=None, help="distance in km (default 5)")
+    _add_override(p_fig1, "--l", "distance_km", type=float,
+                  help="distance in km (default {default:g})")
     p_fig1.set_defaults(func=cmd_figure1)
 
     p_fig2 = sub.add_parser(
         "figure2", parents=[common], help="optimal rate vs distance plus cutoffs"
     )
-    p_fig2.add_argument("--l-max", dest="l_max", type=float, default=None,
-                        help="largest distance in km (default 100)")
-    p_fig2.add_argument("--l-step", dest="l_step", type=float, default=None,
-                        help="distance grid step in km (default 1)")
+    _add_override(p_fig2, "--l-max", "l_max_km", type=float,
+                  help="largest distance in km (default {default:g})")
+    _add_override(p_fig2, "--l-step", "l_step_km", type=float,
+                  help="distance grid step in km (default {default:g})")
     p_fig2.set_defaults(func=cmd_figure2)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="check closed forms against brute-force oracles"
     )
-    p_verify.add_argument("--fock-n-max", dest="fock_n_max", type=int, default=None,
-                          help="truncation order of the Fock-sum oracle (default 128)")
-    p_verify.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None,
-                          help="quadrature nodes per axis (default 96)")
+    _add_override(p_verify, "--fock-n-max", "oracle_fock_n_max", type=int,
+                  help="truncation order of the Fock-sum oracle (default {default})")
+    _add_override(p_verify, "--quad-nodes", "oracle_quad_nodes", type=int,
+                  help="quadrature nodes per axis (default {default})")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -501,17 +493,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg, args)
-    except ConfigurationError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainError, DegenerateInputError) as err:
-        # invalid physical parameters and inputs without any detection events
-        # are reachable only through configuration
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TruncationError as err:
-        # the Fock oracle's truncation order is a configuration value
-        print(f"config error: {err}; raise fock_n_max", file=sys.stderr)
+    except (ConfigurationError, DomainError, DegenerateInputError, TruncationError) as err:
+        # invalid physical parameters, inputs without any detection events and
+        # the Fock oracle's truncation order are reachable only through configuration
+        hint = "; raise fock_n_max" if isinstance(err, TruncationError) else ""
+        print(f"config error: {err}{hint}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -72,6 +72,8 @@ QUADRATURE_TOLERANCE = 1e-6
 #: Generous margin over the adaptive truncation rule at desk-scale parameters.
 DEFAULT_FOCK_N_MAX = 128
 DEFAULT_QUAD_NODES = 96
+#: Largest per-axis node count; the rule evaluates nodes**2 points.
+_MAX_QUAD_NODES = 1024
 
 #: Fock oracle refuses to run with more unresolved probability mass than this.
 _MAX_UNRESOLVED_MASS = 1e-10
@@ -152,8 +154,12 @@ def _p0_from_amplitudes(dist: FockDistribution, eta: float) -> float:
 
 @lru_cache(maxsize=8)
 def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # cached because node generation dominates the integrand cost; never mutated
-    return np.polynomial.hermite.hermgauss(nodes)
+    # cached because node generation dominates the integrand cost; every caller
+    # shares the arrays, so they are read-only
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def p0_via_quadrature(
@@ -179,6 +185,8 @@ def p0_via_quadrature(
         )
     if nodes < 32:
         raise DomainError(f"nodes must be >= 32 per axis, got {nodes!r}")
+    if nodes > _MAX_QUAD_NODES:
+        raise DomainError(f"nodes must be <= {_MAX_QUAD_NODES} per axis, got {nodes!r}")
     alpha, nu, mu = state.alpha, state.nu, state.mu
     t, w = _hermgauss(nodes)
     a_u = 1.0 / (1.0 - eta) + nu / mu

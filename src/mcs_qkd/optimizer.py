@@ -60,6 +60,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Distances per block of the coarse-grid pass of a sweep.
 _ROW_BLOCK = 16
 
+#: Largest coarse parameter grid a search may ask for.
+_MAX_GRID_POINTS = 100_000
+
 
 class SourceFamily(enum.Enum):
     """Source/protocol combination under study."""
@@ -173,9 +176,16 @@ def _search(
         raise DomainError("need 0 < param_min < param_max < inf")
     if grid_points < 2:
         raise DomainError("grid_points must be >= 2")
+    if grid_points > _MAX_GRID_POINTS:
+        raise DomainError(f"grid_points must be <= {_MAX_GRID_POINTS}, got {grid_points!r}")
     if not rtol > 0.0:
         raise DomainError(f"rtol must be > 0, got {rtol!r}")
     return np.geomspace(param_min, param_max, grid_points), rtol
+
+
+def _check_resolution(resolution_km: float) -> None:
+    if not (math.isfinite(resolution_km) and resolution_km > 0.0):
+        raise DomainError(f"cutoff resolution must be finite and > 0 km, got {resolution_km!r}")
 
 
 def _eta(scenario: Scenario, distance_l: float) -> float:
@@ -208,7 +218,8 @@ def _optimize_rows(
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = _breakdown(scenario, eta[:, None], np.stack((c, d), axis=1)).R.T
-    active = hi - lo > rtol * 0.5 * (lo + hi)
+    width = hi - lo
+    active = width > rtol * 0.5 * (lo + hi)
     while active.any():
         # left rows keep [lo, d] and probe a new c; right rows keep [c, hi] and
         # probe a new d; inactive rows keep their bracket, and their probes and
@@ -222,7 +233,9 @@ def _optimize_rows(
         )
         probed = _breakdown(scenario, eta, np.where(left, c, d)).R
         fc, fd = np.where(left, probed, fd), np.where(left, fc, probed)
-        active &= hi - lo > rtol * 0.5 * (lo + hi)
+        # a bracket down to adjacent floats stops shrinking before a tiny rtol is met
+        active &= (hi - lo > rtol * 0.5 * (lo + hi)) & (hi - lo < width)
+        width = hi - lo
     # keep the coarse-grid winner if refinement somehow lost ground
     candidates = np.stack((0.5 * (lo + hi), grid[cell]), axis=1)
     final = _breakdown(scenario, eta[:, None], candidates)
@@ -270,6 +283,7 @@ def sweep_distance(
     distance) the cutoff is located by bisection within the swept range.
     Keyword arguments in ``search`` are those of :func:`optimize_param`.
     """
+    _check_resolution(cutoff_resolution_km)
     distances = [float(l) for l in l_grid]
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise DomainError("l_grid must be sorted ascending")
@@ -302,10 +316,12 @@ def cutoff_distance(
     zero past the cutoff and would give the search nothing to work with.  Each
     step needs only the coarse grid (see ``_secure_at``).  Returns ``l_max``
     itself when still secure there (no cutoff within range); raises
-    ``DegenerateInputError`` when insecure already at zero distance.
+    ``DegenerateInputError`` when insecure already at zero distance, and
+    ``DomainError`` for a non-finite or non-positive ``resolution_km``.
     """
     if not math.isfinite(l_max) or l_max <= 0.0:
         raise DomainError(f"l_max must be finite and > 0, got {l_max!r}")
+    _check_resolution(resolution_km)
     grid, _ = _search(**search)
     if not _secure_at(scenario, 0.0, grid):
         raise DegenerateInputError("scenario is insecure even at zero distance")
@@ -314,6 +330,8 @@ def cutoff_distance(
     lo, hi = 0.0, l_max
     while hi - lo > resolution_km:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: a tiny resolution cannot be met
         if _secure_at(scenario, mid, grid):
             lo = mid
         else:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .errors import DomainError, TruncationError, UnsupportedOrderError
 
 __all__ = [
-    "COHERENT_NU_THRESHOLD",
     "DEFAULT_N_CAP",
     "DEFAULT_TOL",
     "FockDistribution",
@@ -46,10 +45,6 @@ __all__ = [
     "p_signal_mcs",
     "p_vacuum_lossy",
 ]
-
-#: Below this squeeze magnitude the scaled recurrence argument degenerates to
-#: 0/0; the exact Poissonian branch is used instead.
-COHERENT_NU_THRESHOLD = 1e-12
 
 #: Adaptive truncation: once half the probability mass is summed, stop after
 #: this many consecutive photon-number probabilities fall below the tolerance.
@@ -100,10 +95,6 @@ class SqueezedCoherentState:
     def mu(self) -> float:
         """Hyperbolic partner of ``nu``; satisfies mu**2 - nu**2 == 1."""
         return math.sqrt(1.0 + self.nu * self.nu)
-
-    @property
-    def is_coherent(self) -> bool:
-        return self.nu < COHERENT_NU_THRESHOLD
 
 
 def make_state(alpha: float, nu: float) -> SqueezedCoherentState:
@@ -163,25 +154,18 @@ def _expand_amplitudes(
 
     (Substituting the scaled amplitude into H[n+1] = 2x*H[n] - 2n*H[n-1] with
     x = alpha / sqrt(2*mu*nu) collapses the prefactors to the two radicals
-    above; the raw argument x diverges at nu -> 0 while this form does not.)
+    above; the raw argument x diverges at nu -> 0 while this form does not.
+    At nu = 0 it is the Poissonian c[n+1] = alpha / sqrt(n + 1) * c[n], bit for
+    bit.)
     """
     alpha, nu, mu = state.alpha, state.nu, state.mu
-    if state.is_coherent:
-        c = math.exp(-0.5 * alpha * alpha)
-    else:
-        c = math.exp(nu * alpha * alpha / (2.0 * mu) - 0.5 * alpha * alpha) / math.sqrt(mu)
+    c = math.exp(nu * alpha * alpha / (2.0 * mu) - 0.5 * alpha * alpha) / math.sqrt(mu)
     amps = [c]
     c_prev = 0.0
     mass, small_run = c * c, 0  # small leading terms of a far-displaced state are no tail
     n = 0
     while small_run < _TAIL_RUN and n < n_cap:
-        if state.is_coherent:
-            # exact Poissonian branch: c[n] = exp(-alpha**2/2) alpha**n / sqrt(n!)
-            c_next = alpha / math.sqrt(n + 1.0) * c
-        else:
-            c_next = (alpha / (mu * math.sqrt(n + 1.0))) * c - (nu / mu) * math.sqrt(
-                n / (n + 1.0)
-            ) * c_prev
+        c_next = alpha / (mu * math.sqrt(n + 1.0)) * c - nu / mu * math.sqrt(n / (n + 1.0)) * c_prev
         c_prev, c = c, c_next
         amps.append(c)
         n += 1

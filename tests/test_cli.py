@@ -1,10 +1,15 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcs_qkd
 from mcs_qkd import DegenerateInputError
@@ -104,6 +109,7 @@ class TestConfigHandling:
         config = tmp_path / "bad.cfg"
         config.write_text("family = bogus\nalpha2 = 0.1\n", encoding="utf-8")
         assert main(["rate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "config error: unknown family 'bogus'\n"
 
     def test_out_of_domain_parameter_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -333,3 +339,209 @@ class TestVerifyCommand:
         assert proc.stderr.startswith("config error: ")
         assert proc.stderr.rstrip().endswith("raise fock_n_max")
         assert proc.stderr.count("\n") == 1
+
+
+# (config key, command, other config lines, value in the file alone, value in the
+# file under the flag, flag, text the file alone gives, text the flag gives)
+OVERRIDES = [
+    ("out_dir", ["figure1"], "fig1_points = 3\n", "from_file", "from_file",
+     ["--out", "from_flag"], "wrote from_file/figure1.csv", "wrote from_flag/figure1.csv"),
+    ("f_policy", ["rate", "--family", "mcs-bb84", "--nu", "0.2"], "", "const:1.3", "const:1.3",
+     ["--f-policy", "const:1.1"], "# f_policy = const:1.3\n", "# f_policy = const:1.1\n"),
+    ("paper_literal_sign", ["rate", "--family", "mcs-bb84", "--nu", "0.2"], "", "true", "false",
+     ["--paper-literal-sign"], "# sign = paper-literal\n", "# sign = paper-literal\n"),
+    ("family", ["rate"], "alpha2 = 0.1\nnu = 0.2\n", "mcs-sarg04", "mcs-sarg04",
+     ["--family", "coherent-bb84"], "\nmcs-sarg04,5,", "\ncoherent-bb84,5,"),
+    ("distance_km", ["figure1"], "fig1_points = 3\n", "3", "3",
+     ["--l", "0"], "# distance_km = 3\n", "# distance_km = 0\n"),
+    ("l_max_km", ["figure2"], "grid_points = 40\nl_step_km = 5\n", "10", "10",
+     ["--l-max", "15"], "# l_max_km = 10\n", "# l_max_km = 15\n"),
+    ("l_step_km", ["figure2"], "grid_points = 40\nl_max_km = 10\n", "5", "5",
+     ["--l-step", "2.5"], "# l_step_km = 5\n", "# l_step_km = 2.5\n"),
+    ("oracle_fock_n_max", ["verify"], "verify_alphas = 0.5\nverify_nus = 0.3\nverify_etas = 0.5\n",
+     "64", "64", ["--fock-n-max", "100"], "# fock_n_max = 64\n", "# fock_n_max = 100\n"),
+    ("oracle_quad_nodes", ["verify"], "verify_alphas = 0.5\nverify_nus = 0.3\nverify_etas = 0.5\n",
+     "48", "48", ["--quad-nodes", "40"], "# quad_nodes = 48\n", "# quad_nodes = 40\n"),
+]
+
+
+def run_in(directory: Path, argv, capsys) -> str:
+    """Run the CLI from ``directory``; its stdout plus every CSV it wrote there."""
+    directory.mkdir()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.chdir(cwd)
+    csvs = "".join(path.read_text(encoding="utf-8") for path in sorted(directory.rglob("*.csv")))
+    return capsys.readouterr().out + csvs
+
+
+class TestConfigPrecedence:
+    @pytest.mark.parametrize("case", OVERRIDES, ids=[case[0] for case in OVERRIDES])
+    def test_key_takes_effect_and_flag_beats_it(self, tmp_path, capsys, case):
+        key, argv, other, alone, under_flag, flag, file_effect, flag_effect = case
+        config_alone, config_flag = tmp_path / "alone.cfg", tmp_path / "flag.cfg"
+        config_alone.write_text(f"{other}{key} = {alone}\n", encoding="utf-8")
+        config_flag.write_text(f"{other}{key} = {under_flag}\n", encoding="utf-8")
+        alone_out = run_in(tmp_path / "alone", [*argv, "--config", str(config_alone)], capsys)
+        assert file_effect in alone_out
+        flagged = run_in(tmp_path / "flag", [*argv, "--config", str(config_flag), *flag], capsys)
+        assert flag_effect in flagged
+        if file_effect != flag_effect:
+            assert file_effect not in flagged
+
+    def test_every_override_flag_is_covered(self):
+        parser = cli.build_parser()
+        dests = {
+            action.dest
+            for sub in parser._subparsers._group_actions[0].choices.values()
+            for action in sub._actions
+        }
+        assert dests & set(cli._COERCERS) == {case[0] for case in OVERRIDES}
+
+    def test_help_states_the_run_config_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["figure2", "--help"])
+        out = capsys.readouterr().out
+        assert "largest distance in km (default 100)" in out
+        assert "(default const:1.16)" in out and "(default '.')" in out
+
+
+def one_config_error(capsys) -> str:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("config error:")
+    return lines[0]
+
+
+class TestRangeAndSizeLimits:
+    @pytest.mark.parametrize("entry", [
+        "cutoff_resolution_km = nan", "cutoff_resolution_km = 0", "cutoff_resolution_km = -1",
+        "l_max_km = nan", "l_max_km = inf", "l_step_km = nan", "l_step_km = inf",
+        # one distance past the limit: ceil((l_max + l_step / 2) / l_step) = 100,001
+        "l_max_km = 100000\nl_step_km = 1\ngrid_points = 2",
+        "grid_points = 100001",
+    ])
+    def test_figure2_rejects(self, tmp_path, capsys, entry):
+        config = tmp_path / "bad.cfg"
+        config.write_text(FAST_FIGURE2 + entry + "\n", encoding="utf-8")
+        assert main(["figure2", "--config", str(config), "--out", str(tmp_path)]) == 2
+        one_config_error(capsys)
+        assert not (tmp_path / "figure2.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--l-max", "inf"], ["--l-step", "nan"]])
+    def test_figure2_rejects_flags(self, tmp_path, capsys, flags):
+        assert main(["figure2", "--out", str(tmp_path), *flags]) == 2
+        one_config_error(capsys)
+
+    @pytest.mark.parametrize("entry", ["fig1_points = 100001", "fig1_param_max = inf",
+                                       "fig1_param_max = nan"])
+    def test_figure1_rejects(self, tmp_path, capsys, entry):
+        config = tmp_path / "bad.cfg"
+        config.write_text(entry + "\n", encoding="utf-8")
+        assert main(["figure1", "--config", str(config), "--out", str(tmp_path)]) == 2
+        one_config_error(capsys)
+
+    def test_figure1_rejects_a_distance_where_the_efficiency_underflows(self, tmp_path, capsys):
+        assert main(["figure1", "--l", "20000", "--out", str(tmp_path)]) == 2
+        assert "underflows" in one_config_error(capsys)
+
+    def test_verify_rejects_quadrature_nodes_above_limit(self, tmp_path, capsys):
+        config = tmp_path / "one.cfg"
+        config.write_text("verify_alphas = 0.5\nverify_nus = 0.3\nverify_etas = 0.5\n",
+                          encoding="utf-8")
+        code = main(["verify", "--config", str(config), "--out", str(tmp_path),
+                     "--quad-nodes", "1025"])
+        assert code == 2
+        assert "<= 1024" in one_config_error(capsys)
+
+
+# Small accepted values per config key; each key may also draw a value the
+# configuration path must reject.
+_SMALL = {
+    "loss_coeff_a": st.floats(0.1, 0.3),
+    "receiver_loss_L": st.floats(0.0, 2.0),
+    "detector_eff": st.floats(0.05, 0.5),
+    "dark_prob_Pd": st.floats(0.0, 1e-3),
+    "baseline_error_c": st.floats(0.0, 0.02),
+    "f_policy": st.sampled_from(["const:1.16", "const:1.0", "const:nan", "const:-1", "fancy"]),
+    "paper_literal_sign": st.sampled_from(["true", "false", "maybe"]),
+    "distance_km": st.floats(0.0, 30.0),
+    "l_max_km": st.floats(0.5, 30.0),
+    "l_step_km": st.floats(0.5, 10.0),
+    "family": st.sampled_from(["coherent-bb84", "mcs-bb84", "mcs-sarg04", "bogus"]),
+    "alpha2": st.floats(0.0, 1.0),
+    "nu": st.floats(0.0, 1.0),
+    "param_min": st.floats(1e-6, 1e-2),
+    "param_max": st.floats(0.5, 4.0),
+    "grid_points": st.integers(2, 50),
+    "golden_rtol": st.floats(1e-12, 0.1),
+    "cutoff_resolution_km": st.floats(1e-6, 1.0),
+    "fig1_param_max": st.floats(0.01, 1.0),
+    "fig1_points": st.integers(2, 50),
+    "oracle_fock_n_max": st.integers(8, 128),
+    "oracle_quad_nodes": st.integers(32, 48),
+    "verify_alphas": st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2),
+    "verify_nus": st.lists(st.floats(0.0, 0.8), min_size=1, max_size=2),
+    "verify_etas": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+}
+_BAD = st.sampled_from(["nan", "inf", "-inf", "0", "-1"])
+#: Keeps runs small when the draw leaves a size key out.
+_SMALL_BASE = ("l_max_km = 20\nl_step_km = 5\ngrid_points = 30\nfig1_points = 20\n"
+               "verify_alphas = 0.5\nverify_nus = 0.3\nverify_etas = 0.5\nalpha2 = 0.1\nnu = 0.2\n")
+_FLAGS = {
+    "rate": {"--family": _SMALL["family"], "--alpha2": _SMALL["alpha2"], "--nu": _SMALL["nu"],
+             "--l": _SMALL["distance_km"]},
+    "figure1": {"--l": _SMALL["distance_km"]},
+    "figure2": {"--l-max": _SMALL["l_max_km"], "--l-step": _SMALL["l_step_km"]},
+    "verify": {"--fock-n-max": _SMALL["oracle_fock_n_max"],
+               "--quad-nodes": _SMALL["oracle_quad_nodes"]},
+}
+
+
+def _text(value) -> str:
+    return ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+
+
+@st.composite
+def cli_runs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    keys = draw(st.lists(st.sampled_from(sorted(_SMALL)), max_size=4, unique=True))
+    entries = {key: _text(draw(st.one_of(_SMALL[key], _BAD))) for key in keys}
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS[command])), max_size=2, unique=True)):
+        flags += [flag, _text(draw(st.one_of(_FLAGS[command][flag], _BAD)))]
+    if draw(st.booleans()):
+        flags += ["--f-policy", draw(_SMALL["f_policy"])]
+    return command, entries, flags
+
+
+class TestConfigFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(cli_runs())
+    def test_every_run_ends_in_a_documented_exit(self, run):
+        command, entries, flags = run
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "run.cfg"
+            lines = "".join(f"{key} = {value}\n" for key, value in entries.items())
+            config.write_text(_SMALL_BASE + lines, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([command, "--config", str(config), "--out", tmp, *flags])
+                except SystemExit as exit_:  # argparse rejects a malformed flag value
+                    code = exit_.code
+            assert code in {0, 1, 2, 3}
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                written = [path.read_text(encoding="utf-8") for path in Path(tmp).glob("*.csv")]
+                for text in [out.getvalue(), *written]:
+                    for line in text.splitlines():
+                        for cell in line.split(",") if "," in line else ():
+                            try:
+                                value = float(cell)
+                            except ValueError:
+                                continue
+                            assert math.isfinite(value), line

@@ -145,6 +145,16 @@ class TestQuadratureOracle:
         with pytest.raises(DomainError):
             p0_via_quadrature(make_state(0.5, 0.1), 0.5, nodes=16)
 
+    def test_rejects_too_many_nodes(self):
+        with pytest.raises(DomainError, match="<= 1024"):
+            p0_via_quadrature(make_state(0.5, 0.1), 0.5, nodes=1025)
+
+    def test_cached_nodes_are_read_only(self):
+        p0_via_quadrature(make_state(0.5, 0.1), 0.5, nodes=40)
+        for array in fock_oracle._hermgauss(40):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, _seeded_grid()], ids=["default", "seeded"])
     def test_real_arithmetic_matches_complex_log_overlap(self, grid):
         for alpha, nu, eta in grid:

@@ -95,6 +95,17 @@ class TestOptimizeParam:
         with pytest.raises(DomainError):
             optimize_param(scenario, param_max=float("inf"))
 
+    def test_rejects_grid_above_bound(self, kth15_scenario):
+        with pytest.raises(DomainError, match="grid_points must be <= 100000"):
+            optimize_param(kth15_scenario(SourceFamily.MCS_BB84), grid_points=100_001)
+
+    def test_tiny_rtol_stops_at_adjacent_floats(self, kth15_scenario):
+        scenario = kth15_scenario(SourceFamily.COHERENT_BB84)
+        tight = optimize_param(scenario, rtol=1e-300, **FAST_SEARCH)
+        lo, hi = tight.bracket
+        assert np.nextafter(lo, np.inf) >= hi
+        assert tight.breakdown.R >= optimize_param(scenario, **FAST_SEARCH).breakdown.R
+
 
 class TestSweepDistance:
     def test_empty_grid(self, kth15_scenario):
@@ -113,6 +124,14 @@ class TestSweepDistance:
         rates = [point.breakdown.R for _, point in sweep.points]
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
         assert sweep.cutoff_l is None
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_cutoff_resolution(self, kth15_scenario, resolution):
+        with pytest.raises(DomainError, match="cutoff resolution"):
+            sweep_distance(
+                kth15_scenario(SourceFamily.COHERENT_BB84), [0.0, 40.0],
+                cutoff_resolution_km=resolution, **FAST_SEARCH,
+            )
 
     def test_records_cutoff_when_sweep_ends_insecure(self, kth15_scenario):
         sweep = sweep_distance(
@@ -156,3 +175,19 @@ class TestCutoffDistance:
     def test_rejects_non_positive_range(self, kth15_scenario):
         with pytest.raises(DomainError):
             cutoff_distance(kth15_scenario(SourceFamily.MCS_BB84), 0.0)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_resolution(self, kth15_scenario, resolution):
+        with pytest.raises(DomainError, match="cutoff resolution"):
+            cutoff_distance(
+                kth15_scenario(SourceFamily.COHERENT_BB84), 40.0,
+                resolution_km=resolution, **FAST_SEARCH,
+            )
+
+    def test_tiny_resolution_stops_at_adjacent_floats(self, kth15_scenario):
+        scenario = kth15_scenario(SourceFamily.COHERENT_BB84)
+        cutoff = cutoff_distance(scenario, 40.0, resolution_km=1e-300, **FAST_SEARCH)
+        assert cutoff_distance(scenario, 40.0, **FAST_SEARCH) <= cutoff
+        assert optimize_param(scenario.at_distance(cutoff), **FAST_SEARCH) is not None
+        after = optimize_param(scenario.at_distance(np.nextafter(cutoff, np.inf)), **FAST_SEARCH)
+        assert after is None

@@ -98,6 +98,14 @@ class TestFockCoefficients:
         for n, amp in enumerate(dist.amplitudes):
             assert amp == pytest.approx(poisson_amplitude(0.5, n), abs=1e-15)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.7, 4.0, 9.0])
+    def test_zero_squeeze_recurrence_is_poisson_bit_for_bit(self, alpha):
+        amplitudes = fock_coefficients(make_state(alpha, 0.0)).amplitudes
+        expected = [math.exp(-0.5 * alpha * alpha)]
+        for n in range(len(amplitudes) - 1):
+            expected.append(alpha / math.sqrt(n + 1.0) * expected[-1])
+        assert list(amplitudes) == expected
+
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
     @pytest.mark.parametrize("nu", [0.1, 0.5, 1.0])
     def test_recurrence_matches_direct_hermite_evaluation(self, alpha, nu):
