@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override(p_verify, "--fock-n-max", "oracle_fock_n_max", type=int,
                   help="truncation order of the Fock-sum oracle (default {default})")
     _add_override(p_verify, "--quad-nodes", "oracle_quad_nodes", type=int,
-                  help="quadrature nodes per axis (default {default})")
+                  help="Gauss-Hermite nodes of the quadrature oracle (default {default})")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

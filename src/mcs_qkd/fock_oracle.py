@@ -12,8 +12,9 @@ source state:
                                  * |<beta|U|alpha>|^2,
 
   where <beta|U|alpha> is the coherent-state overlap of the squeezed coherent
-  state.  The integrand is a 2-D Gaussian times a bounded factor, so
-  Gauss-Hermite nodes scaled to the Gaussian envelope converge spectrally.
+  state.  Along Im(beta) the integrand is a Gaussian, integrated exactly;
+  along Re(beta) a Gaussian times a bounded factor, so Gauss-Hermite nodes
+  scaled to its envelope converge spectrally.
 
 Neither route shares arithmetic with the closed forms it checks: the Fock sum
 rests on the amplitude recurrence, the quadrature on pointwise overlap values.
@@ -36,6 +37,7 @@ from .photon_source import (
     FockDistribution,
     Protocol,
     SqueezedCoherentState,
+    _require_eta,
     fock_coefficients,
     make_state,
     mcs_state,
@@ -72,8 +74,9 @@ QUADRATURE_TOLERANCE = 1e-6
 #: Generous margin over the adaptive truncation rule at desk-scale parameters.
 DEFAULT_FOCK_N_MAX = 128
 DEFAULT_QUAD_NODES = 96
-#: Largest per-axis node count; the rule evaluates nodes**2 points.
+#: Largest quadrature node count and Fock truncation order a caller may ask for.
 _MAX_QUAD_NODES = 1024
+_MAX_FOCK_N_MAX = 100_000
 
 #: Fock oracle refuses to run with more unresolved probability mass than this.
 _MAX_UNRESOLVED_MASS = 1e-10
@@ -92,7 +95,7 @@ class OracleReport:
     ``alpha``/``nu``/``eta`` identify the state and efficiency actually used
     by the check (for the interference-tuned formulas, ``alpha`` is the tuned
     displacement rather than the raw grid value).  ``resolution`` is the
-    truncation order (FockSum) or the per-axis node count (Quadrature).
+    truncation order (FockSum) or the Gauss-Hermite node count (Quadrature).
     """
 
     formula: str
@@ -125,15 +128,14 @@ def p0_via_fock(state: SqueezedCoherentState, eta: float, n_max: int = DEFAULT_F
     ``InsufficientTruncationError`` when more than 1e-10 of probability mass
     remains beyond order ``n_max``.
     """
-    if not math.isfinite(eta) or eta < 0.0 or eta > 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
+    _require_eta(eta)
     return _p0_from_amplitudes(_truncated_distribution(state, n_max), eta)
 
 
 def _truncated_distribution(state: SqueezedCoherentState, n_max: int) -> FockDistribution:
     """Amplitudes up to order ``n_max``, accepting a cap hit with a negligible remainder."""
-    if n_max < 8:
-        raise DomainError(f"n_max must be >= 8, got {n_max!r}")
+    if not 8 <= n_max <= _MAX_FOCK_N_MAX:
+        raise DomainError(f"need 8 <= n_max <= {_MAX_FOCK_N_MAX}, got {n_max!r}")
     try:
         return fock_coefficients(state, n_cap=n_max)
     except TruncationError as err:
@@ -165,15 +167,14 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def p0_via_quadrature(
     state: SqueezedCoherentState, eta: float, nodes: int = DEFAULT_QUAD_NODES
 ) -> float:
-    """No-click probability by 2-D Gauss-Hermite quadrature over the coherent plane.
+    """No-click probability by Gauss-Hermite quadrature over the coherent plane.
 
-    The integrand decays Gaussianly with per-axis rates
-    a_u = 1/(1-eta) + nu/mu and a_v = 1/(1-eta) - nu/mu (both positive since
-    mu > nu*(1-eta)), so the nodes are scaled per axis to match.  With
-    beta = u + i*v, Re(-nu*conj(beta)**2) = -nu*(u**2 - v**2), so the log of the
-    squared overlap is a term in u plus a term in v, in real arithmetic.  Their
-    outer sum, taken at every node pair, carries the e**(t**2) de-weighting in
-    log space so it cannot overflow at large nodes.
+    With beta = u + i*v, Re(-nu*conj(beta)**2) = -nu*(u**2 - v**2), so the log
+    of the integrand is a term in u plus -a_v*v**2 with a_v = 1/(1-eta) - nu/mu
+    (positive since mu > nu*(1-eta)): the v integral is sqrt(pi/a_v) exactly.
+    The u term decays with rate a_u = 1/(1-eta) + nu/mu; the ``nodes`` nodes
+    are scaled to it, and the e**(t**2) de-weighting is carried in log space
+    so it cannot overflow at large nodes.
 
     Only interior efficiencies are integrable: the Gaussian weight degenerates
     at eta = 0 and eta = 1, where callers should use the Fock sum instead.
@@ -183,29 +184,24 @@ def p0_via_quadrature(
             f"quadrature needs eta strictly inside (0, 1), got {eta!r}; "
             "use the Fock-sum oracle at the endpoints"
         )
-    if nodes < 32:
-        raise DomainError(f"nodes must be >= 32 per axis, got {nodes!r}")
-    if nodes > _MAX_QUAD_NODES:
-        raise DomainError(f"nodes must be <= {_MAX_QUAD_NODES} per axis, got {nodes!r}")
+    if not 32 <= nodes <= _MAX_QUAD_NODES:
+        raise DomainError(f"need 32 <= nodes <= {_MAX_QUAD_NODES}, got {nodes!r}")
     alpha, nu, mu = state.alpha, state.nu, state.mu
     t, w = _hermgauss(nodes)
     a_u = 1.0 / (1.0 - eta) + nu / mu
     a_v = 1.0 / (1.0 - eta) - nu / mu
     u = t / math.sqrt(a_u)  # Re(beta)
-    v = t / math.sqrt(a_v)  # Im(beta)
     # log |<beta|U|alpha>|^2 = (nu*alpha^2 - nu*u^2 + nu*v^2 + 2*u*alpha)/mu - alpha^2 - |beta|^2
-    # - log(mu); the weight adds -eta*|beta|^2/(1-eta) - log(pi*(1-eta))
+    # - log(mu); the weight adds -eta*|beta|^2/(1-eta) - log(pi*(1-eta)); v terms: -a_v*v^2
     constant = nu * alpha * alpha / mu - alpha * alpha - math.log(mu * math.pi * (1.0 - eta))
     in_u = (2.0 * alpha - nu * u) * u / mu - u * u / (1.0 - eta) + t * t + constant
-    in_v = nu * v * v / mu - v * v / (1.0 - eta) + t * t
-    total = float(w @ np.exp(in_u[:, None] + in_v[None, :]) @ w) / math.sqrt(a_u * a_v)
+    total = float(w @ np.exp(in_u)) * math.sqrt(math.pi / (a_u * a_v))
     return min(1.0, total)
 
 
 def _pm_via_fock(dist: FockDistribution, protocol: Protocol) -> float:
     """Multi-photon probability of the tuned source from its truncated expansion."""
-    orders = 2 if protocol is Protocol.BB84 else 3
-    return max(0.0, 1.0 - math.fsum(dist.amplitudes[n] ** 2 for n in range(orders)))
+    return max(0.0, 1.0 - math.fsum(c**2 for c in dist.amplitudes[: protocol.attack_photons]))
 
 
 def verify_closed_forms(

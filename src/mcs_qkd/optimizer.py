@@ -39,10 +39,9 @@ from .key_rate import (
     secure_rate,
 )
 
-# p_multi, p_multi_min, p_signal and secure_rate are not called here: the
-# kernel re-derives them and they remain its tested references.  They stay
+# p_multi, p_multi_min, p_signal and secure_rate are not called here; they stay
 # importable from this module, where bench/spans.py wraps them for tracing.
-from .photon_source import Protocol, p_multi, p_multi_min, p_signal
+from .photon_source import Protocol, p0_formula, p_multi, p_multi_min, p_multi_min_formula, p_signal
 
 __all__ = [
     "DistanceSweep",
@@ -121,8 +120,8 @@ def _breakdown(scenario: Scenario, eta, param) -> RateBreakdown:
 
     Coherent sources are evaluated at mean photon number ``param``; tuned
     sources at squeeze ``param`` with the displacement that cancels their
-    leading multi-photon term (the closed forms of ``p_multi``,
-    ``p_multi_min`` and ``p_signal_mcs``).  Inputs are not validated.
+    leading multi-photon term.  The source statistics are ``photon_source``'s
+    closed forms, which the oracles check.  Inputs are not validated.
     """
     family = scenario.source_family
     if family is SourceFamily.COHERENT_BB84:
@@ -131,19 +130,10 @@ def _breakdown(scenario: Scenario, eta, param) -> RateBreakdown:
     else:
         nu = param
         mu = np.sqrt(1.0 + nu * nu)
-        ratio = nu / mu
-        if family.protocol is Protocol.BB84:
-            alpha2 = mu * nu
-            p_m = 1.0 - (1.0 + ratio) * np.exp(-(mu - nu) * nu) / mu
-        else:
-            alpha2 = 3.0 * mu * nu
-            kept = (1.0 + ratio) * (1.0 + 2.0 * ratio) * np.exp(-3.0 * (mu - nu) * nu) / mu
-            p_m = 1.0 - kept
-    p_vacuum = np.exp(-eta * alpha2 * (mu - nu) / (mu + nu * (1.0 - eta))) / np.sqrt(
-        1.0 + nu * nu * eta * (2.0 - eta)
-    )
+        alpha2 = family.protocol.tuning_factor * mu * nu
+        p_m = p_multi_min_formula(nu, mu, family.protocol)
     return rate_formula(
-        1.0 - np.minimum(p_vacuum, 1.0),
+        1.0 - np.minimum(p0_formula(alpha2, nu, mu, eta), 1.0),
         np.maximum(p_m, 0.0),  # at most 1 by construction; rounding can dip below 0
         scenario.detector,
         scenario.f_policy,
@@ -159,8 +149,9 @@ def rate_at(scenario: Scenario, param) -> RateBreakdown:
     raised: their ``p_s_bar`` is 0, their ``e`` nan and their ``R`` 0.
     """
     values = np.asarray(param, dtype=float)
-    if not np.all(np.isfinite(values) & (values >= 0.0)):
-        raise DomainError(f"param must be finite and >= 0, got {param!r}")
+    bad = values[~(np.isfinite(values) & (values >= 0.0))]
+    if bad.size:
+        raise DomainError(f"param must be finite and >= 0, got {float(bad[0])!r}")
     breakdown = _breakdown(scenario, scenario.channel.total_eta(), values)
     return breakdown.at(()) if values.ndim == 0 else breakdown
 

@@ -27,6 +27,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, TruncationError, UnsupportedOrderError
 
 __all__ = [
@@ -39,8 +41,10 @@ __all__ = [
     "fock_coefficients",
     "make_state",
     "mcs_state",
+    "p0_formula",
     "p_multi",
     "p_multi_min",
+    "p_multi_min_formula",
     "p_signal",
     "p_signal_mcs",
     "p_vacuum_lossy",
@@ -59,6 +63,16 @@ class Protocol(enum.Enum):
 
     BB84 = "bb84"  # photon-number splitting needs >= 2 photons
     SARG04 = "sarg04"  # encoding forces the attack to >= 3 photons
+
+    @property
+    def tuning_factor(self) -> float:
+        """k in the cancellation condition alpha**2 = k * mu * nu."""
+        return 1.0 if self is Protocol.BB84 else 3.0
+
+    @property
+    def attack_photons(self) -> int:
+        """Fewest photons in a pulse the eavesdropper can attack."""
+        return 2 if self is Protocol.BB84 else 3
 
 
 def _require_finite_nonneg(name: str, value: float) -> None:
@@ -115,8 +129,7 @@ def mcs_state(nu: float, protocol: Protocol) -> SqueezedCoherentState:
     nu = float(nu)
     _require_finite_nonneg("nu", nu)
     mu = math.sqrt(1.0 + nu * nu)
-    factor = 1.0 if protocol is Protocol.BB84 else 3.0
-    return SqueezedCoherentState(math.sqrt(factor * mu * nu), nu)
+    return SqueezedCoherentState(math.sqrt(protocol.tuning_factor * mu * nu), nu)
 
 
 @dataclass(frozen=True)
@@ -231,9 +244,22 @@ def p_multi(state: SqueezedCoherentState, protocol: Protocol) -> float:
     BB84 counts two or more photons; SARG04 counts three or more, since its
     encoding already survives two-photon splitting.
     """
-    orders = 2 if protocol is Protocol.BB84 else 3
-    kept = math.fsum(coeff_closed_form(state, n) ** 2 for n in range(orders))
+    kept = math.fsum(coeff_closed_form(state, n) ** 2 for n in range(protocol.attack_photons))
     return _clamp01(1.0 - kept)
+
+
+def p_multi_min_formula(nu, mu, protocol: Protocol):
+    """Unclamped ``p_multi_min``, elementwise over arrays of nu and mu = sqrt(1 + nu**2).
+
+    At alpha**2 = k * mu * nu the kept orders (0-1 for BB84, 0-2 for SARG04)
+    sum to exp(-k * (mu - nu) * nu) / mu times 1 + r or (1 + r) * (1 + 2 * r),
+    with r = nu / mu.  Unvalidated; ``p_multi_min`` and the rate kernel call it.
+    """
+    ratio = nu / mu
+    kept = 1.0 + ratio
+    if protocol is Protocol.SARG04:
+        kept = kept * (1.0 + 2.0 * ratio)
+    return 1.0 - kept * np.exp(-protocol.tuning_factor * (mu - nu) * nu) / mu
 
 
 def p_multi_min(nu: float, protocol: Protocol) -> float:
@@ -244,34 +270,30 @@ def p_multi_min(nu: float, protocol: Protocol) -> float:
     """
     nu = float(nu)
     _require_finite_nonneg("nu", nu)
-    mu = math.sqrt(1.0 + nu * nu)
-    if protocol is Protocol.BB84:
-        value = 1.0 - (1.0 + nu / mu) * math.exp(-(mu - nu) * nu) / mu
-    else:
-        value = (
-            1.0
-            - (1.0 + nu / mu) * (1.0 + 2.0 * nu / mu) * math.exp(-3.0 * (mu - nu) * nu) / mu
-        )
-    return _clamp01(value)
+    return _clamp01(float(p_multi_min_formula(nu, math.sqrt(1.0 + nu * nu), protocol)))
 
 
-def p_vacuum_lossy(state: SqueezedCoherentState, eta: float) -> float:
-    """Probability that a detector of total efficiency ``eta`` sees no photon.
+def p0_formula(alpha2, nu, mu, eta):
+    """No-click probability elementwise over arrays of source and efficiency values.
 
     Modelling the loss as a beamsplitter in front of an ideal detector gives,
-    for real (alpha, nu),
+    for real (alpha, nu) with ``alpha2 = alpha**2`` and ``mu = sqrt(1 + nu**2)``,
 
-        P0 = exp(-eta * alpha**2 * (mu - nu) / (mu + nu * (1 - eta)))
+        P0 = exp(-eta * alpha2 * (mu - nu) / (mu + nu * (1 - eta)))
              / sqrt(mu**2 - nu**2 * (1 - eta)**2)
 
     The radicand is evaluated as 1 + nu**2 * eta * (2 - eta), which is the
     same quantity through mu**2 = 1 + nu**2 but yields exactly 1 at eta = 0.
+    Unvalidated; the scalar functions below and the rate kernel call it.
     """
-    _require_eta(eta)
-    alpha, nu, mu = state.alpha, state.nu, state.mu
     radicand = 1.0 + nu * nu * eta * (2.0 - eta)
-    p0 = math.exp(-eta * alpha * alpha * (mu - nu) / (mu + nu * (1.0 - eta))) / math.sqrt(radicand)
-    return min(1.0, p0)
+    return np.exp(-eta * alpha2 * (mu - nu) / (mu + nu * (1.0 - eta))) / np.sqrt(radicand)
+
+
+def p_vacuum_lossy(state: SqueezedCoherentState, eta: float) -> float:
+    """Probability that a detector of total efficiency ``eta`` sees no photon (``p0_formula``)."""
+    _require_eta(eta)
+    return min(1.0, float(p0_formula(state.alpha * state.alpha, state.nu, state.mu, eta)))
 
 
 def p_signal(state: SqueezedCoherentState, eta: float) -> float:
@@ -282,21 +304,11 @@ def p_signal(state: SqueezedCoherentState, eta: float) -> float:
 def p_signal_mcs(nu: float, eta: float, protocol: Protocol) -> float:
     """Detection probability of the interference-tuned source, specialized form.
 
-    Substituting the cancellation condition alpha**2 = k * mu * nu (k = 1 for
-    BB84, 3 for SARG04) into the vacuum probability gives
-
-        Ps = 1 - exp(-k * eta * mu * nu * (mu - nu) / (mu + nu * (1 - eta)))
-                 / sqrt(mu**2 - nu**2 * (1 - eta)**2)
-
-    and must agree with ``p_signal(mcs_state(nu, protocol), eta)``.
+    ``1 - p0_formula`` at alpha**2 = k * mu * nu (k = 1 for BB84, 3 for SARG04), without
+    ``mcs_state``'s square root; must agree with ``p_signal(mcs_state(nu, protocol), eta)``.
     """
     nu = float(nu)
     _require_finite_nonneg("nu", nu)
     _require_eta(eta)
     mu = math.sqrt(1.0 + nu * nu)
-    factor = 1.0 if protocol is Protocol.BB84 else 3.0
-    radicand = 1.0 + nu * nu * eta * (2.0 - eta)
-    p0 = math.exp(
-        -factor * eta * mu * nu * (mu - nu) / (mu + nu * (1.0 - eta))
-    ) / math.sqrt(radicand)
-    return _clamp01(1.0 - p0)
+    return _clamp01(1.0 - float(p0_formula(protocol.tuning_factor * mu * nu, nu, mu, eta)))

@@ -324,21 +324,32 @@ class TestVerifyCommand:
         failed = {row["formula"] for row in rows if row["within_tol"] == "false"}
         assert failed == {"p_vacuum_lossy"}
 
-    @pytest.mark.parametrize("grid", ["verify_nus = 3\n", "verify_alphas = 12\n"])
-    def test_unresolved_fock_truncation_exits_2(self, tmp_path, grid):
+    @staticmethod
+    def run_verify(tmp_path, config_text):
         config = tmp_path / "grid.cfg"
-        config.write_text(grid, encoding="utf-8")
-        proc = subprocess.run(
+        config.write_text(config_text, encoding="utf-8")
+        return subprocess.run(
             [sys.executable, "-m", "mcs_qkd", "verify", "--config", str(config),
              "--out", str(tmp_path / "verify")],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(Path(mcs_qkd.__file__).parents[1])},
         )
+
+    @pytest.mark.parametrize("grid", ["verify_nus = 3\n", "verify_alphas = 12\n"])
+    def test_unresolved_fock_truncation_exits_2(self, tmp_path, grid):
+        proc = self.run_verify(tmp_path, grid)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error: ")
         assert proc.stderr.rstrip().endswith("raise fock_n_max")
         assert proc.stderr.count("\n") == 1
+
+    def test_fock_order_above_its_bound_exits_2(self, tmp_path):
+        # alpha = 40 underflows the leading amplitude, so an unbounded order would run to the end
+        proc = self.run_verify(tmp_path, "verify_alphas = 40\noracle_fock_n_max = 100001\n")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "config error: need 8 <= n_max <= 100000, got 100001\n"
 
 
 # (config key, command, other config lines, value in the file alone, value in the

@@ -25,6 +25,13 @@ class TestRateAt:
         with pytest.raises(DomainError):
             rate_at(kth15_scenario(SourceFamily.MCS_BB84), -0.1)
 
+    def test_array_error_names_the_first_bad_value_on_one_line(self, kth15_scenario):
+        params = np.linspace(0.0, 1.0, 50)
+        params[[7, 20]] = -0.5, np.nan
+        with pytest.raises(DomainError) as err:
+            rate_at(kth15_scenario(SourceFamily.MCS_BB84), params)
+        assert str(err.value) == "param must be finite and >= 0, got -0.5"
+
     def test_interior_maximum_exists_for_coherent(self, kth15_scenario):
         scenario = kth15_scenario(SourceFamily.COHERENT_BB84, 5.0)
         params = [i / 100 for i in range(1, 101)]

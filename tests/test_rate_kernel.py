@@ -27,6 +27,7 @@ from mcs_qkd import (
     p_multi,
     p_multi_min,
     p_signal,
+    p_signal_mcs,
     rate_at,
     secure_rate,
     sweep_distance,
@@ -98,6 +99,21 @@ def test_kernel_matches_scalar_composition(family):
                 assert not bad, (family, DISTANCES[i], PARAMS[j], policy, literal, bad)
                 checked += 1
     assert checked == len(DISTANCES) * len(PARAMS) * len(POLICIES) * 2
+
+
+@pytest.mark.parametrize("family", [SourceFamily.MCS_BB84, SourceFamily.MCS_SARG04])
+def test_kernel_evaluates_the_checked_closed_forms_exactly(family):
+    # the oracles check p_multi_min and p_signal_mcs; the figures use the kernel
+    protocol = family.protocol
+    mismatches = []
+    for distance in DISTANCES:
+        s = scenario(family, float(distance))
+        eta = s.channel.total_eta()
+        b = rate_at(s, PARAMS)
+        for nu, p_m, p_s in zip(PARAMS.tolist(), b.p_m.tolist(), b.p_s.tolist()):
+            if (p_m, p_s) != (p_multi_min(nu, protocol), p_signal_mcs(nu, eta, protocol)):
+                mismatches.append((float(distance), nu))
+    assert not mismatches
 
 
 def test_rate_at_array_matches_scalar_calls():
