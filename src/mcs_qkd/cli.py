@@ -362,7 +362,7 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
             if optimum is None:
                 continue
             b = optimum.breakdown
-            eta = scenario.channel.at_distance(distance).total_eta()
+            eta = scenario.channel.eta_at(distance)
             rows.append((family.value, distance, eta, optimum.param_value,
                          *_breakdown_values(b, FIGURE2_HEADER), cutoff_cell))
             points.append((distance, b.R))

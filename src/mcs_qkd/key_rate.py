@@ -80,7 +80,11 @@ class ChannelModel:
             raise DomainError(f"detector_eff must lie in (0, 1], got {self.detector_eff!r}")
 
     def total_eta(self) -> float:
-        return 10.0 ** (-(self.loss_coeff_a * self.distance_l + self.receiver_loss_L) / 10.0) * self.detector_eff
+        return self.eta_at(self.distance_l)
+
+    def eta_at(self, distance_l: float) -> float:
+        """Total efficiency at ``distance_l`` km, which is not validated."""
+        return 10.0 ** (-(self.loss_coeff_a * distance_l + self.receiver_loss_L) / 10.0) * self.detector_eff
 
     def at_distance(self, distance_l: float) -> "ChannelModel":
         return dataclasses.replace(self, distance_l=distance_l)

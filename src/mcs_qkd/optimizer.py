@@ -3,18 +3,19 @@
 For each source family the free parameter is the mean photon number
 ``|alpha|**2`` (plain coherent state) or the squeeze magnitude ``nu``
 (interference-tuned sources).  The rate curve over that parameter has a single
-clear maximum, so a coarse logarithmic grid brackets it and golden-section
-refinement polishes it; the grid guard means a hypothetical second mode would
-still be caught at grid resolution.
+clear maximum, so a coarse logarithmic grid brackets it and a section search
+polishes it (16 probes per step); the grid guard means a hypothetical second
+mode would still be caught at grid resolution.
 
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
 source statistics and the rate formula elementwise over broadcast arrays of
 total efficiency and source parameter.  A sweep evaluates the coarse grid of
 all its distances as one 2-D pass, taken in blocks of ``_ROW_BLOCK`` rows so
 that memory does not grow with the number of distances, and then refines the
-secure distances together: each row takes the same golden-section steps as
-a one-distance search and leaves the loop when its bracket is narrow enough.
-``optimize_param`` is the one-row case of the same code.
+secure distances together: each row takes the same section steps as a
+one-distance search and leaves the loop when its bracket is narrow enough.
+``optimize_param`` is the one-row case of the same code.  A cutoff bisection
+evaluates every midpoint its next ``_TREE_DEPTH`` steps may visit in one call.
 """
 
 from __future__ import annotations
@@ -54,7 +55,14 @@ __all__ = [
     "sweep_distance",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Probes of a refinement step, which keeps 2 of the 17 cells between them.
+_PROBES = np.arange(1.0, 17.0)
+
+#: Bisection levels of a cutoff that one kernel call resolves.
+_TREE_DEPTH = 4
+
+#: Largest source parameter; far above it ``nu * nu`` and ``alpha2`` overflow.
+_PARAM_MAX = 100.0
 
 #: Distances per block of the coarse-grid pass of a sweep.
 _ROW_BLOCK = 16
@@ -147,11 +155,15 @@ def rate_at(scenario: Scenario, param) -> RateBreakdown:
     An array gives a breakdown of arrays of its shape.  Parameter values with
     no detection events (vacuum source, zero dark counts) are marked, not
     raised: their ``p_s_bar`` is 0, their ``e`` nan and their ``R`` 0.
+    Parameters above 100 raise ``DomainError``.
     """
     values = np.asarray(param, dtype=float)
     bad = values[~(np.isfinite(values) & (values >= 0.0))]
     if bad.size:
         raise DomainError(f"param must be finite and >= 0, got {float(bad[0])!r}")
+    bad = values[values > _PARAM_MAX]
+    if bad.size:
+        raise DomainError(f"param must be <= {_PARAM_MAX:g}, got {float(bad[0])!r}")
     breakdown = _breakdown(scenario, scenario.channel.total_eta(), values)
     return breakdown.at(()) if values.ndim == 0 else breakdown
 
@@ -163,8 +175,8 @@ def _search(
     rtol: float = 1e-5,
 ) -> tuple[np.ndarray, float]:
     """The coarse parameter grid and ``rtol``, after checking every search setting."""
-    if not (0.0 < param_min < param_max and math.isfinite(param_max)):
-        raise DomainError("need 0 < param_min < param_max < inf")
+    if not 0.0 < param_min < param_max <= _PARAM_MAX:
+        raise DomainError(f"need 0 < param_min < param_max <= {_PARAM_MAX:g}")
     if grid_points < 2:
         raise DomainError("grid_points must be >= 2")
     if grid_points > _MAX_GRID_POINTS:
@@ -179,57 +191,54 @@ def _check_resolution(resolution_km: float) -> None:
         raise DomainError(f"cutoff resolution must be finite and > 0 km, got {resolution_km!r}")
 
 
-def _eta(scenario: Scenario, distance_l: float) -> float:
-    return scenario.channel.at_distance(distance_l).total_eta()
-
-
-def _secure_at(scenario: Scenario, distance_l: float, grid: np.ndarray) -> bool:
-    """Whether ``optimize_param`` finds a positive unclamped rate at ``distance_l``.
-
-    The refined optimum never falls below the best grid point, so its R_raw is
-    positive exactly when some grid point's R is; no refinement is needed.
-    """
-    return bool(_breakdown(scenario, _eta(scenario, distance_l), grid).R.max() > 0.0)
-
-
-def _optimize_rows(
-    scenario: Scenario, etas: np.ndarray, grid: np.ndarray, rtol: float
-) -> list[OptimumPoint | None]:
-    """Refined optimum for each total efficiency in ``etas``; None where insecure."""
+def _best_cells(scenario: Scenario, etas: np.ndarray,
+                grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and rate of the best grid point for each total efficiency in ``etas``."""
     best_i = np.empty(len(etas), dtype=np.intp)
     best_r = np.empty(len(etas))
     for start in range(0, len(etas), _ROW_BLOCK):
         rates = _breakdown(scenario, etas[start:start + _ROW_BLOCK, None], grid).R
         best_i[start:start + len(rates)] = np.argmax(rates, axis=1)
         best_r[start:start + len(rates)] = rates.max(axis=1)
+    return best_i, best_r
+
+
+def _secure_at(scenario: Scenario, distances, grid: np.ndarray) -> np.ndarray:
+    """Whether ``optimize_param`` finds a positive unclamped rate at one distance or a list.
+
+    The refined optimum never falls below the best grid point, so its R_raw is
+    positive exactly when some grid point's R is; no refinement is needed.
+    """
+    etas = np.array([scenario.channel.eta_at(l) for l in np.ravel(distances).tolist()])
+    return (_best_cells(scenario, etas, grid)[1] > 0.0).reshape(np.shape(distances))
+
+
+def _optimize_rows(
+    scenario: Scenario, etas: np.ndarray, grid: np.ndarray, rtol: float
+) -> list[OptimumPoint | None]:
+    """Refined optimum for each total efficiency in ``etas``; None where insecure."""
+    best_i, best_r = _best_cells(scenario, etas, grid)
     rows = np.flatnonzero(best_r > 0.0)
-    eta, cell = etas[rows], best_i[rows]
+    eta, cell = etas[rows, None], best_i[rows]
     lo = grid[np.maximum(cell - 1, 0)]
     hi = grid[np.minimum(cell + 1, len(grid) - 1)]
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = _breakdown(scenario, eta[:, None], np.stack((c, d), axis=1)).R.T
     width = hi - lo
     active = width > rtol * 0.5 * (lo + hi)
+    index = np.arange(len(rows))
     while active.any():
-        # left rows keep [lo, d] and probe a new c; right rows keep [c, hi] and
-        # probe a new d; inactive rows keep their bracket, and their probes and
-        # rates are never read again
-        left = active & (fc >= fd)
-        hi = np.where(left, d, hi)
-        lo = np.where(active & ~left, c, lo)
-        c, d = (
-            np.where(left, hi - _INV_PHI * (hi - lo), d),
-            np.where(left, c, lo + _INV_PHI * (hi - lo)),
-        )
-        probed = _breakdown(scenario, eta, np.where(left, c, d)).R
-        fc, fd = np.where(left, probed, fd), np.where(left, fc, probed)
+        # cells lo, the probes lo + (hi - lo) * j / 17 (j = 1..16), hi: active rows
+        # keep the two cells around their best probe, inactive rows their bracket
+        probes = lo[:, None] + (hi - lo)[:, None] * _PROBES / 17
+        cells = np.concatenate((lo[:, None], probes, hi[:, None]), axis=1)
+        best = np.argmax(_breakdown(scenario, eta, probes).R, axis=1)
+        lo = np.where(active, cells[index, best], lo)
+        hi = np.where(active, cells[index, best + 2], hi)
         # a bracket down to adjacent floats stops shrinking before a tiny rtol is met
         active &= (hi - lo > rtol * 0.5 * (lo + hi)) & (hi - lo < width)
         width = hi - lo
     # keep the coarse-grid winner if refinement somehow lost ground
     candidates = np.stack((0.5 * (lo + hi), grid[cell]), axis=1)
-    final = _breakdown(scenario, eta[:, None], candidates)
+    final = _breakdown(scenario, eta, candidates)
     pick = (final.R[:, 1] > final.R[:, 0]).astype(np.intp)
     optima: list[OptimumPoint | None] = [None] * len(etas)
     for k, row in enumerate(rows):
@@ -251,8 +260,8 @@ def optimize_param(
 ) -> OptimumPoint | None:
     """Maximize the clamped rate over the source parameter.
 
-    A logarithmic grid locates the best cell; golden-section refinement runs
-    within that cell and its neighbours down to relative width ``rtol``.
+    A logarithmic grid locates the best cell; the section search runs within
+    that cell and its neighbours down to relative width ``rtol``.
     Returns ``None`` when no grid point is secure (operation beyond cutoff),
     which is a result, not an error.  The returned optimum never falls below
     the best coarse-grid point.
@@ -271,27 +280,62 @@ def sweep_distance(
     """Optimal operating point per distance over an ascending distance grid.
 
     When the final grid point is insecure (and the scenario is secure at zero
-    distance) the cutoff is located by bisection within the swept range.
-    Keyword arguments in ``search`` are those of :func:`optimize_param`.
+    distance) the cutoff is located by bisection within the swept range; it
+    equals what :func:`cutoff_distance` returns.  Keyword arguments in
+    ``search`` are those of :func:`optimize_param`.
     """
     _check_resolution(cutoff_resolution_km)
     distances = [float(l) for l in l_grid]
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise DomainError("l_grid must be sorted ascending")
     grid, rtol = _search(**search)
-    etas = np.array([_eta(scenario, l) for l in distances])
+    for distance in distances:
+        if not (math.isfinite(distance) and distance >= 0.0):
+            raise DomainError(f"distance_l must be finite and >= 0, got {distance!r}")
+    etas = np.array([scenario.channel.eta_at(l) for l in distances])
     points = tuple(zip(distances, _optimize_rows(scenario, etas, grid, rtol)))
     cutoff_l = None
     if points and points[-1][1] is None:
-        if distances[0] == 0.0:
-            secure_at_zero = points[0][1] is not None
-        else:
-            secure_at_zero = _secure_at(scenario, 0.0, grid)
-        if secure_at_zero:
-            cutoff_l = cutoff_distance(
-                scenario, distances[-1], resolution_km=cutoff_resolution_km, **search
-            )
+        # secure(l) is monotone, which bisection assumes: secure up to the last
+        # secure grid distance (at least 0 km) and insecure from the next one on
+        first = next(k for k, (_, point) in enumerate(points) if point is None)
+        if first > 0 or (distances[0] > 0.0 and _secure_at(scenario, 0.0, grid)):
+            cutoff_l = _bisect_cutoff(scenario, grid, distances[-1], cutoff_resolution_km,
+                                      distances[first - 1] if first else 0.0, distances[first])
     return DistanceSweep(points=points, cutoff_l=cutoff_l)
+
+
+def _bisection_midpoints(lo: float, hi: float, depth: int, resolution_km: float) -> list[float]:
+    """Every midpoint that ``depth`` steps of bisecting [lo, hi] to ``resolution_km`` may visit."""
+    mid = 0.5 * (lo + hi)
+    if depth == 0 or not (hi - lo > resolution_km and lo < mid < hi):
+        return []
+    return [mid, *_bisection_midpoints(lo, mid, depth - 1, resolution_km),
+            *_bisection_midpoints(mid, hi, depth - 1, resolution_km)]
+
+
+def _bisect_cutoff(scenario: Scenario, grid: np.ndarray, l_max: float, resolution_km: float,
+                   secure_to: float, insecure_from: float) -> float:
+    """Bisection of [0, l_max] for the last secure distance.
+
+    Midpoints up to ``secure_to`` are secure and those from ``insecure_from``
+    on insecure without evaluation; the others are evaluated ``_TREE_DEPTH``
+    bisection levels per kernel call.
+    """
+    lo, hi, secure = 0.0, l_max, {}
+    while hi - lo > resolution_km:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: a tiny resolution cannot be met
+        if secure_to < mid < insecure_from and mid not in secure:
+            tree = [l for l in _bisection_midpoints(lo, hi, _TREE_DEPTH, resolution_km)
+                    if secure_to < l < insecure_from]
+            secure = dict(zip(tree, _secure_at(scenario, tree, grid).tolist()))
+        if mid <= secure_to or (mid < insecure_from and secure[mid]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def cutoff_distance(
@@ -314,17 +358,9 @@ def cutoff_distance(
         raise DomainError(f"l_max must be finite and > 0, got {l_max!r}")
     _check_resolution(resolution_km)
     grid, _ = _search(**search)
-    if not _secure_at(scenario, 0.0, grid):
+    secure_at_zero, secure_at_max = _secure_at(scenario, [0.0, l_max], grid)
+    if not secure_at_zero:
         raise DegenerateInputError("scenario is insecure even at zero distance")
-    if _secure_at(scenario, l_max, grid):
+    if secure_at_max:
         return l_max
-    lo, hi = 0.0, l_max
-    while hi - lo > resolution_km:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats: a tiny resolution cannot be met
-        if _secure_at(scenario, mid, grid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_cutoff(scenario, grid, l_max, resolution_km, 0.0, l_max)

@@ -442,6 +442,25 @@ class TestRangeAndSizeLimits:
         one_config_error(capsys)
         assert not (tmp_path / "figure2.csv").exists()
 
+    @pytest.mark.parametrize("argv, config_text", [
+        (["rate", "--family", "mcs-sarg04", "--nu", "1e154", "--l", "5"], ""),
+        (["figure2"], "param_max = 1e200\n"),
+    ])
+    def test_source_parameter_above_100_is_one_config_error(self, tmp_path, argv, config_text):
+        # far above the bound the closed forms overflow and numpy warns
+        config = tmp_path / "run.cfg"
+        config.write_text(config_text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcs_qkd", *argv, "--config", str(config),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(mcs_qkd.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("config error: ") and "<= 100" in proc.stderr
+
     @pytest.mark.parametrize("flags", [["--l-max", "inf"], ["--l-step", "nan"]])
     def test_figure2_rejects_flags(self, tmp_path, capsys, flags):
         assert main(["figure2", "--out", str(tmp_path), *flags]) == 2

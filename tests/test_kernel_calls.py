@@ -1,0 +1,91 @@
+"""Kernel-call budgets of the searches, and the sweep's shortcut to its cutoff.
+
+Every rate goes through ``optimizer._breakdown``, and one call costs about the
+same for one cell as for a few hundred, so the number of calls is the cost
+of a search.  The counts are deterministic.
+"""
+
+import random
+
+import pytest
+
+from mcs_qkd import (
+    ChannelModel,
+    DetectorModel,
+    Scenario,
+    SourceFamily,
+    cutoff_distance,
+    optimize_param,
+    sweep_distance,
+)
+from mcs_qkd import optimizer
+
+KTH15 = {"loss_coeff_a": 0.2, "detector_eff": 0.18, "dark_prob_Pd": 2e-4, "baseline_error_c": 0.01}
+#: The channel box that the benchmark's sweep workload draws from.
+BOX = {
+    "loss_coeff_a": (0.18, 0.25),
+    "detector_eff": (0.10, 0.25),
+    "dark_prob_Pd": (1e-4, 4e-4),
+    "baseline_error_c": (0.005, 0.015),
+}
+
+
+def scenario(family, distance_km=0.0, loss_coeff_a=0.2, detector_eff=0.18,
+             dark_prob_Pd=2e-4, baseline_error_c=0.01):
+    return Scenario(
+        source_family=family,
+        channel=ChannelModel(loss_coeff_a, distance_km, 1.0, detector_eff),
+        detector=DetectorModel(dark_prob_Pd, baseline_error_c),
+    )
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A list that grows by one entry per kernel call."""
+    calls = []
+    kernel = optimizer._breakdown
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_breakdown", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", list(SourceFamily))
+def test_optimize_param_budget(family, kernel_calls):
+    assert optimize_param(scenario(family, 10.0)) is not None
+    assert len(kernel_calls) <= 8
+
+
+@pytest.mark.parametrize("family", list(SourceFamily))
+def test_cutoff_distance_budget(family, kernel_calls):
+    assert 0.0 < cutoff_distance(scenario(family), 100.0) < 100.0
+    assert len(kernel_calls) <= 6
+
+
+def test_kth15_sweep_budget(kernel_calls):
+    distances = [float(l) for l in range(101)]
+    for family in SourceFamily:
+        assert sweep_distance(scenario(family), distances).cutoff_l is not None
+    assert len(kernel_calls) <= 50
+
+
+def _channels():
+    rng = random.Random(6)
+    drawn = [{key: rng.uniform(*bounds) for key, bounds in BOX.items()} for _ in range(6)]
+    return [KTH15, *drawn]
+
+
+@pytest.mark.parametrize("first_km, step_km", [(0.0, 1.0), (2.5, 2.5)])
+@pytest.mark.parametrize("channel", _channels())
+def test_sweep_cutoff_equals_cutoff_distance(channel, first_km, step_km):
+    # the sweep decides midpoints outside its last secure grid cell without
+    # evaluating them; bisection's monotone predicate makes that exact
+    distances = [first_km + step_km * k for k in range(int((150.0 - first_km) / step_km) + 1)]
+    for family in SourceFamily:
+        s = scenario(family, **channel)
+        sweep = sweep_distance(s, distances)
+        assert sweep.cutoff_l is not None, (family, channel)
+        assert sweep.cutoff_l == cutoff_distance(s, distances[-1]), (family, channel)

@@ -32,6 +32,13 @@ class TestRateAt:
             rate_at(kth15_scenario(SourceFamily.MCS_BB84), params)
         assert str(err.value) == "param must be finite and >= 0, got -0.5"
 
+    @pytest.mark.parametrize("family", list(SourceFamily))
+    def test_parameter_bound_is_100(self, family, kth15_scenario):
+        scenario = kth15_scenario(family)
+        assert rate_at(scenario, 100.0).R == 0.0
+        with pytest.raises(DomainError, match="param must be <= 100, got 1e\\+154"):
+            rate_at(scenario, np.array([0.1, 1e154]))
+
     def test_interior_maximum_exists_for_coherent(self, kth15_scenario):
         scenario = kth15_scenario(SourceFamily.COHERENT_BB84, 5.0)
         params = [i / 100 for i in range(1, 101)]
@@ -101,6 +108,8 @@ class TestOptimizeParam:
             optimize_param(scenario, rtol=0.0)
         with pytest.raises(DomainError):
             optimize_param(scenario, param_max=float("inf"))
+        with pytest.raises(DomainError, match="param_max <= 100"):
+            optimize_param(scenario, param_max=100.5)
 
     def test_rejects_grid_above_bound(self, kth15_scenario):
         with pytest.raises(DomainError, match="grid_points must be <= 100000"):

@@ -136,8 +136,7 @@ def test_vacuum_without_dark_counts_is_marked_not_raised():
 
 
 def scalar_search(s, param_max, grid_points, rtol=1e-5):
-    """One-distance search as a scalar loop: best grid cell, then golden section."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    """One-distance search as a scalar loop: best grid cell, then 16-probe steps."""
 
     def rate(param):
         return rate_at(s, param).R
@@ -149,17 +148,14 @@ def scalar_search(s, param_max, grid_points, rtol=1e-5):
         return None
     lo = grid[max(best_i - 1, 0)]
     hi = grid[min(best_i + 1, len(grid) - 1)]
-    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
-    fc, fd = rate(c), rate(d)
+    width = hi - lo
     while hi - lo > rtol * 0.5 * (lo + hi):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = rate(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = rate(d)
+        cells = [lo, *(lo + (hi - lo) * j / 17 for j in range(1, 17)), hi]
+        best = max(range(1, 17), key=lambda j: rate(cells[j]))
+        lo, hi = cells[best - 1], cells[best + 1]
+        if not hi - lo < width:
+            break  # adjacent floats
+        width = hi - lo
     return max((0.5 * (lo + hi), grid[best_i]), key=rate), (lo, hi)
 
 
@@ -184,6 +180,39 @@ def test_lockstep_refinement_takes_the_scalar_steps(family, edge):
             assert point is None, distance
         else:
             assert (point.param_value, point.bracket) == expected, distance
+
+
+def golden_reference(s, etas, rtol=1e-13):
+    """(param, R) of the optimum per total efficiency: a fine grid, then golden section."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    grid = np.geomspace(1e-5, 4.0, 2000)
+    best = np.argmax(_breakdown(s, etas[:, None], grid).R, axis=1)
+    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, len(grid) - 1)]
+    active = hi - lo > rtol * 0.5 * (lo + hi)
+    while active.any():
+        c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        left = _breakdown(s, etas, c).R >= _breakdown(s, etas, d).R
+        lo, hi = np.where(active & ~left, c, lo), np.where(active & left, d, hi)
+        active &= hi - lo > rtol * 0.5 * (lo + hi)
+    param = 0.5 * (lo + hi)
+    return param, _breakdown(s, etas, param).R
+
+
+@pytest.mark.parametrize("family", list(SourceFamily))
+def test_search_reaches_a_tight_golden_section_optimum(family):
+    distances = [float(l) for l in range(79)]
+    s = scenario(family)
+    etas = np.array([s.channel.eta_at(l) for l in distances])
+    ref_param, ref_r = golden_reference(s, etas)
+    secure = 0
+    for k, (distance, point) in enumerate(sweep_distance(s, distances).points):
+        assert (point is None) == (ref_r[k] <= 0.0), distance
+        if point is None:
+            continue
+        secure += 1
+        assert point.breakdown.R >= (1.0 - 1e-8) * ref_r[k], distance
+        assert abs(point.param_value - ref_param[k]) <= 1e-5 * ref_param[k], distance
+    assert secure >= 25
 
 
 @pytest.mark.parametrize("family", list(SourceFamily))
