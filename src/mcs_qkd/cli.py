@@ -8,8 +8,9 @@ Subcommands
 
 Configuration comes from a flat ``key = value`` file (``--config``) with CLI
 flags taking precedence; defaults reproduce the KTH15 parameter set.  CSV
-output is deterministic byte for byte for a fixed configuration: floats are
-written with 17 significant digits, '.' decimal separator and LF line endings.
+output is deterministic byte for byte for a fixed configuration: floats have
+17 significant digits, flags read true/false, a family without a cutoff has an
+empty ``cutoff_km`` cell, and lines end in LF.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 I/O error.
@@ -197,18 +198,23 @@ def _scenario(cfg: RunConfig, family: SourceFamily, distance_km: float, f_policy
                     f_policy=f_policy, paper_literal_sign=cfg.paper_literal_sign)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _fmt(value: float) -> str:
+    return format(value, ".17g")
+
+
+#: Text columns (``cutoff_km`` arrives formatted) and integer columns; the rest hold floats.
+_CELL_FORMATS = {"family": "%s", "formula": "%s", "method": "%s", "cutoff_km": "%s",
+                 "within_tol": "%s", "resolution": "%d"}
 
 
 def _csv_text(comments: Sequence[str], header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Comment lines, the header, then each row in one ``%``-format built from the header."""
+    row_format = ",".join(_CELL_FORMATS.get(name, "%.17g") for name in header)
+    if header[-1] == "within_tol":  # verify's last column, a flag written as true/false
+        rows = [(*row[:-1], "true" if row[-1] else "false") for row in rows]
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    lines.extend(row_format % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -287,9 +293,8 @@ def cmd_rate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"{family.value} at l = {distance:g} km: no detection events (no signal "
                 "and no dark counts), so the error rate is undefined"
             )
-        columns = _breakdown_values(b, RATE_HEADER)
-        for param, *values in zip(params, *(column.tolist() for column in columns)):
-            rows.append((family.value, distance, eta, param, *values))
+        columns = (column.tolist() for column in _breakdown_values(b, RATE_HEADER))
+        rows.extend(zip(repeat(family.value), repeat(distance), repeat(eta), params, *columns))
     comments = (_sign_note(cfg), f"f_policy = {cfg.f_policy}")
     sys.stdout.write(_csv_text(comments, RATE_HEADER, rows))
     return EXIT_OK
@@ -314,10 +319,9 @@ def cmd_figure1(cfg: RunConfig, _args: argparse.Namespace) -> int:
         b = rate_at(_scenario(cfg, family, distance, f_policy), params)
         # a vacuum source with zero dark counts has no detection events: no row
         detected = b.p_s_bar > 0.0
-        columns = (params, *_breakdown_values(b, FIGURE1_HEADER))
-        family_rows = list(zip(repeat(family.value), *(c[detected].tolist() for c in columns)))
-        rows.extend(family_rows)
-        curves.append((_family_label(family), [(row[1], row[-1]) for row in family_rows]))
+        columns = [c[detected].tolist() for c in (params, *_breakdown_values(b, FIGURE1_HEADER))]
+        rows.extend(zip(repeat(family.value), *columns))
+        curves.append((_family_label(family), list(zip(columns[0], columns[-1]))))
     eta_db = 10.0 * math.log10(eta)
     comments = (f"distance_km = {_fmt(distance)}", f"eta_db = {_fmt(eta_db)}",
                 _sign_note(cfg), f"f_policy = {cfg.f_policy}")
@@ -352,11 +356,10 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
         sweep = sweep_distance(
             scenario, l_grid, cutoff_resolution_km=cfg.cutoff_resolution_km, **search
         )
-        if sweep.cutoff_l is None:
-            notes.append(f"cutoff[{family.value}]: none within {l_max:g} km")
-        else:
-            notes.append(f"cutoff[{family.value}]: {sweep.cutoff_l:.2f} km")
-        cutoff_cell = sweep.cutoff_l if sweep.cutoff_l is not None else ""
+        cutoff = sweep.cutoff_l
+        found = f"none within {l_max:g} km" if cutoff is None else f"{cutoff:.2f} km"
+        notes.append(f"cutoff[{family.value}]: {found}")
+        cutoff_cell = "" if cutoff is None else _fmt(cutoff)
         points = []
         for distance, optimum in sweep.points:
             if optimum is None:

@@ -24,10 +24,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 Curve = tuple[str, Sequence[tuple[float, float]]]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
-
-
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     if hi <= lo:
         return [lo]
@@ -100,22 +96,22 @@ def render_line_chart(
     for tick in x_ticks:
         x = px(tick)
         lines.append(
-            f'<line x1="{_fmt(x)}" y1="{MARGIN_TOP}" x2="{_fmt(x)}" '
+            f'<line x1="{x:.2f}" y1="{MARGIN_TOP}" x2="{x:.2f}" '
             f'y2="{MARGIN_TOP + plot_h}" stroke="#dddddd" stroke-width="1"/>'
         )
         lines.append(
-            f'<text x="{_fmt(x)}" y="{MARGIN_TOP + plot_h + 20}" text-anchor="middle" '
+            f'<text x="{x:.2f}" y="{MARGIN_TOP + plot_h + 20}" text-anchor="middle" '
             f'font-size="12">{_tick_label(tick)}</text>'
         )
     for tick in y_ticks:
         y = py(tick)
         label = f"1e{tick:g}" if log_y else _tick_label(tick)
         lines.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(y)}" x2="{MARGIN_LEFT + plot_w}" '
-            f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
+            f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{MARGIN_LEFT + plot_w}" '
+            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
         )
         lines.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
+            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-size="12">{label}</text>'
         )
 
@@ -136,7 +132,7 @@ def render_line_chart(
     for i, (label, pts) in enumerate(plotted):
         color = PALETTE[i % len(PALETTE)]
         if pts:
-            coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
+            coords = " ".join(["%.2f,%.2f" % (px(x), py(y)) for x, y in pts])
             lines.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
             )

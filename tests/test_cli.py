@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -135,6 +137,15 @@ class TestConfigHandling:
         monkeypatch.setattr(cli, "sweep_distance", no_events)
         assert main(["figure2", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == ["config error: no detection events"]
+
+    def test_readme_config_block_is_a_working_config_file(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Config keys\n.*?```\n(.*?)```", readme, re.S).group(1)
+        config = tmp_path / "readme.cfg"
+        config.write_text(block, encoding="utf-8")
+        cfg = cli.build_config(cli.build_parser().parse_args(["rate", "--config", str(config)]))
+        assert (cfg.family, cfg.alpha2, cfg.nu) == ("mcs-bb84", 0.1, 0.25)
+        assert dataclasses.replace(cfg, family=None, alpha2=None, nu=None) == cli.RunConfig()
 
     def test_unwritable_out_dir_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
