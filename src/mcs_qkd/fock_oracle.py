@@ -217,7 +217,9 @@ def verify_closed_forms(
     (skipped at eta endpoints where the weight degenerates), and Fock-sum
     checks of the tuned-source multi-photon minima and signal probabilities
     for both protocols.  Each distinct state is expanded once per call: the
-    tuned states depend on nu alone, and no expansion outlives the call.
+    tuned states depend on nu alone.  The four tuned-source checks depend on
+    (nu, eta) alone, so they repeat for every alpha; each is computed once per
+    call and the same reports are reused.  Nothing outlives the call.
     """
     if grid is None:
         grid = DEFAULT_GRID
@@ -228,6 +230,7 @@ def verify_closed_forms(
             dists[state] = _truncated_distribution(state, fock_n_max)
         return dists[state]
 
+    tuned_checks: dict[tuple[str, str], list[OracleReport]] = {}
     reports: list[OracleReport] = []
     for alpha, nu, eta in grid:
         state = make_state(alpha, nu)
@@ -245,22 +248,26 @@ def verify_closed_forms(
                     closed, p0_via_quadrature(state, eta, quad_nodes),
                 )
             )
-        for protocol in Protocol:
-            tuned = mcs_state(nu, protocol)
-            dist = expand(tuned)
-            reports.append(
-                OracleReport(
-                    f"p_multi_min[{protocol.value}]", tuned.alpha, nu, eta,
-                    FOCK_SUM, fock_n_max, p_multi_min(nu, protocol), _pm_via_fock(dist, protocol),
+        key = (repr(nu), repr(eta))  # as the report fields do, tells 0.0, -0.0 and 0 apart
+        if key not in tuned_checks:
+            tuned_checks[key] = checks = []
+            for protocol in Protocol:
+                tuned = mcs_state(nu, protocol)
+                dist = expand(tuned)
+                checks.append(
+                    OracleReport(
+                        f"p_multi_min[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM,
+                        fock_n_max, p_multi_min(nu, protocol), _pm_via_fock(dist, protocol),
+                    )
                 )
-            )
-            reports.append(
-                OracleReport(
-                    f"p_signal_mcs[{protocol.value}]", tuned.alpha, nu, eta,
-                    FOCK_SUM, fock_n_max,
-                    p_signal_mcs(nu, eta, protocol), 1.0 - _p0_from_amplitudes(dist, eta),
+                checks.append(
+                    OracleReport(
+                        f"p_signal_mcs[{protocol.value}]", tuned.alpha, nu, eta,
+                        FOCK_SUM, fock_n_max,
+                        p_signal_mcs(nu, eta, protocol), 1.0 - _p0_from_amplitudes(dist, eta),
+                    )
                 )
-            )
+        reports.extend(tuned_checks[key])
     return reports
 
 

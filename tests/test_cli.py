@@ -528,7 +528,8 @@ _SMALL = {
     "verify_nus": st.lists(st.floats(0.0, 0.8), min_size=1, max_size=2),
     "verify_etas": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
 }
-_BAD = st.sampled_from(["nan", "inf", "-inf", "0", "-1"])
+_BAD = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.0", "5e-324", "1e-300", "1e300",
+                        "1.7976931348623157e308", "100", "100.00000000000001"])
 #: Keeps runs small when the draw leaves a size key out.
 _SMALL_BASE = ("l_max_km = 20\nl_step_km = 5\ngrid_points = 30\nfig1_points = 20\n"
                "verify_alphas = 0.5\nverify_nus = 0.3\nverify_etas = 0.5\nalpha2 = 0.1\nnu = 0.2\n")
@@ -576,6 +577,7 @@ class TestConfigFuzz:
                     code = exit_.code
             assert code in {0, 1, 2, 3}
             assert "Traceback" not in err.getvalue()
+            assert "Warning" not in err.getvalue()
             if code == 0:
                 written = [path.read_text(encoding="utf-8") for path in Path(tmp).glob("*.csv")]
                 for text in [out.getvalue(), *written]:

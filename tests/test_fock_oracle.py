@@ -1,15 +1,19 @@
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcs_qkd import (
     DEFAULT_GRID,
     DomainError,
     FOCK_SUM,
     InsufficientTruncationError,
+    OracleReport,
     Protocol,
     QUADRATURE,
     fock_coefficients,
@@ -19,6 +23,8 @@ from mcs_qkd import (
     mcs_state,
     p0_via_fock,
     p0_via_quadrature,
+    p_multi_min,
+    p_signal_mcs,
     p_vacuum_lossy,
     verify_closed_forms,
 )
@@ -33,21 +39,44 @@ def _seeded_grid(seed: int = 2024) -> list[tuple[float, float, float]]:
     return list(product(alphas, nus, etas))
 
 
-def _per_point_oracles(grid) -> list[float]:
-    """Oracle values in report order, each computed from scratch at its point."""
-    values = []
+def _per_point_reports(grid) -> list[OracleReport]:
+    """Every report in order, each computed from scratch at its point with default resolutions."""
+    n_max, nodes = fock_oracle.DEFAULT_FOCK_N_MAX, fock_oracle.DEFAULT_QUAD_NODES
+    reports = []
     for alpha, nu, eta in grid:
         state = make_state(alpha, nu)
-        values.append(p0_via_fock(state, eta))
+        closed = p_vacuum_lossy(state, eta)
+        reports.append(OracleReport("p_vacuum_lossy", alpha, nu, eta, FOCK_SUM, n_max,
+                                    closed, p0_via_fock(state, eta)))
         if 0.0 < eta < 1.0:
-            values.append(p0_via_quadrature(state, eta))
+            reports.append(OracleReport("p_vacuum_lossy", alpha, nu, eta, QUADRATURE, nodes,
+                                        closed, p0_via_quadrature(state, eta)))
         for protocol in Protocol:
             tuned = mcs_state(nu, protocol)
-            amplitudes = fock_coefficients(tuned, n_cap=fock_oracle.DEFAULT_FOCK_N_MAX).amplitudes
+            amplitudes = fock_coefficients(tuned, n_cap=n_max).amplitudes
             orders = 2 if protocol is Protocol.BB84 else 3
-            values.append(max(0.0, 1.0 - math.fsum(c * c for c in amplitudes[:orders])))
-            values.append(1.0 - p0_via_fock(tuned, eta))
-    return values
+            reports.append(OracleReport(
+                f"p_multi_min[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM, n_max,
+                p_multi_min(nu, protocol),
+                max(0.0, 1.0 - math.fsum(c * c for c in amplitudes[:orders])),
+            ))
+            reports.append(OracleReport(
+                f"p_signal_mcs[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM, n_max,
+                p_signal_mcs(nu, eta, protocol), 1.0 - p0_via_fock(tuned, eta),
+            ))
+    return reports
+
+
+def _per_point_oracles(grid) -> list[float]:
+    """Oracle values in report order, each computed from scratch at its point."""
+    return [report.oracle_value for report in _per_point_reports(grid)]
+
+
+#: Grid axes of 1-3 values, repeats allowed; both signed zeros, and the eta endpoints.
+_ALPHAS = st.lists(st.sampled_from([0.0, -0.0, 0.5]) | st.floats(0.0, 2.0), min_size=1, max_size=3)
+_NUS = st.lists(st.sampled_from([0.0, -0.0, 0.3]) | st.floats(0.0, 0.8), min_size=1, max_size=3)
+_ETAS = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                 min_size=1, max_size=3)
 
 
 def _complex_quadrature(state, eta, nodes=96) -> float:
@@ -225,17 +254,45 @@ class TestVerifyClosedForms:
 
     def test_expands_each_distinct_state_once(self, monkeypatch):
         calls = []
+        counts = Counter()
 
         def counting(state, *args, **kwargs):
             calls.append(state)
             return fock_coefficients(state, *args, **kwargs)
 
+        def count(name):
+            original = getattr(fock_oracle, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(fock_oracle, name, counted)
+
         monkeypatch.setattr(fock_oracle, "fock_coefficients", counting)
+        for name in ("p_signal_mcs", "p_multi_min", "mcs_state"):
+            count(name)
         verify_closed_forms(_seeded_grid())
         # 8 alphas x 6 nus raw states, plus 6 nus x 2 protocols tuned states
         assert len(calls) == len(set(calls)) == 60
+        # tuned checks: 6 nus x 6 etas x 2 protocols, not 8 alphas times as many
+        assert counts["p_signal_mcs"] == 72
+        assert counts["p_multi_min"] <= 72
+        assert counts["mcs_state"] <= 72
+        first = dict(counts)
         verify_closed_forms(_seeded_grid())
         assert len(calls) == 120  # nothing is kept between calls
+        assert counts == {name: 2 * n for name, n in first.items()}
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ALPHAS, _NUS, _ETAS)
+    @example([0.5, 1.0], [0.0, -0.0], [0.5])  # tuned alpha and nu print as 0 and -0
+    @example([0.5, 1.0], [0.3], [-0.0, 0.0, 1.0])  # eta prints as -0 and 0
+    def test_reused_reports_match_per_point_reports(self, alphas, nus, etas):
+        grid = list(product(alphas, nus, etas))
+        assert list(map(repr, verify_closed_forms(grid))) == list(
+            map(repr, _per_point_reports(grid))
+        )
 
     def test_max_by_formula_summary(self):
         reports = verify_closed_forms([(0.5, 0.3, 0.5)])

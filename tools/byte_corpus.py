@@ -157,6 +157,13 @@ CASES = [
     _case("verify fock order below bound", "verify --fock-n-max 4"),
     _case("verify nodes below bound", "verify --quad-nodes 8"),
     _case("verify eta above 1", "verify --config c.cfg", cfg="verify_etas = 1.5\n"),
+    _case("verify signed zero nus", "verify --config c.cfg", cfg="verify_nus = 0, -0.0, 0.3\n"),
+    _case("verify signed zero etas", "verify --config c.cfg", cfg="verify_etas = -0.0, 0.5, 1\n"),
+    _case("verify signed zeros on both axes", "verify --config c.cfg",
+          cfg="verify_nus = -0.0, 0\nverify_etas = 0, -0.0, 0.5\n"),
+    _case("verify repeated alphas", "verify --config c.cfg", cfg="verify_alphas = 0.5, 0.5, 1\n"),
+    _case("verify single alpha", "verify --config c.cfg", cfg="verify_alphas = 0.7\n"),
+    _case("verify endpoint etas only", "verify --config c.cfg", cfg="verify_etas = 0, 1\n"),
     # argparse
     _case("argparse bad choice", "rate --family nope --nu 0.1"),
     _case("argparse bad float", "rate --family mcs-bb84 --nu abc"),
