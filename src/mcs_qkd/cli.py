@@ -37,7 +37,10 @@ from .key_rate import (
     DEFAULT_F_POLICY, KTH15_CHANNEL, KTH15_DETECTOR,
     ChannelModel, ConstantF, DetectorModel, RateBreakdown, TableF,
 )
-from .optimizer import Scenario, SourceFamily, rate_at, sweep_distance
+from .optimizer import (
+    DEFAULT_CUTOFF_RESOLUTION_KM, DEFAULT_GRID_POINTS, DEFAULT_PARAM_MAX, DEFAULT_PARAM_MIN,
+    DEFAULT_RTOL, Scenario, SourceFamily, rate_at, sweep_distance,
+)
 from .svgplot import render_line_chart
 
 __all__ = ["RunConfig", "build_config", "main", "parse_f_policy"]
@@ -73,11 +76,11 @@ class RunConfig:
     alpha2: float | None = None
     nu: float | None = None
     # optimizer search
-    param_min: float = 1e-5
-    param_max: float = 4.0
-    grid_points: int = 200
-    golden_rtol: float = 1e-5
-    cutoff_resolution_km: float = 0.01
+    param_min: float = DEFAULT_PARAM_MIN
+    param_max: float = DEFAULT_PARAM_MAX
+    grid_points: int = DEFAULT_GRID_POINTS
+    golden_rtol: float = DEFAULT_RTOL
+    cutoff_resolution_km: float = DEFAULT_CUTOFF_RESOLUTION_KM
     # figure-1 parameter scan
     fig1_param_max: float = 0.6
     fig1_points: int = 201
@@ -202,7 +205,7 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-#: Text columns (``cutoff_km`` arrives formatted) and integer columns; the rest hold floats.
+#: Text columns (``cutoff_km`` and ``within_tol`` arrive formatted) and integer columns.
 _CELL_FORMATS = {"family": "%s", "formula": "%s", "method": "%s", "cutoff_km": "%s",
                  "within_tol": "%s", "resolution": "%d"}
 
@@ -210,8 +213,6 @@ _CELL_FORMATS = {"family": "%s", "formula": "%s", "method": "%s", "cutoff_km": "
 def _csv_text(comments: Sequence[str], header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Comment lines, the header, then each row in one ``%``-format built from the header."""
     row_format = ",".join(_CELL_FORMATS.get(name, "%.17g") for name in header)
-    if header[-1] == "within_tol":  # verify's last column, a flag written as true/false
-        rows = [(*row[:-1], "true" if row[-1] else "false") for row in rows]
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(header))
     lines.extend(row_format % tuple(row) for row in rows)
@@ -346,19 +347,15 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
         raise ConfigurationError(f"need finite l_max_km, l_step_km and <= {_MAX_POINTS} distances")
     f_policy = parse_f_policy(cfg.f_policy)
     l_grid = [float(l) for l in np.arange(0.0, l_max + 0.5 * l_step, l_step)]
-    search = dict(param_min=cfg.param_min, param_max=cfg.param_max,
-                  grid_points=cfg.grid_points, rtol=cfg.golden_rtol)
+    settings = dict(param_min=cfg.param_min, param_max=cfg.param_max, grid_points=cfg.grid_points,
+                    rtol=cfg.golden_rtol, cutoff_resolution_km=cfg.cutoff_resolution_km)
     rows = []
     curves = []
     notes = []
     for family in SourceFamily:
         scenario = _scenario(cfg, family, 0.0, f_policy)
-        sweep = sweep_distance(
-            scenario, l_grid, cutoff_resolution_km=cfg.cutoff_resolution_km, **search
-        )
+        sweep = sweep_distance(scenario, l_grid, **settings)
         cutoff = sweep.cutoff_l
-        found = f"none within {l_max:g} km" if cutoff is None else f"{cutoff:.2f} km"
-        notes.append(f"cutoff[{family.value}]: {found}")
         cutoff_cell = "" if cutoff is None else _fmt(cutoff)
         points = []
         for distance, optimum in sweep.points:
@@ -370,6 +367,10 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
                          *_breakdown_values(b, FIGURE2_HEADER), cutoff_cell))
             points.append((distance, b.R))
         curves.append((_family_label(family), points))
+        found = f"none within {l_max:g} km" if cutoff is None else f"{cutoff:.2f} km"
+        if not points:  # the grid starts at 0 km, so the family is insecure from 0 km on
+            found = "insecure at every distance"
+        notes.append(f"cutoff[{family.value}]: {found}")
     comments = (f"l_max_km = {_fmt(l_max)}", f"l_step_km = {_fmt(l_step)}",
                 _sign_note(cfg), f"f_policy = {cfg.f_policy}")
     notes.append(_write_figure(
@@ -388,8 +389,8 @@ def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
     grid = product(cfg.verify_alphas, cfg.verify_nus, cfg.verify_etas)
     reports = verify_closed_forms(grid, fock_n_max=n_max, quad_nodes=nodes)
     rows = [
-        (r.formula, r.alpha, r.nu, r.eta, r.method, r.resolution,
-         r.closed_form_value, r.oracle_value, r.abs_diff, r.within_tolerance)
+        (r.formula, r.alpha, r.nu, r.eta, r.method, r.resolution, r.closed_form_value,
+         r.oracle_value, r.abs_diff, "true" if r.within_tolerance else "false")
         for r in reports
     ]
     comments = (_sign_note(cfg), f"fock_n_max = {n_max}", f"quad_nodes = {nodes}")

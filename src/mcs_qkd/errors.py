@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-and-non-negative input check."""
+
+import math
 
 
 class DomainError(ValueError):
     """An argument lies outside its physically meaningful domain."""
+
+
+def require_finite_nonneg(name: str, value: float) -> None:
+    """Raise ``DomainError`` unless ``value`` is finite and non-negative."""
+    if not math.isfinite(value) or value < 0.0:
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class UnsupportedOrderError(DomainError):

@@ -25,7 +25,7 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
@@ -106,18 +106,16 @@ class OracleReport:
     resolution: int
     closed_form_value: float
     oracle_value: float
+    abs_diff: float = field(init=False, repr=False, compare=False)
+    within_tolerance: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def abs_diff(self) -> float:
-        return abs(self.closed_form_value - self.oracle_value)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "abs_diff", abs(self.closed_form_value - self.oracle_value))
+        object.__setattr__(self, "within_tolerance", self.abs_diff < self.tolerance)
 
     @property
     def tolerance(self) -> float:
         return FOCK_TOLERANCE if self.method == FOCK_SUM else QUADRATURE_TOLERANCE
-
-    @property
-    def within_tolerance(self) -> bool:
-        return self.abs_diff < self.tolerance
 
 
 def p0_via_fock(state: SqueezedCoherentState, eta: float, n_max: int = DEFAULT_FOCK_N_MAX) -> float:

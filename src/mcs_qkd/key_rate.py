@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DomainError
+from .errors import ConfigurationError, DegenerateInputError, DomainError, require_finite_nonneg
 
 __all__ = [
     "ChannelModel",
@@ -73,9 +73,7 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         for name in ("loss_coeff_a", "distance_l", "receiver_loss_L"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+            require_finite_nonneg(name, getattr(self, name))
         if not math.isfinite(self.detector_eff) or not 0.0 < self.detector_eff <= 1.0:
             raise DomainError(f"detector_eff must lie in (0, 1], got {self.detector_eff!r}")
 

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, require_finite_nonneg
 from .key_rate import (
     ChannelModel,
     ConstantF,
@@ -54,6 +54,13 @@ __all__ = [
     "rate_at",
     "sweep_distance",
 ]
+
+#: Defaults of the search keywords of ``optimize_param`` and of the cutoff resolution.
+DEFAULT_PARAM_MIN = 1e-5
+DEFAULT_PARAM_MAX = 4.0
+DEFAULT_GRID_POINTS = 200
+DEFAULT_RTOL = 1e-5
+DEFAULT_CUTOFF_RESOLUTION_KM = 0.01
 
 #: Probes of a refinement step, which keeps 2 of the 17 cells between them.
 _PROBES = np.arange(1.0, 17.0)
@@ -160,7 +167,7 @@ def rate_at(scenario: Scenario, param) -> RateBreakdown:
     values = np.asarray(param, dtype=float)
     bad = values[~(np.isfinite(values) & (values >= 0.0))]
     if bad.size:
-        raise DomainError(f"param must be finite and >= 0, got {float(bad[0])!r}")
+        require_finite_nonneg("param", float(bad[0]))
     bad = values[values > _PARAM_MAX]
     if bad.size:
         raise DomainError(f"param must be <= {_PARAM_MAX:g}, got {float(bad[0])!r}")
@@ -169,10 +176,10 @@ def rate_at(scenario: Scenario, param) -> RateBreakdown:
 
 
 def _search(
-    param_min: float = 1e-5,
-    param_max: float = 4.0,
-    grid_points: int = 200,
-    rtol: float = 1e-5,
+    param_min: float = DEFAULT_PARAM_MIN,
+    param_max: float = DEFAULT_PARAM_MAX,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    rtol: float = DEFAULT_RTOL,
 ) -> tuple[np.ndarray, float]:
     """The coarse parameter grid and ``rtol``, after checking every search setting."""
     if not 0.0 < param_min < param_max <= _PARAM_MAX:
@@ -250,23 +257,18 @@ def _optimize_rows(
     return optima
 
 
-def optimize_param(
-    scenario: Scenario,
-    *,
-    param_min: float = 1e-5,
-    param_max: float = 4.0,
-    grid_points: int = 200,
-    rtol: float = 1e-5,
-) -> OptimumPoint | None:
+def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     """Maximize the clamped rate over the source parameter.
 
-    A logarithmic grid locates the best cell; the section search runs within
-    that cell and its neighbours down to relative width ``rtol``.
-    Returns ``None`` when no grid point is secure (operation beyond cutoff),
-    which is a result, not an error.  The returned optimum never falls below
-    the best coarse-grid point.
+    The search keywords, all optional, are ``param_min`` (default 1e-5) and
+    ``param_max`` (4), the ends of a logarithmic grid of ``grid_points`` (200)
+    points, and ``rtol`` (1e-5).  The grid locates the best cell; the section
+    search runs within that cell and its neighbours down to relative width
+    ``rtol``.  Returns ``None`` when no grid point is secure (operation beyond
+    cutoff), which is a result, not an error.  The returned optimum never
+    falls below the best coarse-grid point.
     """
-    grid, rtol = _search(param_min, param_max, grid_points, rtol)
+    grid, rtol = _search(**search)
     return _optimize_rows(scenario, np.array([scenario.channel.total_eta()]), grid, rtol)[0]
 
 
@@ -274,15 +276,15 @@ def sweep_distance(
     scenario: Scenario,
     l_grid: Iterable[float],
     *,
-    cutoff_resolution_km: float = 0.01,
+    cutoff_resolution_km: float = DEFAULT_CUTOFF_RESOLUTION_KM,
     **search,
 ) -> DistanceSweep:
     """Optimal operating point per distance over an ascending distance grid.
 
     When the final grid point is insecure (and the scenario is secure at zero
     distance) the cutoff is located by bisection within the swept range; it
-    equals what :func:`cutoff_distance` returns.  Keyword arguments in
-    ``search`` are those of :func:`optimize_param`.
+    equals what :func:`cutoff_distance` returns.  The keywords in ``search``
+    and their defaults are those of :func:`optimize_param`.
     """
     _check_resolution(cutoff_resolution_km)
     distances = [float(l) for l in l_grid]
@@ -290,8 +292,7 @@ def sweep_distance(
         raise DomainError("l_grid must be sorted ascending")
     grid, rtol = _search(**search)
     for distance in distances:
-        if not (math.isfinite(distance) and distance >= 0.0):
-            raise DomainError(f"distance_l must be finite and >= 0, got {distance!r}")
+        require_finite_nonneg("distance_l", distance)
     etas = np.array([scenario.channel.eta_at(l) for l in distances])
     points = tuple(zip(distances, _optimize_rows(scenario, etas, grid, rtol)))
     cutoff_l = None
@@ -342,7 +343,7 @@ def cutoff_distance(
     scenario: Scenario,
     l_max: float,
     *,
-    resolution_km: float = 0.01,
+    resolution_km: float = DEFAULT_CUTOFF_RESOLUTION_KM,
     **search,
 ) -> float:
     """Largest distance with a positive unclamped optimal rate, by bisection.
@@ -352,7 +353,8 @@ def cutoff_distance(
     step needs only the coarse grid (see ``_secure_at``).  Returns ``l_max``
     itself when still secure there (no cutoff within range); raises
     ``DegenerateInputError`` when insecure already at zero distance, and
-    ``DomainError`` for a non-finite or non-positive ``resolution_km``.
+    ``DomainError`` for a non-finite or non-positive ``resolution_km``.  The
+    keywords in ``search`` and their defaults are those of :func:`optimize_param`.
     """
     if not math.isfinite(l_max) or l_max <= 0.0:
         raise DomainError(f"l_max must be finite and > 0, got {l_max!r}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, UnsupportedOrderError
+from .errors import DomainError, TruncationError, UnsupportedOrderError, require_finite_nonneg
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -75,11 +75,6 @@ class Protocol(enum.Enum):
         return 2 if self is Protocol.BB84 else 3
 
 
-def _require_finite_nonneg(name: str, value: float) -> None:
-    if not math.isfinite(value) or value < 0.0:
-        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-
-
 def _require_eta(eta: float) -> None:
     if not math.isfinite(eta) or eta < 0.0 or eta > 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
@@ -102,8 +97,8 @@ class SqueezedCoherentState:
     nu: float
 
     def __post_init__(self) -> None:
-        _require_finite_nonneg("alpha", self.alpha)
-        _require_finite_nonneg("nu", self.nu)
+        require_finite_nonneg("alpha", self.alpha)
+        require_finite_nonneg("nu", self.nu)
 
     @property
     def mu(self) -> float:
@@ -127,7 +122,7 @@ def mcs_state(nu: float, protocol: Protocol) -> SqueezedCoherentState:
     vanishes instead.
     """
     nu = float(nu)
-    _require_finite_nonneg("nu", nu)
+    require_finite_nonneg("nu", nu)
     mu = math.sqrt(1.0 + nu * nu)
     return SqueezedCoherentState(math.sqrt(protocol.tuning_factor * mu * nu), nu)
 
@@ -269,7 +264,7 @@ def p_multi_min(nu: float, protocol: Protocol) -> float:
     independent expression so the two routes can cross-check each other.
     """
     nu = float(nu)
-    _require_finite_nonneg("nu", nu)
+    require_finite_nonneg("nu", nu)
     return _clamp01(float(p_multi_min_formula(nu, math.sqrt(1.0 + nu * nu), protocol)))
 
 
@@ -308,7 +303,7 @@ def p_signal_mcs(nu: float, eta: float, protocol: Protocol) -> float:
     ``mcs_state``'s square root; must agree with ``p_signal(mcs_state(nu, protocol), eta)``.
     """
     nu = float(nu)
-    _require_finite_nonneg("nu", nu)
+    require_finite_nonneg("nu", nu)
     _require_eta(eta)
     mu = math.sqrt(1.0 + nu * nu)
     return _clamp01(1.0 - float(p0_formula(protocol.tuning_factor * mu * nu, nu, mu, eta)))

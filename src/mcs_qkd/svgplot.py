@@ -25,14 +25,15 @@ Curve = tuple[str, Sequence[tuple[float, float]]]
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
 
-def _tick_label(value: float) -> str:
-    return f"{value:g}"
+def _span(values: list[float]) -> tuple[float, float]:
+    """Least and greatest of ``values``, or (0, 1) when empty; ``hi`` is always above ``lo``."""
+    # a flat range gets hi = lo + 1, or the next float up where adding 1 does not move lo
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    return lo, (hi if hi > lo else max(lo + 1.0, math.nextafter(lo, math.inf)))
 
 
 def render_line_chart(
@@ -57,18 +58,13 @@ def render_line_chart(
         ]
         plotted.append((label, kept))
 
-    xs = [x for _, pts in plotted for x, _ in pts]
-    ys = [y for _, pts in plotted for _, y in pts]
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span([x for _, pts in plotted for x, _ in pts])
+    y_lo, y_hi = _span([y for _, pts in plotted for _, y in pts])
     if log_y:
         y_lo, y_hi = math.floor(y_lo), math.ceil(y_hi)
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1
+        y_ticks = [float(d) for d in range(y_lo, y_hi + 1)]
+    else:
+        y_ticks = _ticks(y_lo, y_hi)
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -87,13 +83,7 @@ def render_line_chart(
         f'<text x="{WIDTH / 2:.0f}" y="28" text-anchor="middle" font-size="18">{title}</text>',
     ]
 
-    if log_y:
-        y_ticks = [float(d) for d in range(int(y_lo), int(y_hi) + 1)]
-    else:
-        y_ticks = _ticks(y_lo, y_hi)
-    x_ticks = _ticks(x_lo, x_hi)
-
-    for tick in x_ticks:
+    for tick in _ticks(x_lo, x_hi):
         x = px(tick)
         lines.append(
             f'<line x1="{x:.2f}" y1="{MARGIN_TOP}" x2="{x:.2f}" '
@@ -101,11 +91,11 @@ def render_line_chart(
         )
         lines.append(
             f'<text x="{x:.2f}" y="{MARGIN_TOP + plot_h + 20}" text-anchor="middle" '
-            f'font-size="12">{_tick_label(tick)}</text>'
+            f'font-size="12">{tick:g}</text>'
         )
     for tick in y_ticks:
         y = py(tick)
-        label = f"1e{tick:g}" if log_y else _tick_label(tick)
+        label = f"1e{tick:g}" if log_y else f"{tick:g}"
         lines.append(
             f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{MARGIN_LEFT + plot_w}" '
             f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'

@@ -304,6 +304,29 @@ class TestFigure2:
         stdout = capsys.readouterr().out
         assert "cutoff[coherent-bb84]" in stdout
 
+    def test_family_never_secure_gets_its_own_note(self, tmp_path, capsys):
+        # at 0 and 100 km only, two families are insecure at both distances
+        config = tmp_path / "dark.cfg"
+        config.write_text("dark_prob_Pd = 0.015\nl_step_km = 100\n", encoding="utf-8")
+        out = tmp_path / "fig2"
+        assert main(["figure2", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "cutoff[coherent-bb84]: insecure at every distance",
+            "cutoff[mcs-bb84]: insecure at every distance",
+            "cutoff[mcs-sarg04]: 3.82 km",
+        ]
+        _, rows = read_csv(out / "figure2.csv")
+        assert [row["family"] for row in rows] == ["mcs-sarg04"]
+
+    def test_family_secure_over_the_whole_range_has_no_cutoff(self, tmp_path, capsys):
+        config = tmp_path / "fast.cfg"
+        config.write_text(FAST_FIGURE2 + "l_max_km = 10\n", encoding="utf-8")
+        assert main(["figure2", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            f"cutoff[{family}]: none within 10 km"
+            for family in ("coherent-bb84", "mcs-bb84", "mcs-sarg04")
+        ]
+
 
 class TestVerifyCommand:
     def test_default_grid_passes(self, tmp_path, capsys):

@@ -233,6 +233,22 @@ class TestVerifyClosedForms:
         for report in verify_closed_forms([(1.0, 0.3, 0.5)]):
             assert report.abs_diff == abs(report.closed_form_value - report.oracle_value)
 
+    def test_within_tolerance_is_exact_and_left_out_of_repr_and_eq(self):
+        names = ("formula", "alpha", "nu", "eta", "method", "resolution",
+                 "closed_form_value", "oracle_value")
+        made = [OracleReport("f", 0.0, 0.0, 0.5, method, 8, 1.0, 1.0 - 5e-7)
+                for method in (FOCK_SUM, QUADRATURE)]
+        assert [report.within_tolerance for report in made] == [False, True]
+        for report in verify_closed_forms([(1.0, 0.3, 0.5)]) + made:
+            assert report.within_tolerance == (report.abs_diff < report.tolerance)
+            values = [getattr(report, name) for name in names]
+            shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+            assert repr(report) == f"OracleReport({shown})"
+            twin = OracleReport(*values)
+            object.__setattr__(twin, "abs_diff", -1.0)
+            object.__setattr__(twin, "within_tolerance", not report.within_tolerance)
+            assert twin == report and hash(twin) == hash(report)
+
     def test_corruption_hook_is_detected(self, monkeypatch):
         exact = fock_oracle.p_vacuum_lossy
         monkeypatch.setattr(fock_oracle, "p_vacuum_lossy", lambda state, eta: exact(state, eta) + 1e-6)

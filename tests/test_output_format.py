@@ -9,6 +9,7 @@ byte the same.
 import math
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,11 +62,18 @@ HEADERS = {"rate": RATE_HEADER, "figure1": FIGURE1_HEADER,
 
 
 def cli_row(header, row) -> tuple:
-    """``row`` as the command hands it to ``_csv_text``: figure2 formats its cutoff first."""
-    return tuple(
-        cli._fmt(value) if name == "cutoff_km" and value != "" else value
-        for name, value in zip(header, row)
-    )
+    """``row`` as the command hands it to ``_csv_text``.
+
+    figure2 formats its cutoff first, and verify writes its flag as true/false.
+    """
+    def cell(name, value):
+        if name == "cutoff_km" and value != "":
+            return cli._fmt(value)
+        if name == "within_tol":
+            return "true" if value else "false"
+        return value
+
+    return tuple(cell(name, value) for name, value in zip(header, row))
 
 
 @st.composite
@@ -127,3 +135,24 @@ def test_polyline_points_match_the_per_coordinate_format(curves):
         for points in curves
     ]
     assert re.findall(r'<polyline points="([^"]*)"', svg) == expected
+
+
+@pytest.mark.parametrize("points", [[(1e17, 0.5)], [(1.0, 1e300), (2.0, 1e300)]],
+                         ids=["flat x at 1e17", "flat y at 1e300"])
+def test_flat_range_where_adding_one_does_not_move_it(points):
+    svg = svgplot.render_line_chart([("a", points)], title="t", x_label="x", y_label="y")
+    # the range is widened to the next float up, so the curve starts at the lower left
+    coords = re.findall(r'<polyline points="([^"]*)"', svg)[0].split()
+    bottom = svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
+    assert coords[0] == f"{svgplot.MARGIN_LEFT:.2f},{bottom:.2f}"
+
+
+def test_flat_range_keeps_its_padding_of_one():
+    svg = svgplot.render_line_chart([("a", [(3.0, 0.5)])], title="t", x_label="x", y_label="y")
+    labels = re.findall(r'font-size="12">([^<]*)</text>', svg)
+    assert labels[:12] == ["3", "3.2", "3.4", "3.6", "3.8", "4", "0.5", "0.7", "0.9", "1.1",
+                           "1.3", "1.5"]
+    # log axis: a single rate below 0.01 still spans the decades around it
+    svg = svgplot.render_line_chart([("a", [(0.0, 0.005)])], title="t", x_label="x",
+                                    y_label="y", log_y=True)
+    assert re.findall(r'font-size="12">(1e[^<]*)</text>', svg) == ["1e-3", "1e-2", "1e-1"]

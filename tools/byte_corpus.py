@@ -89,6 +89,9 @@ CASES = [
     _case("rate out-of-domain channel", "rate --config c.cfg --family mcs-bb84 --nu 0.1",
           cfg="baseline_error_c = 0.5\n"),
     _case("rate negative parameter", "rate --family mcs-bb84 --nu -0.1 --nu 0.2"),
+    _case("rate parameter -1", "rate --family mcs-bb84 --nu -1"),
+    _case("rate negative distance", "rate --family mcs-bb84 --nu 0.2 --l -1"),
+    _case("rate nan distance", "rate --family mcs-bb84 --nu 0.2 --l nan"),
     _case("rate parameter at its bound", "rate --family mcs-sarg04 --nu 100 --l 5"),
     _case("rate parameter above its bound", "rate --family mcs-sarg04 --nu 1e154 --l 5"),
     _case("global flags before the command",
@@ -103,6 +106,10 @@ CASES = [
           cfg="paper_literal_sign = maybe\n"),
     _case("config empty list", "verify --config c.cfg", cfg="verify_alphas = ,\n"),
     _case("config non-integer int", "figure2 --config c.cfg", cfg="grid_points = 2.5\n"),
+    _case("config negative loss coefficient", "rate --config c.cfg --family mcs-bb84 --nu 0.1",
+          cfg="loss_coeff_a = -1\n"),
+    _case("config nan receiver loss", "figure1 --config c.cfg", cfg="receiver_loss_L = nan\n"),
+    _case("config negative verify nu", "verify --config c.cfg", cfg="verify_nus = -1\n"),
     _case("config inline note", "rate --config c.cfg --family mcs-bb84 --nu 0.1",
           cfg="loss_coeff_a = 0.2   # dB/km\n"),
     # figure1
@@ -141,6 +148,13 @@ CASES = [
     _case("figure2 bad search range", "figure2 --config c.cfg",
           cfg="param_min = 1\nparam_max = 0.5\n"),
     _case("figure2 one grid point", "figure2 --config c.cfg", cfg="grid_points = 1\n"),
+    _case("figure2 zero param_min", "figure2 --config c.cfg", cfg=FAST_FIGURE2 + "param_min = 0\n"),
+    _case("figure2 zero rtol", "figure2 --config c.cfg", cfg=FAST_FIGURE2 + "golden_rtol = 0\n"),
+    _case("figure2 zero resolution", "figure2 --config c.cfg",
+          cfg=FAST_FIGURE2 + "cutoff_resolution_km = 0\n"),
+    # 0 and 100 km only: two families are insecure at both, mcs-sarg04 has a cutoff
+    _case("figure2 families never secure", "figure2 --config c.cfg",
+          cfg="dark_prob_Pd = 0.015\nl_step_km = 100\n"),
     _case("figure2 literal sign at 0.5 km", "figure2 --paper-literal-sign --l-step 0.5"),
     _case("figure2 parameter bound", "figure2 --config c.cfg",
           cfg=FAST_FIGURE2 + "param_max = 100\n"),
