@@ -210,13 +210,19 @@ _CELL_FORMATS = {"family": "%s", "formula": "%s", "method": "%s", "cutoff_km": "
                  "within_tol": "%s", "resolution": "%d"}
 
 
+def _row_format(header: Sequence[str]) -> str:
+    return ",".join(_CELL_FORMATS.get(name, "%.17g") for name in header)
+
+
 def _csv_text(comments: Sequence[str], header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Comment lines, the header, then each row in one ``%``-format built from the header."""
-    row_format = ",".join(_CELL_FORMATS.get(name, "%.17g") for name in header)
-    lines = [f"# {comment}" for comment in comments]
-    lines.append(",".join(header))
-    lines.extend(row_format % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    row_format = _row_format(header)
+    return _csv_join(comments, header, [row_format % tuple(row) for row in rows])
+
+
+def _csv_join(comments: Sequence[str], header: Sequence[str], lines: list[str]) -> str:
+    """Comment lines, the header, then the already formatted row ``lines``."""
+    return "\n".join([*(f"# {comment}" for comment in comments), ",".join(header), *lines]) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -388,15 +394,18 @@ def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
     n_max, nodes = cfg.oracle_fock_n_max, cfg.oracle_quad_nodes
     grid = product(cfg.verify_alphas, cfg.verify_nus, cfg.verify_etas)
     reports = verify_closed_forms(grid, fock_n_max=n_max, quad_nodes=nodes)
-    rows = [
-        (r.formula, r.alpha, r.nu, r.eta, r.method, r.resolution, r.closed_form_value,
-         r.oracle_value, r.abs_diff, "true" if r.within_tolerance else "false")
-        for r in reports
-    ]
+    # one line per report object (reused tuned-source reports): equality would merge 0.0, -0.0
+    distinct = {id(r): r for r in reports}
+    row_format = _row_format(VERIFY_HEADER)
+    lines = {key: row_format % (r.formula, r.alpha, r.nu, r.eta, r.method, r.resolution,
+                                r.closed_form_value, r.oracle_value, r.abs_diff,
+                                "true" if r.within_tolerance else "false")
+             for key, r in distinct.items()}
     comments = (_sign_note(cfg), f"fock_n_max = {n_max}", f"quad_nodes = {nodes}")
     out = _out_dir(cfg)
-    _write_text(out / "verify.csv", _csv_text(comments, VERIFY_HEADER, rows))
-    for (formula, method), diff in max_abs_diff_by_formula(reports).items():
+    _write_text(out / "verify.csv",
+                _csv_join(comments, VERIFY_HEADER, [lines[id(r)] for r in reports]))
+    for (formula, method), diff in max_abs_diff_by_formula(distinct.values()).items():
         print(f"{formula} [{method}]: max |closed - oracle| = {diff:.3e}")
     failures = [r for r in reports if not r.within_tolerance]
     print(f"wrote {out / 'verify.csv'}")

@@ -25,6 +25,7 @@ order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -74,8 +75,9 @@ QUADRATURE_TOLERANCE = 1e-6
 #: Generous margin over the adaptive truncation rule at desk-scale parameters.
 DEFAULT_FOCK_N_MAX = 128
 DEFAULT_QUAD_NODES = 96
-#: Largest quadrature node count and Fock truncation order a caller may ask for.
-_MAX_QUAD_NODES = 1024
+#: Largest quadrature node count and Fock truncation order a caller may ask for.  numpy's
+#: ``hermgauss`` overflows from about 371 nodes, so the node cap stays well below that.
+_MAX_QUAD_NODES = 256
 _MAX_FOCK_N_MAX = 100_000
 
 #: Fock oracle refuses to run with more unresolved probability mass than this.
@@ -127,7 +129,8 @@ def p0_via_fock(state: SqueezedCoherentState, eta: float, n_max: int = DEFAULT_F
     remains beyond order ``n_max``.
     """
     _require_eta(eta)
-    return _p0_from_amplitudes(_truncated_distribution(state, n_max), eta)
+    squares = [c * c for c in _truncated_distribution(state, n_max).amplitudes]
+    return _no_click_sum(squares, eta, {})
 
 
 def _truncated_distribution(state: SqueezedCoherentState, n_max: int) -> FockDistribution:
@@ -147,9 +150,13 @@ def _truncated_distribution(state: SqueezedCoherentState, n_max: int) -> FockDis
         return err.partial
 
 
-def _p0_from_amplitudes(dist: FockDistribution, eta: float) -> float:
+def _no_click_sum(squares: list[float], eta: float, powers: dict[float, list[float]]) -> float:
+    """Exactly rounded sum_n squares[n] * (1 - eta)**n; ``powers`` keeps the powers by loss."""
     loss = 1.0 - eta
-    return min(1.0, math.fsum(c * c * loss**n for n, c in enumerate(dist.amplitudes)))
+    cached = powers.get(loss, ())
+    if len(cached) < len(squares):
+        powers[loss] = cached = [loss**n for n in range(len(squares))]
+    return min(1.0, math.fsum(map(operator.mul, squares, cached)))
 
 
 @lru_cache(maxsize=8)
@@ -162,9 +169,14 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+def _require_quad_nodes(nodes: int) -> None:
+    if not 32 <= nodes <= _MAX_QUAD_NODES:
+        raise DomainError(f"need 32 <= nodes <= {_MAX_QUAD_NODES}, got {nodes!r}")
+
+
 def p0_via_quadrature(
-    state: SqueezedCoherentState, eta: float, nodes: int = DEFAULT_QUAD_NODES
-) -> float:
+    state: SqueezedCoherentState, eta: float | Sequence[float], nodes: int = DEFAULT_QUAD_NODES
+) -> float | list[float]:
     """No-click probability by Gauss-Hermite quadrature over the coherent plane.
 
     With beta = u + i*v, Re(-nu*conj(beta)**2) = -nu*(u**2 - v**2), so the log
@@ -174,40 +186,36 @@ def p0_via_quadrature(
     are scaled to it, and the e**(t**2) de-weighting is carried in log space
     so it cannot overflow at large nodes.
 
-    Only interior efficiencies are integrable: the Gaussian weight degenerates
-    at eta = 0 and eta = 1, where callers should use the Fock sum instead.
+    One efficiency gives a float; a sequence gives one value per entry, each
+    bit for bit what its own call gives.  Only interior efficiencies are
+    integrable: the Gaussian weight degenerates at eta = 0 and eta = 1, where
+    callers should use the Fock sum instead.
     """
-    if not 0.0 < eta < 1.0:
-        raise DomainError(
-            f"quadrature needs eta strictly inside (0, 1), got {eta!r}; "
-            "use the Fock-sum oracle at the endpoints"
-        )
-    if not 32 <= nodes <= _MAX_QUAD_NODES:
-        raise DomainError(f"need 32 <= nodes <= {_MAX_QUAD_NODES}, got {nodes!r}")
+    etas = list(eta) if np.ndim(eta) else [eta]
+    for value in etas:
+        if not 0.0 < value < 1.0:
+            raise DomainError(f"quadrature needs eta strictly inside (0, 1), got {value!r}; "
+                              "use the Fock-sum oracle at the endpoints")
+    _require_quad_nodes(nodes)
     alpha, nu, mu = state.alpha, state.nu, state.mu
     t, w = _hermgauss(nodes)
-    a_u = 1.0 / (1.0 - eta) + nu / mu
-    a_v = 1.0 / (1.0 - eta) - nu / mu
-    u = t / math.sqrt(a_u)  # Re(beta)
+    loss = 1.0 - np.array(etas, dtype=float)[:, None]  # one row per efficiency
+    a_u, a_v = 1.0 / loss + nu / mu, 1.0 / loss - nu / mu
+    u = t / np.sqrt(a_u)  # Re(beta)
     # log |<beta|U|alpha>|^2 = (nu*alpha^2 - nu*u^2 + nu*v^2 + 2*u*alpha)/mu - alpha^2 - |beta|^2
-    # - log(mu); the weight adds -eta*|beta|^2/(1-eta) - log(pi*(1-eta)); v terms: -a_v*v^2
-    constant = nu * alpha * alpha / mu - alpha * alpha - math.log(mu * math.pi * (1.0 - eta))
-    in_u = (2.0 * alpha - nu * u) * u / mu - u * u / (1.0 - eta) + t * t + constant
-    total = float(w @ np.exp(in_u)) * math.sqrt(math.pi / (a_u * a_v))
-    return min(1.0, total)
+    # - log(mu); the weight adds -eta*|beta|^2/(1-eta) - log(pi*(1-eta)); v terms: -a_v*v^2.
+    # one math.log and one dot per row: numpy's SIMD log and a gemv may round differently
+    constant = np.array([[nu * alpha * alpha / mu - alpha * alpha - math.log(mu * math.pi * x)]
+                         for x in loss[:, 0]])
+    in_u = (2.0 * alpha - nu * u) * u / mu - u * u / loss + t * t + constant
+    scale = np.sqrt(math.pi / (a_u[:, 0] * a_v[:, 0]))
+    totals = [min(1.0, float(w @ row) * float(s)) for row, s in zip(np.exp(in_u), scale)]
+    return totals if np.ndim(eta) else totals[0]
 
 
-def _pm_via_fock(dist: FockDistribution, protocol: Protocol) -> float:
-    """Multi-photon probability of the tuned source from its truncated expansion."""
-    return max(0.0, 1.0 - math.fsum(c**2 for c in dist.amplitudes[: protocol.attack_photons]))
-
-
-def verify_closed_forms(
-    grid: Iterable[tuple[float, float, float]] | None = None,
-    *,
-    fock_n_max: int = DEFAULT_FOCK_N_MAX,
-    quad_nodes: int = DEFAULT_QUAD_NODES,
-) -> list[OracleReport]:
+def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None, *,
+                        fock_n_max: int = DEFAULT_FOCK_N_MAX,
+                        quad_nodes: int = DEFAULT_QUAD_NODES) -> list[OracleReport]:
     """Check every closed form against its brute-force counterpart on a grid.
 
     For each (alpha, nu, eta) point this emits, in order: the Fock-sum check
@@ -217,55 +225,53 @@ def verify_closed_forms(
     for both protocols.  Each distinct state is expanded once per call: the
     tuned states depend on nu alone.  The four tuned-source checks depend on
     (nu, eta) alone, so they repeat for every alpha; each is computed once per
-    call and the same reports are reused.  Nothing outlives the call.
+    call and the same reports are reused.  The grid is walked once, raising
+    what a point-by-point pass would, then one ``p0_via_quadrature`` call per
+    distinct state covers all its interior efficiencies.  Nothing outlives
+    the call.
     """
-    if grid is None:
-        grid = DEFAULT_GRID
-    dists: dict[SqueezedCoherentState, FockDistribution] = {}
+    expanded: dict[SqueezedCoherentState, tuple[FockDistribution, list[float]]] = {}
+    powers: dict[float, list[float]] = {}
 
-    def expand(state: SqueezedCoherentState) -> FockDistribution:
-        if state not in dists:
-            dists[state] = _truncated_distribution(state, fock_n_max)
-        return dists[state]
+    def expand(state: SqueezedCoherentState) -> tuple[FockDistribution, list[float]]:
+        found = expanded.get(state)
+        if found is None:
+            dist = _truncated_distribution(state, fock_n_max)
+            expanded[state] = found = dist, [c * c for c in dist.amplitudes]
+        return found
 
     tuned_checks: dict[tuple[str, str], list[OracleReport]] = {}
+    # per state, the index of each quadrature check and the Fock-sum check of its point
+    quadrature: dict[SqueezedCoherentState, list[tuple[int, OracleReport]]] = {}
     reports: list[OracleReport] = []
-    for alpha, nu, eta in grid:
+    for alpha, nu, eta in DEFAULT_GRID if grid is None else grid:
         state = make_state(alpha, nu)
         closed = p_vacuum_lossy(state, eta)
-        reports.append(
-            OracleReport(
-                "p_vacuum_lossy", alpha, nu, eta, FOCK_SUM, fock_n_max,
-                closed, _p0_from_amplitudes(expand(state), eta),
-            )
-        )
+        reports.append(OracleReport("p_vacuum_lossy", alpha, nu, eta, FOCK_SUM, fock_n_max, closed,
+                                    _no_click_sum(expand(state)[1], eta, powers)))
         if 0.0 < eta < 1.0:
-            reports.append(
-                OracleReport(
-                    "p_vacuum_lossy", alpha, nu, eta, QUADRATURE, quad_nodes,
-                    closed, p0_via_quadrature(state, eta, quad_nodes),
-                )
-            )
+            _require_quad_nodes(quad_nodes)
+            quadrature.setdefault(state, []).append((len(reports), reports[-1]))
+            reports.append(None)  # filled in once the state's efficiencies are integrated
         key = (repr(nu), repr(eta))  # as the report fields do, tells 0.0, -0.0 and 0 apart
         if key not in tuned_checks:
             tuned_checks[key] = checks = []
             for protocol in Protocol:
                 tuned = mcs_state(nu, protocol)
-                dist = expand(tuned)
-                checks.append(
-                    OracleReport(
-                        f"p_multi_min[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM,
-                        fock_n_max, p_multi_min(nu, protocol), _pm_via_fock(dist, protocol),
-                    )
-                )
-                checks.append(
-                    OracleReport(
-                        f"p_signal_mcs[{protocol.value}]", tuned.alpha, nu, eta,
-                        FOCK_SUM, fock_n_max,
-                        p_signal_mcs(nu, eta, protocol), 1.0 - _p0_from_amplitudes(dist, eta),
-                    )
-                )
+                dist, squares = expand(tuned)
+                kept = math.fsum(c**2 for c in dist.amplitudes[: protocol.attack_photons])
+                checks.append(OracleReport(
+                    f"p_multi_min[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM, fock_n_max,
+                    p_multi_min(nu, protocol), max(0.0, 1.0 - kept)))
+                checks.append(OracleReport(
+                    f"p_signal_mcs[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM, fock_n_max,
+                    p_signal_mcs(nu, eta, protocol), 1.0 - _no_click_sum(squares, eta, powers)))
         reports.extend(tuned_checks[key])
+    for state, points in quadrature.items():
+        values = p0_via_quadrature(state, [r.eta for _, r in points], quad_nodes)
+        for (index, r), value in zip(points, values):
+            reports[index] = OracleReport(r.formula, r.alpha, r.nu, r.eta, QUADRATURE, quad_nodes,
+                                          r.closed_form_value, value)
     return reports
 
 

@@ -1,4 +1,15 @@
+import warnings
+
 import pytest
+
+# Hypothesis imports this module (and, through libcst, mypy_extensions) only when a
+# test fails; under filterwarnings = error the import's DeprecationWarning would
+# abort the run inside the plugin's report hook.  Importing it here, with just that
+# warning ignored, lets a failing property be reported and the run go on.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from mcs_qkd import ChannelModel, ConstantF, DetectorModel, Scenario, SourceFamily
 

@@ -519,7 +519,7 @@ class TestRangeAndSizeLimits:
         code = main(["verify", "--config", str(config), "--out", str(tmp_path),
                      "--quad-nodes", "1025"])
         assert code == 2
-        assert "<= 1024" in one_config_error(capsys)
+        assert "<= 256" in one_config_error(capsys)
 
 
 # Small accepted values per config key; each key may also draw a value the

@@ -175,7 +175,7 @@ class TestQuadratureOracle:
             p0_via_quadrature(make_state(0.5, 0.1), 0.5, nodes=16)
 
     def test_rejects_too_many_nodes(self):
-        with pytest.raises(DomainError, match="<= 1024"):
+        with pytest.raises(DomainError, match="<= 256"):
             p0_via_quadrature(make_state(0.5, 0.1), 0.5, nodes=1025)
 
     def test_cached_nodes_are_read_only(self):

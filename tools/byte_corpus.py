@@ -178,6 +178,15 @@ CASES = [
     _case("verify repeated alphas", "verify --config c.cfg", cfg="verify_alphas = 0.5, 0.5, 1\n"),
     _case("verify single alpha", "verify --config c.cfg", cfg="verify_alphas = 0.7\n"),
     _case("verify endpoint etas only", "verify --config c.cfg", cfg="verify_etas = 0, 1\n"),
+    _case("verify duplicate etas", "verify --config c.cfg", cfg="verify_etas = 0.5, 0.5\n"),
+    _case("verify twelve etas", "verify --config c.cfg",
+          cfg="verify_etas = 0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9, 0.99, 1\n"),
+    _case("verify fewest nodes", "verify --quad-nodes 32"),
+    _case("verify most nodes", "verify --quad-nodes 256"),
+    _case("verify endpoint etas ignore the node count", "verify --config c.cfg --quad-nodes 8",
+          cfg="verify_etas = 0, 1\n"),
+    _case("verify node count before a later bad alpha", "verify --config c.cfg --quad-nodes 8",
+          cfg="verify_alphas = 0.5, -1\n"),
     # argparse
     _case("argparse bad choice", "rate --family nope --nu 0.1"),
     _case("argparse bad float", "rate --family mcs-bb84 --nu abc"),
