@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, DomainError, TruncationError
 from .fock_oracle import (
     DEFAULT_ALPHAS, DEFAULT_ETAS, DEFAULT_FOCK_N_MAX, DEFAULT_NUS, DEFAULT_QUAD_NODES,
-    max_abs_diff_by_formula, verify_closed_forms,
+    _require_quad_nodes, max_abs_diff_by_formula, verify_closed_forms,
 )
 from .key_rate import (
     DEFAULT_F_POLICY, KTH15_CHANNEL, KTH15_DETECTOR,
@@ -355,12 +355,10 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
     l_grid = [float(l) for l in np.arange(0.0, l_max + 0.5 * l_step, l_step)]
     settings = dict(param_min=cfg.param_min, param_max=cfg.param_max, grid_points=cfg.grid_points,
                     rtol=cfg.golden_rtol, cutoff_resolution_km=cfg.cutoff_resolution_km)
-    rows = []
-    curves = []
-    notes = []
-    for family in SourceFamily:
-        scenario = _scenario(cfg, family, 0.0, f_policy)
-        sweep = sweep_distance(scenario, l_grid, **settings)
+    rows, curves, notes = [], [], []
+    scenarios = [_scenario(cfg, family, 0.0, f_policy) for family in SourceFamily]
+    for family, scenario, sweep in zip(SourceFamily, scenarios,
+                                       sweep_distance(scenarios, l_grid, **settings)):
         cutoff = sweep.cutoff_l
         cutoff_cell = "" if cutoff is None else _fmt(cutoff)
         points = []
@@ -392,6 +390,7 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
 
 def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
     n_max, nodes = cfg.oracle_fock_n_max, cfg.oracle_quad_nodes
+    _require_quad_nodes(nodes)  # also when no efficiency of the grid needs the quadrature
     grid = product(cfg.verify_alphas, cfg.verify_nus, cfg.verify_etas)
     reports = verify_closed_forms(grid, fock_n_max=n_max, quad_nodes=nodes)
     # one line per report object (reused tuned-source reports): equality would merge 0.0, -0.0

@@ -9,13 +9,14 @@ mode would still be caught at grid resolution.
 
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
 source statistics and the rate formula elementwise over broadcast arrays of
-total efficiency and source parameter.  A sweep evaluates the coarse grid of
-all its distances as one 2-D pass, taken in blocks of ``_ROW_BLOCK`` rows so
-that memory does not grow with the number of distances, and then refines the
-secure distances together: each row takes the same section steps as a
-one-distance search and leaves the loop when its bracket is narrow enough.
-``optimize_param`` is the one-row case of the same code.  A cutoff bisection
-evaluates every midpoint its next ``_TREE_DEPTH`` steps may visit in one call.
+total efficiency and source parameter, with a source family per row.  A sweep
+stacks one row per (family, distance), evaluates their coarse grid in blocks
+of ``_BLOCK_CELLS`` cells and refines the secure rows together, one call per
+section step: each row takes the steps of a one-distance search, and
+``optimize_param`` is the one-row case.  A cutoff bisection evaluates every
+midpoint its next ``_TREE_DEPTH`` steps may visit in one call; a sweep runs
+the bisections of its families in lockstep, one ``_secure_at`` call per
+round, and ``cutoff_distance`` is the one-family case.
 """
 
 from __future__ import annotations
@@ -24,36 +25,22 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, require_finite_nonneg
 from .key_rate import (
-    ChannelModel,
-    ConstantF,
-    DEFAULT_F_POLICY,
-    DetectorModel,
-    RateBreakdown,
-    TableF,
-    rate_formula,
-    secure_rate,
+    DEFAULT_F_POLICY, ChannelModel, ConstantF, DetectorModel, RateBreakdown, TableF,
+    rate_formula, secure_rate,
 )
 
 # p_multi, p_multi_min, p_signal and secure_rate are not called here; they stay
 # importable from this module, where bench/spans.py wraps them for tracing.
 from .photon_source import Protocol, p0_formula, p_multi, p_multi_min, p_multi_min_formula, p_signal
 
-__all__ = [
-    "DistanceSweep",
-    "OptimumPoint",
-    "Scenario",
-    "SourceFamily",
-    "cutoff_distance",
-    "optimize_param",
-    "rate_at",
-    "sweep_distance",
-]
+__all__ = ["DistanceSweep", "OptimumPoint", "Scenario", "SourceFamily", "cutoff_distance",
+           "optimize_param", "rate_at", "sweep_distance"]
 
 #: Defaults of the search keywords of ``optimize_param`` and of the cutoff resolution.
 DEFAULT_PARAM_MIN = 1e-5
@@ -71,8 +58,8 @@ _TREE_DEPTH = 4
 #: Largest source parameter; far above it ``nu * nu`` and ``alpha2`` overflow.
 _PARAM_MAX = 100.0
 
-#: Distances per block of the coarse-grid pass of a sweep.
-_ROW_BLOCK = 16
+#: Cells per kernel call of a sweep's coarse grid (24 rows of 200), below a cache cliff.
+_BLOCK_CELLS = 4800
 
 #: Largest coarse parameter grid a search may ask for.
 _MAX_GRID_POINTS = 100_000
@@ -93,6 +80,9 @@ class SourceFamily(enum.Enum):
     def param_name(self) -> str:
         """Name of the free source parameter: mean photon number or squeeze."""
         return "alpha2" if self is SourceFamily.COHERENT_BB84 else "nu"
+
+
+_FAMILIES = tuple(SourceFamily)  #: the families by the index the searches give each row
 
 
 @dataclass(frozen=True)
@@ -130,23 +120,35 @@ class DistanceSweep:
     cutoff_l: float | None
 
 
-def _breakdown(scenario: Scenario, eta, param) -> RateBreakdown:
+def _source(family: SourceFamily, param):
+    """``alpha2``, ``nu``, ``mu`` and unclamped ``p_m`` of ``family`` at ``param``, elementwise."""
+    if family is SourceFamily.COHERENT_BB84:
+        return param, 0.0, 1.0, 1.0 - (1.0 + param) * np.exp(-param)
+    mu = np.sqrt(1.0 + param * param)
+    return (family.protocol.tuning_factor * mu * param, param, mu,
+            p_multi_min_formula(param, mu, family.protocol))
+
+
+def _breakdown(scenario: Scenario, eta, param, families=None) -> RateBreakdown:
     """Rate breakdown elementwise over broadcast arrays of efficiency and parameter.
 
-    Coherent sources are evaluated at mean photon number ``param``; tuned
-    sources at squeeze ``param`` with the displacement that cancels their
-    leading multi-photon term.  The source statistics are ``photon_source``'s
-    closed forms, which the oracles check.  Inputs are not validated.
+    ``families`` gives each row (leading axis) a ``_FAMILIES`` index in place
+    of ``scenario``'s family; ``param`` then has that axis or is shared by all
+    rows.  The source statistics are ``photon_source``'s closed forms, which
+    the oracles check.  Inputs are not validated.
     """
-    family = scenario.source_family
-    if family is SourceFamily.COHERENT_BB84:
-        alpha2, nu, mu = param, 0.0, 1.0
-        p_m = 1.0 - (1.0 + param) * np.exp(-param)
-    else:
-        nu = param
-        mu = np.sqrt(1.0 + nu * nu)
-        alpha2 = family.protocol.tuning_factor * mu * nu
-        p_m = p_multi_min_formula(nu, mu, family.protocol)
+    codes = [] if families is None else np.unique(families).tolist()
+    if len(codes) < 2:
+        alpha2, nu, mu, p_m = _source(_FAMILIES[codes[0]] if codes else scenario.source_family,
+                                      param)
+    else:  # a coherent row's nu = 0 and mu = 1 cells give the bits of the scalars
+        shape = np.broadcast_shapes(np.shape(eta), np.shape(param))
+        alpha2, nu, mu, p_m = source = [np.empty(shape) for _ in range(4)]
+        for code in codes:
+            rows = families == code
+            parts = _source(_FAMILIES[code], param[rows] if np.ndim(param) == len(shape) else param)
+            for whole, part in zip(source, parts):
+                whole[rows] = part
     return rate_formula(
         1.0 - np.minimum(p0_formula(alpha2, nu, mu, eta), 1.0),
         np.maximum(p_m, 0.0),  # at most 1 by construction; rounding can dip below 0
@@ -198,35 +200,40 @@ def _check_resolution(resolution_km: float) -> None:
         raise DomainError(f"cutoff resolution must be finite and > 0 km, got {resolution_km!r}")
 
 
-def _best_cells(scenario: Scenario, etas: np.ndarray,
+def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
                 grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and rate of the best grid point for each total efficiency in ``etas``."""
+    """Index and rate of the best grid point for each row: a family and a total efficiency."""
     best_i = np.empty(len(etas), dtype=np.intp)
     best_r = np.empty(len(etas))
-    for start in range(0, len(etas), _ROW_BLOCK):
-        rates = _breakdown(scenario, etas[start:start + _ROW_BLOCK, None], grid).R
-        best_i[start:start + len(rates)] = np.argmax(rates, axis=1)
-        best_r[start:start + len(rates)] = rates.max(axis=1)
+    block = max(1, _BLOCK_CELLS // len(grid))
+    for start in range(0, len(etas), block):
+        rows = slice(start, start + block)
+        rates = _breakdown(scenario, etas[rows, None], grid, families[rows]).R
+        best_i[rows] = np.argmax(rates, axis=1)
+        best_r[rows] = rates.max(axis=1)
     return best_i, best_r
 
 
-def _secure_at(scenario: Scenario, distances, grid: np.ndarray) -> np.ndarray:
+def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families=None) -> np.ndarray:
     """Whether ``optimize_param`` finds a positive unclamped rate at one distance or a list.
 
-    The refined optimum never falls below the best grid point, so its R_raw is
-    positive exactly when some grid point's R is; no refinement is needed.
+    ``families`` gives a list's distances their ``_FAMILIES`` index, by default
+    ``scenario``'s.  As the refined optimum never falls below the best grid
+    point, only the grid is evaluated.
     """
     etas = np.array([scenario.channel.eta_at(l) for l in np.ravel(distances).tolist()])
-    return (_best_cells(scenario, etas, grid)[1] > 0.0).reshape(np.shape(distances))
+    if families is None:
+        families = np.full(len(etas), _FAMILIES.index(scenario.source_family))
+    return (_best_cells(scenario, families, etas, grid)[1] > 0.0).reshape(np.shape(distances))
 
 
 def _optimize_rows(
-    scenario: Scenario, etas: np.ndarray, grid: np.ndarray, rtol: float
+    scenario: Scenario, families: np.ndarray, etas: np.ndarray, grid: np.ndarray, rtol: float
 ) -> list[OptimumPoint | None]:
-    """Refined optimum for each total efficiency in ``etas``; None where insecure."""
-    best_i, best_r = _best_cells(scenario, etas, grid)
+    """Refined optimum for each row (a family and a total efficiency); None where insecure."""
+    best_i, best_r = _best_cells(scenario, families, etas, grid)
     rows = np.flatnonzero(best_r > 0.0)
-    eta, cell = etas[rows, None], best_i[rows]
+    families, eta, cell = families[rows], etas[rows, None], best_i[rows]
     lo = grid[np.maximum(cell - 1, 0)]
     hi = grid[np.minimum(cell + 1, len(grid) - 1)]
     width = hi - lo
@@ -237,7 +244,7 @@ def _optimize_rows(
         # keep the two cells around their best probe, inactive rows their bracket
         probes = lo[:, None] + (hi - lo)[:, None] * _PROBES / 17
         cells = np.concatenate((lo[:, None], probes, hi[:, None]), axis=1)
-        best = np.argmax(_breakdown(scenario, eta, probes).R, axis=1)
+        best = np.argmax(_breakdown(scenario, eta, probes, families).R, axis=1)
         lo = np.where(active, cells[index, best], lo)
         hi = np.where(active, cells[index, best + 2], hi)
         # a bracket down to adjacent floats stops shrinking before a tiny rtol is met
@@ -245,15 +252,13 @@ def _optimize_rows(
         width = hi - lo
     # keep the coarse-grid winner if refinement somehow lost ground
     candidates = np.stack((0.5 * (lo + hi), grid[cell]), axis=1)
-    final = _breakdown(scenario, eta, candidates)
+    final = _breakdown(scenario, eta, candidates, families)
     pick = (final.R[:, 1] > final.R[:, 0]).astype(np.intp)
     optima: list[OptimumPoint | None] = [None] * len(etas)
-    for k, row in enumerate(rows):
-        optima[row] = OptimumPoint(
-            param_value=float(candidates[k, pick[k]]),
-            breakdown=final.at((k, pick[k])),
-            bracket=(float(lo[k]), float(hi[k])),
-        )
+    columns = [getattr(final, f.name)[index, pick].tolist() for f in dataclasses.fields(final)]
+    for row, param, fields, lo_k, hi_k in zip(rows.tolist(), candidates[index, pick].tolist(),
+                                              zip(*columns), lo.tolist(), hi.tolist()):
+        optima[row] = OptimumPoint(param, RateBreakdown(*fields), (lo_k, hi_k))
     return optima
 
 
@@ -269,23 +274,30 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     falls below the best coarse-grid point.
     """
     grid, rtol = _search(**search)
-    return _optimize_rows(scenario, np.array([scenario.channel.total_eta()]), grid, rtol)[0]
+    codes = np.array([_FAMILIES.index(scenario.source_family)])
+    return _optimize_rows(scenario, codes, np.array([scenario.channel.total_eta()]), grid, rtol)[0]
 
 
 def sweep_distance(
-    scenario: Scenario,
+    scenarios: Sequence[Scenario],
     l_grid: Iterable[float],
     *,
     cutoff_resolution_km: float = DEFAULT_CUTOFF_RESOLUTION_KM,
     **search,
-) -> DistanceSweep:
-    """Optimal operating point per distance over an ascending distance grid.
+) -> list[DistanceSweep]:
+    """Optimal operating point per distance over an ascending distance grid, per scenario.
 
-    When the final grid point is insecure (and the scenario is secure at zero
-    distance) the cutoff is located by bisection within the swept range; it
-    equals what :func:`cutoff_distance` returns.  The keywords in ``search``
-    and their defaults are those of :func:`optimize_param`.
+    The scenarios are searched together and may differ only in their source
+    family (and ``distance_l``, which is ignored), else ``DomainError``; each
+    sweep equals that of its scenario alone.  If a final grid point is
+    insecure (and the scenario secure at 0 km), the cutoff is bisected within
+    the range, equal to :func:`cutoff_distance`'s.  ``search`` is as for
+    :func:`optimize_param`.
     """
+    scenarios = list(scenarios)
+    if len({dataclasses.replace(s, source_family=SourceFamily.COHERENT_BB84,
+                                channel=s.channel.at_distance(0.0)) for s in scenarios}) > 1:
+        raise DomainError("the scenarios of one sweep may differ only in source_family")
     _check_resolution(cutoff_resolution_km)
     distances = [float(l) for l in l_grid]
     if any(b < a for a, b in zip(distances, distances[1:])):
@@ -293,17 +305,26 @@ def sweep_distance(
     grid, rtol = _search(**search)
     for distance in distances:
         require_finite_nonneg("distance_l", distance)
+    if not scenarios:
+        return []
+    scenario, n = scenarios[0], len(distances)
+    codes = [_FAMILIES.index(s.source_family) for s in scenarios]
     etas = np.array([scenario.channel.eta_at(l) for l in distances])
-    points = tuple(zip(distances, _optimize_rows(scenario, etas, grid, rtol)))
-    cutoff_l = None
-    if points and points[-1][1] is None:
-        # secure(l) is monotone, which bisection assumes: secure up to the last
-        # secure grid distance (at least 0 km) and insecure from the next one on
-        first = next(k for k, (_, point) in enumerate(points) if point is None)
-        if first > 0 or (distances[0] > 0.0 and _secure_at(scenario, 0.0, grid)):
-            cutoff_l = _bisect_cutoff(scenario, grid, distances[-1], cutoff_resolution_km,
-                                      distances[first - 1] if first else 0.0, distances[first])
-    return DistanceSweep(points=points, cutoff_l=cutoff_l)
+    # scenario-major rows, so that most blocks hold one family and skip the per-family split
+    optima = _optimize_rows(scenario, np.repeat(codes, n), np.tile(etas, len(codes)), grid, rtol)
+    sweeps = [tuple(zip(distances, optima[k * n:(k + 1) * n])) for k in range(len(codes))]
+    # secure(l) is monotone, which bisection assumes: a scenario is secure up to its
+    # last secure grid distance (at least 0 km) and insecure from the next one on
+    bisections = [None] * len(sweeps)
+    for k, points in enumerate(sweeps):
+        if points and points[-1][1] is None:
+            first = next(i for i, (_, point) in enumerate(points) if point is None)
+            if first or (distances[0] > 0.0 and _secure_at(scenarios[k], 0.0, grid)):
+                bisections[k] = _bisect_cutoff(distances[-1], cutoff_resolution_km,
+                                               distances[first - 1] if first else 0.0,
+                                               distances[first])
+    cutoffs = _cutoffs(scenario, grid, codes, bisections)
+    return [DistanceSweep(points, cutoff) for points, cutoff in zip(sweeps, cutoffs)]
 
 
 def _bisection_midpoints(lo: float, hi: float, depth: int, resolution_km: float) -> list[float]:
@@ -315,13 +336,11 @@ def _bisection_midpoints(lo: float, hi: float, depth: int, resolution_km: float)
             *_bisection_midpoints(mid, hi, depth - 1, resolution_km)]
 
 
-def _bisect_cutoff(scenario: Scenario, grid: np.ndarray, l_max: float, resolution_km: float,
-                   secure_to: float, insecure_from: float) -> float:
-    """Bisection of [0, l_max] for the last secure distance.
+def _bisect_cutoff(l_max: float, resolution_km: float, secure_to: float, insecure_from: float):
+    """Generator bisecting [0, l_max] for the last secure distance, which it returns.
 
-    Midpoints up to ``secure_to`` are secure and those from ``insecure_from``
-    on insecure without evaluation; the others are evaluated ``_TREE_DEPTH``
-    bisection levels per kernel call.
+    Midpoints up to ``secure_to`` are secure, from ``insecure_from`` on insecure; it yields
+    the others that its next ``_TREE_DEPTH`` levels may visit and is sent their secure flags.
     """
     lo, hi, secure = 0.0, l_max, {}
     while hi - lo > resolution_km:
@@ -331,12 +350,33 @@ def _bisect_cutoff(scenario: Scenario, grid: np.ndarray, l_max: float, resolutio
         if secure_to < mid < insecure_from and mid not in secure:
             tree = [l for l in _bisection_midpoints(lo, hi, _TREE_DEPTH, resolution_km)
                     if secure_to < l < insecure_from]
-            secure = dict(zip(tree, _secure_at(scenario, tree, grid).tolist()))
+            secure = dict(zip(tree, (yield tree)))
         if mid <= secure_to or (mid < insecure_from and secure[mid]):
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _cutoffs(scenario: Scenario, grid: np.ndarray, families, bisections) -> list:
+    """Cutoffs of ``_bisect_cutoff`` generators (or None), run in lockstep.
+
+    ``families`` holds their ``_FAMILIES`` indices.  Each round, one ``_secure_at`` call
+    evaluates the distances that every unfinished bisection asks for."""
+    cutoffs = [None] * len(bisections)
+    flags = {k: None for k, bisection in enumerate(bisections) if bisection is not None}
+    while flags:
+        asked = {}
+        for k, answer in flags.items():
+            try:
+                asked[k] = bisections[k].send(answer)
+            except StopIteration as done:
+                cutoffs[k] = done.value
+        rows = np.repeat([families[k] for k in asked], [len(tree) for tree in asked.values()])
+        secure = iter(_secure_at(scenario, [l for tree in asked.values() for l in tree], grid,
+                                 rows).tolist())
+        flags = {k: [next(secure) for _ in tree] for k, tree in asked.items()}
+    return cutoffs
 
 
 def cutoff_distance(
@@ -365,4 +405,5 @@ def cutoff_distance(
         raise DegenerateInputError("scenario is insecure even at zero distance")
     if secure_at_max:
         return l_max
-    return _bisect_cutoff(scenario, grid, l_max, resolution_km, 0.0, l_max)
+    return _cutoffs(scenario, grid, [_FAMILIES.index(scenario.source_family)],
+                    [_bisect_cutoff(l_max, resolution_km, 0.0, l_max)])[0]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .errors import DomainError
+
 __all__ = ["render_line_chart"]
 
 WIDTH = 800
@@ -30,10 +32,13 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
 
 
 def _span(values: list[float]) -> tuple[float, float]:
-    """Least and greatest of ``values``, or (0, 1) when empty; ``hi`` is always above ``lo``."""
+    """Least and greatest of ``values``, or (0, 1) when empty; ``hi - lo`` is finite, > 0."""
     # a flat range gets hi = lo + 1, or the next float up where adding 1 does not move lo
     lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
-    return lo, (hi if hi > lo else max(lo + 1.0, math.nextafter(lo, math.inf)))
+    hi = hi if hi > lo else max(lo + 1.0, math.nextafter(lo, math.inf))
+    if math.isinf(hi - lo):
+        raise DomainError(f"plot range from {lo!r} to {hi!r} is wider than the float range")
+    return lo, hi
 
 
 def render_line_chart(

@@ -11,7 +11,7 @@ from mcs_qkd import ChannelModel, DomainError, SourceFamily, make_state, rate_at
 CALL_SITES = {
     "make_state": ("alpha", lambda scenario, value: make_state(value, 0.3)),
     "ChannelModel": ("loss_coeff_a", lambda scenario, value: ChannelModel(value, 5.0, 1.0, 0.18)),
-    "sweep_distance": ("distance_l", lambda scenario, value: sweep_distance(scenario, [value])),
+    "sweep_distance": ("distance_l", lambda scenario, value: sweep_distance([scenario], [value])),
     "rate_at": ("param", lambda scenario, value: rate_at(scenario, np.array([0.1, value]))),
 }
 

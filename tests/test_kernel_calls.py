@@ -19,6 +19,7 @@ from mcs_qkd import (
     sweep_distance,
 )
 from mcs_qkd import optimizer
+from mcs_qkd.cli import main
 
 KTH15 = {"loss_coeff_a": 0.2, "detector_eff": 0.18, "dark_prob_Pd": 2e-4, "baseline_error_c": 0.01}
 #: The channel box that the benchmark's sweep workload draws from.
@@ -67,9 +68,9 @@ def test_cutoff_distance_budget(family, kernel_calls):
 
 def test_kth15_sweep_budget(kernel_calls):
     distances = [float(l) for l in range(101)]
-    for family in SourceFamily:
-        assert sweep_distance(scenario(family), distances).cutoff_l is not None
-    assert len(kernel_calls) <= 50
+    sweeps = sweep_distance([scenario(family) for family in SourceFamily], distances)
+    assert all(sweep.cutoff_l is not None for sweep in sweeps)
+    assert len(kernel_calls) <= 23
 
 
 def _channels():
@@ -86,6 +87,15 @@ def test_sweep_cutoff_equals_cutoff_distance(channel, first_km, step_km):
     distances = [first_km + step_km * k for k in range(int((150.0 - first_km) / step_km) + 1)]
     for family in SourceFamily:
         s = scenario(family, **channel)
-        sweep = sweep_distance(s, distances)
+        sweep = sweep_distance([s], distances)[0]
         assert sweep.cutoff_l is not None, (family, channel)
         assert sweep.cutoff_l == cutoff_distance(s, distances[-1]), (family, channel)
+
+
+def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsys):
+    counts = []
+    for _ in range(2):
+        start = len(kernel_calls)
+        assert main(["figure2", "--out", str(tmp_path)]) == 0
+        counts.append(len(kernel_calls) - start)
+    assert counts[0] == counts[1] <= 23

@@ -125,18 +125,18 @@ class TestOptimizeParam:
 
 class TestSweepDistance:
     def test_empty_grid(self, kth15_scenario):
-        sweep = sweep_distance(kth15_scenario(SourceFamily.MCS_BB84), [])
+        sweep = sweep_distance([kth15_scenario(SourceFamily.MCS_BB84)], [])[0]
         assert sweep.points == ()
         assert sweep.cutoff_l is None
 
     def test_rejects_unsorted_grid(self, kth15_scenario):
         with pytest.raises(DomainError):
-            sweep_distance(kth15_scenario(SourceFamily.MCS_BB84), [5.0, 1.0])
+            sweep_distance([kth15_scenario(SourceFamily.MCS_BB84)], [5.0, 1.0])
 
     def test_monotone_rates_and_no_cutoff_when_secure(self, kth15_scenario):
         sweep = sweep_distance(
-            kth15_scenario(SourceFamily.MCS_SARG04), [0.0, 10.0, 20.0], **FAST_SEARCH
-        )
+            [kth15_scenario(SourceFamily.MCS_SARG04)], [0.0, 10.0, 20.0], **FAST_SEARCH
+        )[0]
         rates = [point.breakdown.R for _, point in sweep.points]
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
         assert sweep.cutoff_l is None
@@ -145,14 +145,14 @@ class TestSweepDistance:
     def test_rejects_bad_cutoff_resolution(self, kth15_scenario, resolution):
         with pytest.raises(DomainError, match="cutoff resolution"):
             sweep_distance(
-                kth15_scenario(SourceFamily.COHERENT_BB84), [0.0, 40.0],
+                [kth15_scenario(SourceFamily.COHERENT_BB84)], [0.0, 40.0],
                 cutoff_resolution_km=resolution, **FAST_SEARCH,
             )
 
     def test_records_cutoff_when_sweep_ends_insecure(self, kth15_scenario):
         sweep = sweep_distance(
-            kth15_scenario(SourceFamily.COHERENT_BB84), [0.0, 20.0, 40.0], **FAST_SEARCH
-        )
+            [kth15_scenario(SourceFamily.COHERENT_BB84)], [0.0, 20.0, 40.0], **FAST_SEARCH
+        )[0]
         assert sweep.points[-1][1] is None
         assert sweep.cutoff_l is not None
         assert 20.0 < sweep.cutoff_l < 40.0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcs_qkd import cli, svgplot
+from mcs_qkd import DomainError, cli, svgplot
 from mcs_qkd.cli import FIGURE1_HEADER, FIGURE2_HEADER, RATE_HEADER, VERIFY_HEADER
 
 
@@ -156,3 +156,12 @@ def test_flat_range_keeps_its_padding_of_one():
     svg = svgplot.render_line_chart([("a", [(0.0, 0.005)])], title="t", x_label="x",
                                     y_label="y", log_y=True)
     assert re.findall(r'font-size="12">(1e[^<]*)</text>', svg) == ["1e-3", "1e-2", "1e-1"]
+
+
+@pytest.mark.parametrize("points", [[(1.7976931348623157e308, 0.5)],
+                                    [(-1.79e308, 0.5), (1.79e308, 0.6)]],
+                         ids=["flat x at the largest float", "x from -1.79e308 to 1.79e308"])
+def test_range_wider_than_the_float_range_is_rejected(points):
+    # the widened or the drawn range would put nan and inf into the ticks and coordinates
+    with pytest.raises(DomainError, match="wider than the float range"):
+        svgplot.render_line_chart([("a", points)], title="t", x_label="x", y_label="y")

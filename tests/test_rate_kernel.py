@@ -173,7 +173,7 @@ EDGE_PARAM_MAX = {
 def test_lockstep_refinement_takes_the_scalar_steps(family, edge):
     distances = [0.0, 10.0, 20.0, 24.0, 40.0, 45.5, 70.0, 77.9, 90.0]
     search = {"param_max": EDGE_PARAM_MAX[family] if edge else 4.0, "grid_points": 120}
-    sweep = sweep_distance(scenario(family), distances, **search)
+    sweep = sweep_distance([scenario(family)], distances, **search)[0]
     for distance, point in sweep.points:
         expected = scalar_search(scenario(family, distance), **search)
         if expected is None:
@@ -205,7 +205,7 @@ def test_search_reaches_a_tight_golden_section_optimum(family):
     etas = np.array([s.channel.eta_at(l) for l in distances])
     ref_param, ref_r = golden_reference(s, etas)
     secure = 0
-    for k, (distance, point) in enumerate(sweep_distance(s, distances).points):
+    for k, (distance, point) in enumerate(sweep_distance([s], distances)[0].points):
         assert (point is None) == (ref_r[k] <= 0.0), distance
         if point is None:
             continue
@@ -219,7 +219,7 @@ def test_search_reaches_a_tight_golden_section_optimum(family):
 def test_batched_sweep_equals_per_distance_search(family):
     distances = [float(l) for l in range(101)]
     s = scenario(family)
-    sweep = sweep_distance(s, distances)
+    sweep = sweep_distance([s], distances)[0]
     assert [l for l, _ in sweep.points] == distances
     secure = 0
     for distance, point in sweep.points:

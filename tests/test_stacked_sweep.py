@@ -1,0 +1,117 @@
+"""A sweep of several source families at once equals their one-family sweeps.
+
+``sweep_distance`` stacks the rows of all its scenarios into the same kernel
+calls, so a stacked sweep must give every family exactly, by ``repr``, what a
+sweep of that family alone gives, cutoffs included.  The library promises
+thread safety, so stacked sweeps and verify runs on several threads must match
+the serial run too.
+"""
+
+import dataclasses
+import random
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcs_qkd import (
+    ChannelModel,
+    ConstantF,
+    DetectorModel,
+    DomainError,
+    Scenario,
+    SourceFamily,
+    TableF,
+    sweep_distance,
+    verify_closed_forms,
+)
+
+KTH15 = {"loss_coeff_a": 0.2, "detector_eff": 0.18, "dark_prob_Pd": 2e-4, "baseline_error_c": 0.01}
+#: The channel box that the benchmark's sweep workload draws from.
+BOX = {
+    "loss_coeff_a": (0.18, 0.25),
+    "detector_eff": (0.10, 0.25),
+    "dark_prob_Pd": (1e-4, 4e-4),
+    "baseline_error_c": (0.005, 0.015),
+}
+TABLE = TableF(((0.0, 1.05), (0.03, 1.1), (0.08, 1.2), (0.2, 1.45), (0.5, 2.0)))
+DISTANCES = [float(l) for l in range(101)]
+
+
+def family_scenarios(channel, f_policy=ConstantF(1.16), literal=False, families=SourceFamily):
+    return [
+        Scenario(
+            source_family=family,
+            channel=ChannelModel(channel["loss_coeff_a"], 0.0, 1.0, channel["detector_eff"]),
+            detector=DetectorModel(channel["dark_prob_Pd"], channel["baseline_error_c"]),
+            f_policy=f_policy,
+            paper_literal_sign=literal,
+        )
+        for family in families
+    ]
+
+
+def differing(got, expected):
+    """Indices at which two equally long lists differ by ``repr``: a short failure message."""
+    assert len(got) == len(expected)
+    return [k for k, (a, b) in enumerate(zip(got, expected)) if repr(a) != repr(b)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    channel=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in BOX.items()}),
+    table=st.booleans(),
+    literal=st.booleans(),
+    grid_points=st.integers(2, 400),
+    first_km=st.sampled_from([0.0, 2.5]),
+    step_km=st.sampled_from([1.0, 2.5, 5.0]),
+)
+def test_stacked_sweep_equals_the_one_family_sweeps(channel, table, literal, grid_points,
+                                                     first_km, step_km):
+    stack = family_scenarios(channel, TABLE if table else ConstantF(1.16), literal)
+    distances = [first_km + step_km * k for k in range(int((100.0 - first_km) / step_km) + 1)]
+    together = sweep_distance(stack, distances, grid_points=grid_points)
+    alone = [sweep_distance([s], distances, grid_points=grid_points)[0] for s in stack]
+    assert differing(together, alone) == []
+
+
+def test_order_and_repeats_of_the_families_are_kept():
+    families = [SourceFamily.MCS_SARG04, SourceFamily.COHERENT_BB84, SourceFamily.MCS_SARG04]
+    stack = family_scenarios(KTH15, families=families)
+    together = sweep_distance(stack, DISTANCES, grid_points=60)
+    assert differing(together, [sweep_distance([s], DISTANCES, grid_points=60)[0]
+                                for s in stack]) == []
+    assert sweep_distance([], DISTANCES) == []
+
+
+def test_distance_of_the_channel_is_ignored():
+    coherent, tuned, _ = family_scenarios(KTH15)
+    moved = tuned.at_distance(30.0)
+    assert differing(sweep_distance([coherent, moved], DISTANCES, grid_points=60),
+                     sweep_distance([coherent, tuned], DISTANCES, grid_points=60)) == []
+
+
+@pytest.mark.parametrize("change", [
+    {"channel": ChannelModel(0.21, 0.0, 1.0, 0.18)},
+    {"detector": DetectorModel(3e-4, 0.01)},
+    {"f_policy": ConstantF(1.2)},
+    {"paper_literal_sign": True},
+], ids=["channel", "detector", "f_policy", "sign"])
+def test_scenarios_that_differ_beyond_the_family_are_rejected(change):
+    coherent, tuned, _ = family_scenarios(KTH15)
+    with pytest.raises(DomainError, match="may differ only in source_family"):
+        sweep_distance([coherent, dataclasses.replace(tuned, **change)], DISTANCES)
+
+
+def _job(channel):
+    return repr(sweep_distance(family_scenarios(channel), DISTANCES)), repr(verify_closed_forms())
+
+
+def test_threads_give_the_serial_results():
+    rng = random.Random(5)
+    channels = [KTH15, *({key: rng.uniform(*bounds) for key, bounds in BOX.items()}
+                         for _ in range(11))]
+    serial = [_job(channel) for channel in channels]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert differing(list(pool.map(_job, channels)), serial) == []

@@ -147,12 +147,13 @@ class TestPrecedence:
         assert captured.out == ""
         assert captured.err == f"config error: need 32 <= nodes <= {CAP}, got 8\n"
 
-    def test_cli_with_endpoint_efficiencies_ignores_the_node_count(self, tmp_path, capsys):
+    def test_cli_with_endpoint_efficiencies_checks_the_node_count(self, tmp_path, capsys):
         config = tmp_path / "c.cfg"
         config.write_text("verify_etas = 0, 1\n", encoding="utf-8")
         assert main(["verify", "--config", str(config), "--quad-nodes", "8",
-                     "--out", str(tmp_path)]) == 0
-        assert "# quad_nodes = 8\n" in (tmp_path / "verify.csv").read_text(encoding="utf-8")
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: need 32 <= nodes <= {CAP}, got 8\n"
+        assert not (tmp_path / "verify.csv").exists()
 
 
 @pytest.fixture

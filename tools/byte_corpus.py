@@ -156,6 +156,20 @@ CASES = [
     _case("figure2 families never secure", "figure2 --config c.cfg",
           cfg="dark_prob_Pd = 0.015\nl_step_km = 100\n"),
     _case("figure2 literal sign at 0.5 km", "figure2 --paper-literal-sign --l-step 0.5"),
+    # the three families searched in one pass: mixed outcomes, edge grids, partial blocks
+    _case("figure2 one family never secure, one cutoff, one none in range",
+          "figure2 --config c.cfg", cfg=FAST_FIGURE2 + "dark_prob_Pd = 0.002\n"),
+    _case("figure2 no family reaches its cutoff", "figure2 --l-max 20 --l-step 0.5"),
+    _case("figure2 literal sign with a table policy",
+          "figure2 --config c.cfg --paper-literal-sign --f-policy table:f.csv",
+          cfg=FAST_FIGURE2, table=F_TABLE),
+    _case("figure2 two grid points", "figure2 --config c.cfg", cfg="grid_points = 2\n"),
+    _case("figure2 2000 grid points", "figure2 --config c.cfg",
+          cfg="grid_points = 2000\nl_step_km = 2\n"),
+    _case("figure2 distances not a multiple of the block", "figure2 --config c.cfg",
+          cfg="l_max_km = 37\nl_step_km = 0.7\n"),
+    _case("figure2 distances not a multiple of a 32-row block", "figure2 --config c.cfg",
+          cfg="grid_points = 150\nl_max_km = 90\nl_step_km = 1.3\n"),
     _case("figure2 parameter bound", "figure2 --config c.cfg",
           cfg=FAST_FIGURE2 + "param_max = 100\n"),
     _case("figure2 above the parameter bound", "figure2 --config c.cfg",
@@ -183,7 +197,7 @@ CASES = [
           cfg="verify_etas = 0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9, 0.99, 1\n"),
     _case("verify fewest nodes", "verify --quad-nodes 32"),
     _case("verify most nodes", "verify --quad-nodes 256"),
-    _case("verify endpoint etas ignore the node count", "verify --config c.cfg --quad-nodes 8",
+    _case("verify endpoint etas with --quad-nodes 8", "verify --config c.cfg --quad-nodes 8",
           cfg="verify_etas = 0, 1\n"),
     _case("verify node count before a later bad alpha", "verify --config c.cfg --quad-nodes 8",
           cfg="verify_alphas = 0.5, -1\n"),
