@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, DomainError, TruncationError
 from .fock_oracle import (
     DEFAULT_ALPHAS, DEFAULT_ETAS, DEFAULT_FOCK_N_MAX, DEFAULT_NUS, DEFAULT_QUAD_NODES,
-    _require_quad_nodes, max_abs_diff_by_formula, verify_closed_forms,
+    max_abs_diff_by_formula, verify_closed_forms,
 )
 from .key_rate import (
     DEFAULT_F_POLICY, KTH15_CHANNEL, KTH15_DETECTOR,
@@ -390,7 +390,6 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
 
 def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
     n_max, nodes = cfg.oracle_fock_n_max, cfg.oracle_quad_nodes
-    _require_quad_nodes(nodes)  # also when no efficiency of the grid needs the quadrature
     grid = product(cfg.verify_alphas, cfg.verify_nus, cfg.verify_etas)
     reports = verify_closed_forms(grid, fock_n_max=n_max, quad_nodes=nodes)
     # one line per report object (reused tuned-source reports): equality would merge 0.0, -0.0

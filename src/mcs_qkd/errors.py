@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finite-and-non-negative input check."""
+"""Exception types shared across the package, and the input checks its layers share."""
 
 import math
 
@@ -11,6 +11,12 @@ def require_finite_nonneg(name: str, value: float) -> None:
     """Raise ``DomainError`` unless ``value`` is finite and non-negative."""
     if not math.isfinite(value) or value < 0.0:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def require_unit_interval(name: str, value: float) -> None:
+    """Raise ``DomainError`` unless ``value`` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 class UnsupportedOrderError(DomainError):

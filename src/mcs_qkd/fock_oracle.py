@@ -33,12 +33,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientTruncationError, TruncationError
+from .errors import DomainError, InsufficientTruncationError, TruncationError, require_unit_interval
 from .photon_source import (
     FockDistribution,
     Protocol,
     SqueezedCoherentState,
-    _require_eta,
     fock_coefficients,
     make_state,
     mcs_state,
@@ -128,7 +127,7 @@ def p0_via_fock(state: SqueezedCoherentState, eta: float, n_max: int = DEFAULT_F
     ``InsufficientTruncationError`` when more than 1e-10 of probability mass
     remains beyond order ``n_max``.
     """
-    _require_eta(eta)
+    require_unit_interval("eta", eta)
     squares = [c * c for c in _truncated_distribution(state, n_max).amplitudes]
     return _no_click_sum(squares, eta, {})
 
@@ -140,6 +139,9 @@ def _truncated_distribution(state: SqueezedCoherentState, n_max: int) -> FockDis
     try:
         return fock_coefficients(state, n_cap=n_max)
     except TruncationError as err:
+        if not math.isfinite(err.partial_mass):  # alpha**2 overflowed: no order resolves it
+            raise DomainError(f"the photon-number expansion at alpha={state.alpha!r}, "
+                              f"nu={state.nu!r} is not finite") from err
         if 1.0 - err.partial_mass > _MAX_UNRESOLVED_MASS:
             raise InsufficientTruncationError(
                 f"{1.0 - err.partial_mass:.3e} of probability mass is unresolved at Fock "
@@ -156,7 +158,7 @@ def _no_click_sum(squares: list[float], eta: float, powers: dict[float, list[flo
     cached = powers.get(loss, ())
     if len(cached) < len(squares):
         powers[loss] = cached = [loss**n for n in range(len(squares))]
-    return min(1.0, math.fsum(map(operator.mul, squares, cached)))
+    return min(math.fsum(map(operator.mul, squares, cached)), 1.0)  # NaN stays NaN
 
 
 @lru_cache(maxsize=8)
@@ -209,7 +211,7 @@ def p0_via_quadrature(
                          for x in loss[:, 0]])
     in_u = (2.0 * alpha - nu * u) * u / mu - u * u / loss + t * t + constant
     scale = np.sqrt(math.pi / (a_u[:, 0] * a_v[:, 0]))
-    totals = [min(1.0, float(w @ row) * float(s)) for row, s in zip(np.exp(in_u), scale)]
+    totals = [min(float(w @ row) * float(s), 1.0) for row, s in zip(np.exp(in_u), scale)]
     return totals if np.ndim(eta) else totals[0]
 
 
@@ -228,8 +230,11 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
     call and the same reports are reused.  The grid is walked once, raising
     what a point-by-point pass would, then one ``p0_via_quadrature`` call per
     distinct state covers all its interior efficiencies.  Nothing outlives
-    the call.
+    the call.  The settings are checked first: an out-of-bound ``quad_nodes``
+    raises before any grid point is read, even on a grid of endpoint
+    efficiencies only.
     """
+    _require_quad_nodes(quad_nodes)
     expanded: dict[SqueezedCoherentState, tuple[FockDistribution, list[float]]] = {}
     powers: dict[float, list[float]] = {}
 
@@ -250,7 +255,6 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
         reports.append(OracleReport("p_vacuum_lossy", alpha, nu, eta, FOCK_SUM, fock_n_max, closed,
                                     _no_click_sum(expand(state)[1], eta, powers)))
         if 0.0 < eta < 1.0:
-            _require_quad_nodes(quad_nodes)
             quadrature.setdefault(state, []).append((len(reports), reports[-1]))
             reports.append(None)  # filled in once the state's efficiencies are integrated
         key = (repr(nu), repr(eta))  # as the report fields do, tells 0.0, -0.0 and 0 apart
@@ -262,7 +266,7 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
                 kept = math.fsum(c**2 for c in dist.amplitudes[: protocol.attack_photons])
                 checks.append(OracleReport(
                     f"p_multi_min[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM, fock_n_max,
-                    p_multi_min(nu, protocol), max(0.0, 1.0 - kept)))
+                    p_multi_min(nu, protocol), max(1.0 - kept, 0.0)))
                 checks.append(OracleReport(
                     f"p_signal_mcs[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM, fock_n_max,
                     p_signal_mcs(nu, eta, protocol), 1.0 - _no_click_sum(squares, eta, powers)))

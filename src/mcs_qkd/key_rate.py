@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DomainError, require_finite_nonneg
+from .errors import (ConfigurationError, DegenerateInputError, DomainError,
+                     require_finite_nonneg, require_unit_interval)
 
 __all__ = [
     "ChannelModel",
@@ -50,11 +51,6 @@ __all__ = [
     "shannon_h",
     "tau_compression",
 ]
-
-
-def _require_prob(name: str, value: float) -> None:
-    if not math.isfinite(value) or value < 0.0 or value > 1.0:
-        raise DomainError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,7 @@ def _dark_adjusted(p_s, dark_prob):
 
 def adjusted_signal(p_s: float, det: DetectorModel) -> float:
     """Detection probability including dark counts (union of independent events)."""
-    _require_prob("p_s", p_s)
+    require_unit_interval("p_s", p_s)
     return _dark_adjusted(p_s, det.dark_prob_Pd)
 
 
@@ -138,7 +134,7 @@ def _entropy(e):
 
 def shannon_h(e: float) -> float:
     """Binary Shannon entropy with the continuity convention h(0) = h(1) = 0."""
-    _require_prob("e", e)
+    require_unit_interval("e", e)
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(_entropy(np.float64(e)))
 
@@ -188,7 +184,7 @@ class TableF:
             raise ConfigurationError("f(e) table knots must have strictly ascending e")
 
 
-DEFAULT_F_POLICY = ConstantF(1.16)
+DEFAULT_F_POLICY = ConstantF()
 
 
 def f_ec(e, policy: ConstantF | TableF = DEFAULT_F_POLICY):
@@ -221,10 +217,6 @@ class RateBreakdown:
     f: float
     R: float
     R_raw: float
-
-    @property
-    def is_secure(self) -> bool:
-        return self.R_raw > 0.0
 
     def at(self, index) -> "RateBreakdown":
         """Float breakdown of the cell ``index`` of an array-valued breakdown."""
@@ -294,8 +286,8 @@ def secure_rate(
 
     Raises ``DegenerateInputError`` when there are no detection events.
     """
-    _require_prob("p_s", p_s)
-    _require_prob("p_m", p_m)
+    require_unit_interval("p_s", p_s)
+    require_unit_interval("p_m", p_m)
     breakdown = rate_formula(p_s, p_m, det, f_policy, paper_literal_sign=paper_literal_sign)
     if not breakdown.p_s_bar > 0.0:
         raise DegenerateInputError("no detection events: error rate is undefined")

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, UnsupportedOrderError, require_finite_nonneg
+from .errors import (DomainError, TruncationError, UnsupportedOrderError, require_finite_nonneg,
+                     require_unit_interval)
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -73,11 +74,6 @@ class Protocol(enum.Enum):
     def attack_photons(self) -> int:
         """Fewest photons in a pulse the eavesdropper can attack."""
         return 2 if self is Protocol.BB84 else 3
-
-
-def _require_eta(eta: float) -> None:
-    if not math.isfinite(eta) or eta < 0.0 or eta > 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
 
 
 def _clamp01(p: float) -> float:
@@ -139,10 +135,6 @@ class FockDistribution:
     n_max: int
     tail_bound: float
 
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(c * c for c in self.amplitudes)
-
     def total_mass(self) -> float:
         return math.fsum(c * c for c in self.amplitudes)
 
@@ -200,7 +192,7 @@ def fock_coefficients(
         raise DomainError(f"n_cap must be >= 8, got {n_cap!r}")
     amps, converged = _expand_amplitudes(state, tol, n_cap)
     mass = math.fsum(c * c for c in amps)
-    dist = FockDistribution(tuple(amps), len(amps) - 1, max(0.0, 1.0 - mass))
+    dist = FockDistribution(tuple(amps), len(amps) - 1, max(1.0 - mass, 0.0))  # NaN stays NaN
     if not converged:
         raise TruncationError(
             f"photon-number tail not below {tol} after {_TAIL_RUN} consecutive orders "
@@ -287,7 +279,7 @@ def p0_formula(alpha2, nu, mu, eta):
 
 def p_vacuum_lossy(state: SqueezedCoherentState, eta: float) -> float:
     """Probability that a detector of total efficiency ``eta`` sees no photon (``p0_formula``)."""
-    _require_eta(eta)
+    require_unit_interval("eta", eta)
     return min(1.0, float(p0_formula(state.alpha * state.alpha, state.nu, state.mu, eta)))
 
 
@@ -304,6 +296,6 @@ def p_signal_mcs(nu: float, eta: float, protocol: Protocol) -> float:
     """
     nu = float(nu)
     require_finite_nonneg("nu", nu)
-    _require_eta(eta)
+    require_unit_interval("eta", eta)
     mu = math.sqrt(1.0 + nu * nu)
     return _clamp01(1.0 - float(p0_formula(protocol.tuning_factor * mu * nu, nu, mu, eta)))

@@ -31,6 +31,9 @@ from mcs_qkd import (
     verify_closed_forms,
 )
 from mcs_qkd.cli import main
+from mcs_qkd.fock_oracle import (
+    DEFAULT_ALPHAS, DEFAULT_ETAS, DEFAULT_FOCK_N_MAX, DEFAULT_NUS, DEFAULT_QUAD_NODES,
+)
 
 CAP = fock_oracle._MAX_QUAD_NODES
 
@@ -126,17 +129,17 @@ class TestPrecedence:
         with pytest.raises(DomainError, match="nodes"):
             verify_closed_forms([(0.5, 0.3, 0.5), (-1.0, 0.3, 0.5)], quad_nodes=8)
 
-    def test_bad_alpha_before_the_first_interior_point_beats_the_node_count(self):
-        with pytest.raises(DomainError, match="alpha"):
+    def test_node_count_beats_a_bad_alpha_before_the_first_interior_point(self):
+        with pytest.raises(DomainError, match="nodes"):
             verify_closed_forms([(0.5, 0.3, 0.0), (-1.0, 0.3, 0.5)], quad_nodes=8)
 
-    def test_fock_order_at_the_same_point_beats_the_node_count(self):
-        with pytest.raises(DomainError, match="n_max"):
+    def test_node_count_beats_a_bad_fock_order_at_the_same_point(self):
+        with pytest.raises(DomainError, match="nodes"):
             verify_closed_forms([(0.5, 0.3, 0.5)], fock_n_max=4, quad_nodes=8)
 
-    def test_endpoint_efficiencies_ignore_the_node_count(self):
-        reports = verify_closed_forms([(0.5, 0.3, 0.0), (1.0, 0.3, 1.0)], quad_nodes=8)
-        assert reports and all(r.method != QUADRATURE for r in reports)
+    def test_endpoint_efficiencies_check_the_node_count(self):
+        with pytest.raises(DomainError, match="nodes"):
+            verify_closed_forms([(0.5, 0.3, 0.0), (1.0, 0.3, 1.0)], quad_nodes=8)
 
     def test_cli_reports_the_node_count_before_a_later_bad_alpha(self, tmp_path, capsys):
         config = tmp_path / "c.cfg"
@@ -154,6 +157,67 @@ class TestPrecedence:
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: need 32 <= nodes <= {CAP}, got 8\n"
         assert not (tmp_path / "verify.csv").exists()
+
+
+#: Verify settings -> the one error message they raise; the library gets the product of the axes.
+_REJECTED = {
+    "bad alpha before the first interior point, 8 nodes": (
+        {"verify_alphas": "0.5, -1", "verify_etas": "0, 0.5", "oracle_quad_nodes": "8"},
+        f"need 32 <= nodes <= {CAP}, got 8"),
+    "bad fock order at the same point, 8 nodes": (
+        {"verify_alphas": "0.5", "verify_nus": "0.3", "verify_etas": "0.5",
+         "oracle_fock_n_max": "4", "oracle_quad_nodes": "8"},
+        f"need 32 <= nodes <= {CAP}, got 8"),
+    "endpoint efficiencies, 8 nodes": (
+        {"verify_etas": "0, 1", "oracle_quad_nodes": "8"}, f"need 32 <= nodes <= {CAP}, got 8"),
+    "bad first alpha": ({"verify_alphas": "-1, 0.5"}, "alpha must be finite and >= 0, got -1.0"),
+    "fock order below its bound": ({"oracle_fock_n_max": "4"}, "need 8 <= n_max <= 100000, got 4"),
+    "negative efficiency": ({"verify_etas": "-0.5"}, "eta must lie in [0, 1], got -0.5"),
+    "alpha whose square overflows": (
+        {"verify_alphas": "1e200", "verify_nus": "0.3", "verify_etas": "0.5"},
+        "the photon-number expansion at alpha=1e+200, nu=0.3 is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_library_and_cli_report_the_same_error(case, tmp_path, capsys):
+    entries, message = _REJECTED[case]
+    config = tmp_path / "c.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()),
+                      encoding="utf-8")
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "verify.csv").exists()
+
+    def axis(key, default):
+        return [float(v) for v in entries[key].split(",")] if key in entries else default
+
+    grid = product(axis("verify_alphas", DEFAULT_ALPHAS), axis("verify_nus", DEFAULT_NUS),
+                   axis("verify_etas", DEFAULT_ETAS))
+    with pytest.raises(DomainError) as err:
+        verify_closed_forms(
+            grid, fock_n_max=int(entries.get("oracle_fock_n_max", DEFAULT_FOCK_N_MAX)),
+            quad_nodes=int(entries.get("oracle_quad_nodes", DEFAULT_QUAD_NODES)))
+    assert str(err.value) == message
+
+
+class TestOverflowingAlpha:
+    """alpha**2 overflows: the amplitudes are NaN, and no truncation order resolves them."""
+
+    def test_the_quadrature_gives_nan(self):
+        assert math.isnan(p0_via_quadrature(make_state(1e200, 0.3), 0.5))
+
+    def test_the_fock_sum_raises_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"alpha=1e\+200, nu=0\.3 is not finite"):
+            p0_via_fock(make_state(1e200, 0.3), 0.5)
+
+    def test_the_tail_bound_stays_nan(self):
+        with pytest.raises(mcs_qkd.TruncationError) as err:
+            mcs_qkd.fock_coefficients(make_state(1e200, 0.3), n_cap=16)
+        assert math.isnan(err.value.partial_mass) and math.isnan(err.value.partial.tail_bound)
+
+    def test_the_no_click_sum_keeps_nan(self):
+        assert math.isnan(fock_oracle._no_click_sum([math.nan, 0.5], 0.5, {}))
 
 
 @pytest.fixture

@@ -201,6 +201,12 @@ CASES = [
           cfg="verify_etas = 0, 1\n"),
     _case("verify node count before a later bad alpha", "verify --config c.cfg --quad-nodes 8",
           cfg="verify_alphas = 0.5, -1\n"),
+    _case("verify bad first alpha with --quad-nodes 8", "verify --config c.cfg --quad-nodes 8",
+          cfg="verify_alphas = -1, 0.5\n"),
+    _case("verify eta below 0", "verify --config c.cfg", cfg="verify_etas = -0.5\n"),
+    # alpha**2 overflows, so the Fock amplitudes are NaN
+    _case("verify alpha whose square overflows", "verify --config c.cfg",
+          cfg="verify_alphas = 1e200\nverify_nus = 0.3\nverify_etas = 0.5\n"),
     # argparse
     _case("argparse bad choice", "rate --family nope --nu 0.1"),
     _case("argparse bad float", "rate --family mcs-bb84 --nu abc"),
