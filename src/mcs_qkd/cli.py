@@ -22,6 +22,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import product, repeat
 from pathlib import Path
 from typing import Sequence
@@ -498,9 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use; parsing only reads it, so threads share it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = build_config(args)
         return args.func(cfg, args)

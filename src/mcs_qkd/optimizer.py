@@ -2,21 +2,33 @@
 
 For each source family the free parameter is the mean photon number
 ``|alpha|**2`` (plain coherent state) or the squeeze magnitude ``nu``
-(interference-tuned sources).  The rate curve over that parameter has a single
-clear maximum, so a coarse logarithmic grid brackets it and a section search
-polishes it (16 probes per step); the grid guard means a hypothetical second
-mode would still be caught at grid resolution.
+(interference-tuned sources).  A coarse logarithmic grid brackets the best
+rate over that parameter and a section search polishes it (16 probes per
+step).  The coarse pass has two levels: about ``_SAMPLES`` grid points a
+stride apart, then the points around the best of them, ranked by the
+unclamped rate ``R_raw``.  It finds the full grid's best point whenever that
+point lies within a stride of the best sample.  That held on every secure
+row checked, at 2 to 2,000 grid points: ``R_raw`` has one interior maximum
+there, and its dip towards ``param_min`` stays below the samples by the
+peak.  Past the cutoff ``R_raw`` may peak at ``param_min`` instead; every
+point is then <= 0, and the row is insecure whichever peak the pass finds.
+Grids of fewer than 50 points, the paper-literal sign (whose ``R_raw`` can
+peak twice within a stride), rows whose ``eta * param_min`` is below
+``_FAINT`` and searches small enough for one kernel call, such as
+``optimize_param``'s one row, evaluate every grid point.
 
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
 source statistics and the rate formula elementwise over broadcast arrays of
 total efficiency and source parameter, with a source family per row.  A sweep
-stacks one row per (family, distance), evaluates their coarse grid in blocks
-of ``_BLOCK_CELLS`` cells and refines the secure rows together, one call per
-section step: each row takes the steps of a one-distance search, and
-``optimize_param`` is the one-row case.  A cutoff bisection evaluates every
-midpoint its next ``_TREE_DEPTH`` steps may visit in one call; a sweep runs
-the bisections of its families in lockstep, one ``_secure_at`` call per
-round, and ``cutoff_distance`` is the one-family case.
+stacks one row per (family, distance), evaluates each level of their coarse
+pass in blocks of ``_BLOCK_CELLS`` cells and refines the secure rows
+together, one call per section step: each row takes the steps of a
+one-distance search, and ``optimize_param`` is the one-row case.  The cutoff
+search asks only whether any grid point is positive, so it evaluates the full
+grid: a cutoff bisection evaluates every midpoint its next ``_TREE_DEPTH``
+steps may visit in one call; a sweep runs the bisections of its families in
+lockstep, one ``_secure_at`` call per round, and ``cutoff_distance`` is the
+one-family case.
 """
 
 from __future__ import annotations
@@ -60,6 +72,15 @@ _PARAM_MAX = 100.0
 
 #: Cells per kernel call of a sweep's coarse grid (24 rows of 200), below a cache cliff.
 _BLOCK_CELLS = 4800
+
+#: Grid points per row that the first level of a two-level coarse pass evaluates.
+_SAMPLES = 25
+
+#: Rows whose ``eta * param_min`` is below this keep the full coarse grid.  The
+#: detection probability ``1 - p0`` there keeps at most 4 of its 16 digits at
+#: ``param_min``; without dark counts such rows can stay secure until it keeps
+#: none, and the rounding makes ``R_raw`` ragged, with maxima the samples miss.
+_FAINT = 1e-12
 
 #: Largest coarse parameter grid a search may ask for.
 _MAX_GRID_POINTS = 100_000
@@ -200,17 +221,56 @@ def _check_resolution(resolution_km: float) -> None:
         raise DomainError(f"cutoff resolution must be finite and > 0 km, got {resolution_km!r}")
 
 
-def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
-                grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and rate of the best grid point for each row: a family and a total efficiency."""
+def _cells_max(scenario: Scenario, families: np.ndarray, etas: np.ndarray, grid: np.ndarray,
+               cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the first of ``cells`` with the largest ``R_raw``, and ``R`` there.
+
+    A row is a family and a total efficiency; ``cells`` holds grid indices, shared by
+    every row (1-D) or one row each (2-D).  A nan ``R_raw`` (no detection events)
+    ranks below every number; its ``R`` is 0.
+    """
     best_i = np.empty(len(etas), dtype=np.intp)
     best_r = np.empty(len(etas))
-    block = max(1, _BLOCK_CELLS // len(grid))
+    block = max(1, _BLOCK_CELLS // cells.shape[-1])
     for start in range(0, len(etas), block):
         rows = slice(start, start + block)
-        rates = _breakdown(scenario, etas[rows, None], grid, families[rows]).R
-        best_i[rows] = np.argmax(rates, axis=1)
-        best_r[rows] = rates.max(axis=1)
+        index = cells if cells.ndim == 1 else cells[rows]
+        rates = _breakdown(scenario, etas[rows, None], grid[index], families[rows])
+        k = np.argmax(np.where(np.isnan(rates.R_raw), -np.inf, rates.R_raw), axis=1)
+        at = np.arange(len(k))
+        best_i[rows] = np.broadcast_to(index, rates.R.shape)[at, k]
+        best_r[rows] = rates.R[at, k]
+    return best_i, best_r
+
+
+def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
+                grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and rate of the best grid point for each row: a family and a total efficiency.
+
+    Two levels: about ``_SAMPLES`` grid points a stride apart, the last point among
+    them, then the ``2 * stride - 1`` points around the best sample, shifted into the
+    grid.  That finds the full grid's best point when it lies within a stride of the
+    best sample (see the module notes).  Grids of under two points per sample, the
+    literal sign and faint rows take every point instead, and so does a search whose
+    full grid fits one kernel call, as the second call would cost more than it saves.
+    """
+    stride = len(grid) // _SAMPLES
+    full = (etas * grid[0] < _FAINT) | (stride < 2 or scenario.paper_literal_sign
+                                        or len(etas) * len(grid) <= _BLOCK_CELLS)
+    best_i = np.empty(len(etas), dtype=np.intp)
+    best_r = np.empty(len(etas))
+    if full.any():
+        best_i[full], best_r[full] = _cells_max(scenario, families[full], etas[full], grid,
+                                                np.arange(len(grid)))
+    rows = ~full
+    if rows.any():
+        families, etas = families[rows], etas[rows]
+        samples = np.append(np.arange(0, len(grid) - 1, stride), len(grid) - 1)
+        width = 2 * stride - 1
+        start = np.clip(_cells_max(scenario, families, etas, grid, samples)[0] - (stride - 1),
+                        0, len(grid) - width)
+        best_i[rows], best_r[rows] = _cells_max(scenario, families, etas, grid,
+                                                start[:, None] + np.arange(width))
     return best_i, best_r
 
 
@@ -219,12 +279,14 @@ def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families=None) -
 
     ``families`` gives a list's distances their ``_FAMILIES`` index, by default
     ``scenario``'s.  As the refined optimum never falls below the best grid
-    point, only the grid is evaluated.
+    point, only the grid is evaluated: every point of it, since any positive
+    point makes the distance secure.
     """
     etas = np.array([scenario.channel.eta_at(l) for l in np.ravel(distances).tolist()])
     if families is None:
         families = np.full(len(etas), _FAMILIES.index(scenario.source_family))
-    return (_best_cells(scenario, families, etas, grid)[1] > 0.0).reshape(np.shape(distances))
+    best_r = _cells_max(scenario, families, etas, grid, np.arange(len(grid)))[1]
+    return (best_r > 0.0).reshape(np.shape(distances))
 
 
 def _optimize_rows(
@@ -267,11 +329,12 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
 
     The search keywords, all optional, are ``param_min`` (default 1e-5) and
     ``param_max`` (4), the ends of a logarithmic grid of ``grid_points`` (200)
-    points, and ``rtol`` (1e-5).  The grid locates the best cell; the section
-    search runs within that cell and its neighbours down to relative width
-    ``rtol``.  Returns ``None`` when no grid point is secure (operation beyond
-    cutoff), which is a result, not an error.  The returned optimum never
-    falls below the best coarse-grid point.
+    points, and ``rtol`` (1e-5).  The grid locates the best cell, in one kernel
+    call up to ``_BLOCK_CELLS`` points and in two levels beyond (see the module
+    notes); the section search runs within that cell and its neighbours down to
+    relative width ``rtol``.  Returns ``None`` when no grid point is secure
+    (operation beyond cutoff), which is a result, not an error.  The returned
+    optimum never falls below the best coarse-grid point.
     """
     grid, rtol = _search(**search)
     codes = np.array([_FAMILIES.index(scenario.source_family)])

@@ -77,8 +77,9 @@ class Protocol(enum.Enum):
 
 
 def _clamp01(p: float) -> float:
-    # floating-point sums like 1 - C0**2 - C1**2 can dip to about -1e-17 near vacuum
-    return min(1.0, max(0.0, p))
+    # floating-point sums like 1 - C0**2 - C1**2 can dip to about -1e-17 near vacuum;
+    # NaN stays NaN, and adding 0.0 turns the -0.0 that max(-0.0, 0.0) keeps into 0.0
+    return min(max(p, 0.0), 1.0) + 0.0
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,7 @@ def p0_formula(alpha2, nu, mu, eta):
 def p_vacuum_lossy(state: SqueezedCoherentState, eta: float) -> float:
     """Probability that a detector of total efficiency ``eta`` sees no photon (``p0_formula``)."""
     require_unit_interval("eta", eta)
-    return min(1.0, float(p0_formula(state.alpha * state.alpha, state.nu, state.mu, eta)))
+    return _clamp01(float(p0_formula(state.alpha * state.alpha, state.nu, state.mu, eta)))
 
 
 def p_signal(state: SqueezedCoherentState, eta: float) -> float:

@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -611,3 +613,53 @@ class TestConfigFuzz:
                             except ValueError:
                                 continue
                             assert math.isfinite(value), line
+
+
+class _PerThreadStdout(threading.local):
+    """A stdout that keeps apart what each thread writes to it."""
+
+    def __init__(self):
+        self.text = io.StringIO()
+
+    def write(self, text: str) -> int:
+        return self.text.write(text)
+
+    def flush(self) -> None:
+        pass
+
+
+#: One of each command that writes files or stdout; figure2 runs the two-level grid search.
+_THREAD_RUNS = (
+    ["figure2", "--l-max", "40", "--l-step", "2"],
+    ["verify"],
+    ["rate", "--family", "mcs-sarg04", "--nu", "0.1", "--nu", "0.3", "--l", "5", "--l", "60"],
+)
+
+
+def _run_and_collect(stdout: _PerThreadStdout, out: Path, argv) -> tuple:
+    """Exit code, stdout (``out`` spelt OUT) and {name: bytes} of the files of one ``main`` call."""
+    stdout.text = io.StringIO()
+    code = main([*argv, "--out", str(out)])
+    files = {path.name: path.read_bytes() for path in sorted(out.glob("*"))}
+    return code, stdout.text.getvalue().replace(str(out), "OUT"), files
+
+
+def test_main_on_threads_gives_the_serial_runs(tmp_path, monkeypatch):
+    # main shares one parser between calls, so concurrent calls must not disturb each other
+    stdout = _PerThreadStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    runs = [_THREAD_RUNS[k % 3] for k in range(12)]
+    serial = [_run_and_collect(stdout, tmp_path / f"serial{k}", argv)
+              for k, argv in enumerate(runs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside parsing too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(_run_and_collect, [stdout] * len(runs),
+                                     [tmp_path / f"thread{k}" for k in range(len(runs))], runs,
+                                     timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [code for code, _, _ in serial] == [0] * len(runs)
+    assert all(files for _, _, files in serial[:2])
+    assert threaded == serial

@@ -2,7 +2,8 @@
 
 Every rate goes through ``optimizer._breakdown``, and one call costs about the
 same for one cell as for a few hundred, so the number of calls is the cost
-of a search.  The counts are deterministic.
+of a search, and beyond a few thousand cells per call the number of cells too.
+The counts are deterministic.
 """
 
 import random
@@ -42,13 +43,14 @@ def scenario(family, distance_km=0.0, loss_coeff_a=0.2, detector_eff=0.18,
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """A list that grows by one entry per kernel call."""
+    """A list that grows by one entry per kernel call: the number of cells it evaluated."""
     calls = []
     kernel = optimizer._breakdown
 
     def counted(*args, **kwargs):
-        calls.append(None)
-        return kernel(*args, **kwargs)
+        breakdown = kernel(*args, **kwargs)
+        calls.append(breakdown.R.size)
+        return breakdown
 
     monkeypatch.setattr(optimizer, "_breakdown", counted)
     return calls
@@ -70,7 +72,8 @@ def test_kth15_sweep_budget(kernel_calls):
     distances = [float(l) for l in range(101)]
     sweeps = sweep_distance([scenario(family) for family in SourceFamily], distances)
     assert all(sweep.cutoff_l is not None for sweep in sweeps)
-    assert len(kernel_calls) <= 23
+    assert len(kernel_calls) <= 13
+    assert sum(kernel_calls) <= 37_000
 
 
 def _channels():
@@ -97,5 +100,7 @@ def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsy
     for _ in range(2):
         start = len(kernel_calls)
         assert main(["figure2", "--out", str(tmp_path)]) == 0
-        counts.append(len(kernel_calls) - start)
-    assert counts[0] == counts[1] <= 23
+        counts.append((len(kernel_calls) - start, sum(kernel_calls[start:])))
+    assert counts[0] == counts[1]
+    calls, cells = counts[0]
+    assert calls <= 13 and cells <= 37_000

@@ -19,6 +19,7 @@ from mcs_qkd import (
     p_signal_mcs,
     p_vacuum_lossy,
 )
+from mcs_qkd import photon_source
 
 BB84 = Protocol.BB84
 SARG04 = Protocol.SARG04
@@ -316,3 +317,37 @@ class TestCoherentLimits:
         assert p_multi(state, BB84) == pytest.approx(
             1.0 - math.exp(-alpha2) * (1.0 + alpha2), abs=1e-12
         )
+
+
+class TestClamp:
+    """The [0, 1] clamp of the probabilities lets NaN through and never returns -0.0."""
+
+    HUGE = make_state(1e200, 0.3)  # alpha**2 overflows, so the closed forms are NaN
+
+    @pytest.mark.parametrize("value", [
+        lambda: p_multi(TestClamp.HUGE, BB84),
+        lambda: p_multi(TestClamp.HUGE, SARG04),
+        lambda: p_vacuum_lossy(TestClamp.HUGE, 0.0),
+        lambda: p_signal(TestClamp.HUGE, 0.0),
+        lambda: p_signal_mcs(1e200, 0.5, SARG04),
+    ], ids=["p_multi bb84", "p_multi sarg04", "p_vacuum_lossy", "p_signal", "p_signal_mcs"])
+    def test_nan_is_not_clamped_into_a_probability(self, value):
+        assert math.isnan(value())
+
+    @pytest.mark.parametrize("p, clamped", [(-0.0, 0.0), (0.0, 0.0), (-1e-17, 0.0), (0.25, 0.25),
+                                            (1.0, 1.0), (1.5, 1.0), (math.inf, 1.0),
+                                            (-math.inf, 0.0)])
+    def test_clamp_values_and_the_sign_of_zero(self, p, clamped):
+        result = photon_source._clamp01(p)
+        assert result == clamped and math.copysign(1.0, result) == 1.0
+
+    @pytest.mark.parametrize("value", [
+        lambda: p_multi(make_state(0.0, -0.0), BB84),
+        lambda: p_multi_min(-0.0, SARG04),
+        lambda: p_signal(make_state(0.3, 0.2), -0.0),
+        lambda: p_signal_mcs(-0.0, 0.5, BB84),
+        lambda: 1.0 - p_vacuum_lossy(make_state(-0.0, 0.0), 0.7),
+    ], ids=["p_multi", "p_multi_min", "p_signal", "p_signal_mcs", "p_vacuum_lossy"])
+    def test_zero_probabilities_are_positive_zeros(self, value):
+        # a CSV cell formatted with %.17g would read -0 for a negative zero
+        assert value() == 0.0 and math.copysign(1.0, value()) == 1.0

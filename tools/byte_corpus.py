@@ -170,6 +170,19 @@ CASES = [
           cfg="l_max_km = 37\nl_step_km = 0.7\n"),
     _case("figure2 distances not a multiple of a 32-row block", "figure2 --config c.cfg",
           cfg="grid_points = 150\nl_max_km = 90\nl_step_km = 1.3\n"),
+    # the two-level coarse pass: where its stride switches on (50 points), a window
+    # clipped at the grid's top edge, the literal sign's full grid, and faint rows
+    *(_case(f"figure2 {points} grid points", "figure2 --config c.cfg",
+            cfg=f"grid_points = {points}\n") for points in (49, 50, 51)),
+    _case("figure2 optima above param_max", "figure2 --config c.cfg",
+          cfg="grid_points = 201\nparam_max = 0.01\nl_max_km = 30\n"),
+    _case("figure2 literal sign at 200 points", "figure2 --paper-literal-sign"),
+    _case("figure2 literal sign, two R_raw peaks within a stride",
+          "figure2 --config c.cfg --paper-literal-sign --f-policy const:1.4 --l-step 0.5",
+          cfg="loss_coeff_a = 0.16\ndetector_eff = 0.084\ndark_prob_Pd = 1.6e-4\n"
+              "baseline_error_c = 0.006\nl_max_km = 60\n"),
+    _case("figure2 no dark counts out to 2000 km", "figure2 --config c.cfg",
+          cfg="dark_prob_Pd = 0\nl_max_km = 2000\nl_step_km = 4\n"),
     _case("figure2 parameter bound", "figure2 --config c.cfg",
           cfg=FAST_FIGURE2 + "param_max = 100\n"),
     _case("figure2 above the parameter bound", "figure2 --config c.cfg",
