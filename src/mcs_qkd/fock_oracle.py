@@ -262,8 +262,8 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
             tuned_checks[key] = checks = []
             for protocol in Protocol:
                 tuned = mcs_state(nu, protocol)
-                dist, squares = expand(tuned)
-                kept = math.fsum(c**2 for c in dist.amplitudes[: protocol.attack_photons])
+                squares = expand(tuned)[1]
+                kept = math.fsum(squares[: protocol.attack_photons])
                 checks.append(OracleReport(
                     f"p_multi_min[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM, fock_n_max,
                     p_multi_min(nu, protocol), max(1.0 - kept, 0.0)))

@@ -12,10 +12,11 @@ row checked, at 2 to 2,000 grid points: ``R_raw`` has one interior maximum
 there, and its dip towards ``param_min`` stays below the samples by the
 peak.  Past the cutoff ``R_raw`` may peak at ``param_min`` instead; every
 point is then <= 0, and the row is insecure whichever peak the pass finds.
-Grids of fewer than 50 points, the paper-literal sign (whose ``R_raw`` can
-peak twice within a stride), rows whose ``eta * param_min`` is below
-``_FAINT`` and searches small enough for one kernel call, such as
-``optimize_param``'s one row, evaluate every grid point.
+So the pass gives the full grid's secure flag, the one predicate of the sweep
+rows and the cutoff search.  Grids of fewer than 50 points, the paper-literal
+sign (whose ``R_raw`` can peak twice within a stride) and searches small
+enough for one kernel call, such as ``optimize_param``'s one row, evaluate
+every grid point, as do rows whose ``eta * param_min`` is below ``_FAINT``.
 
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
 source statistics and the rate formula elementwise over broadcast arrays of
@@ -23,11 +24,10 @@ total efficiency and source parameter, with a source family per row.  A sweep
 stacks one row per (family, distance), evaluates each level of their coarse
 pass in blocks of ``_BLOCK_CELLS`` cells and refines the secure rows
 together, one call per section step: each row takes the steps of a
-one-distance search, and ``optimize_param`` is the one-row case.  The cutoff
-search asks only whether any grid point is positive, so it evaluates the full
-grid: a cutoff bisection evaluates every midpoint its next ``_TREE_DEPTH``
-steps may visit in one call; a sweep runs the bisections of its families in
-lockstep, one ``_secure_at`` call per round, and ``cutoff_distance`` is the
+one-distance search, and ``optimize_param`` is the one-row case.  A cutoff
+bisection asks for every midpoint its next ``_TREE_DEPTH`` steps may visit at
+once, as rows of one coarse pass; a sweep runs the bisections of its families
+in lockstep, one ``_secure_at`` call per round, and ``cutoff_distance`` is the
 one-family case.
 """
 
@@ -247,16 +247,18 @@ def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
                 grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index and rate of the best grid point for each row: a family and a total efficiency.
 
-    Two levels: about ``_SAMPLES`` grid points a stride apart, the last point among
+    Grids of under two points per sample, the literal sign and a search whose full
+    grid fits one kernel call (a second call would cost more than it saves) take
+    every point in one pass.  Otherwise faint rows take every point, and the others
+    two levels: about ``_SAMPLES`` grid points a stride apart, the last point among
     them, then the ``2 * stride - 1`` points around the best sample, shifted into the
     grid.  That finds the full grid's best point when it lies within a stride of the
-    best sample (see the module notes).  Grids of under two points per sample, the
-    literal sign and faint rows take every point instead, and so does a search whose
-    full grid fits one kernel call, as the second call would cost more than it saves.
+    best sample (see the module notes).
     """
     stride = len(grid) // _SAMPLES
-    full = (etas * grid[0] < _FAINT) | (stride < 2 or scenario.paper_literal_sign
-                                        or len(etas) * len(grid) <= _BLOCK_CELLS)
+    if stride < 2 or scenario.paper_literal_sign or len(etas) * len(grid) <= _BLOCK_CELLS:
+        return _cells_max(scenario, families, etas, grid, np.arange(len(grid)))
+    full = etas * grid[0] < _FAINT
     best_i = np.empty(len(etas), dtype=np.intp)
     best_r = np.empty(len(etas))
     if full.any():
@@ -279,14 +281,12 @@ def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families=None) -
 
     ``families`` gives a list's distances their ``_FAMILIES`` index, by default
     ``scenario``'s.  As the refined optimum never falls below the best grid
-    point, only the grid is evaluated: every point of it, since any positive
-    point makes the distance secure.
+    point, the answer is the sign of ``_best_cells``'s rate, as for a sweep row.
     """
     etas = np.array([scenario.channel.eta_at(l) for l in np.ravel(distances).tolist()])
     if families is None:
         families = np.full(len(etas), _FAMILIES.index(scenario.source_family))
-    best_r = _cells_max(scenario, families, etas, grid, np.arange(len(grid)))[1]
-    return (best_r > 0.0).reshape(np.shape(distances))
+    return (_best_cells(scenario, families, etas, grid)[1] > 0.0).reshape(np.shape(distances))
 
 
 def _optimize_rows(

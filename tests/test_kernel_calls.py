@@ -68,18 +68,30 @@ def test_cutoff_distance_budget(family, kernel_calls):
     assert len(kernel_calls) <= 6
 
 
+@pytest.mark.parametrize("family", list(SourceFamily))
+def test_fine_cutoff_on_a_large_grid_budget(family, kernel_calls):
+    # a bisection round asks for up to 15 distances; at 2,000 points the full grid
+    # took them in blocks of 2 rows (8 calls), the two-level pass takes 2 calls
+    s = scenario(family)
+    assert 0.0 < cutoff_distance(s, 100.0, resolution_km=1e-4, grid_points=2000) < 100.0
+    assert len(kernel_calls) <= 11
+    assert sum(kernel_calls) <= 18_000
+
+
 def test_kth15_sweep_budget(kernel_calls):
     distances = [float(l) for l in range(101)]
     sweeps = sweep_distance([scenario(family) for family in SourceFamily], distances)
     assert all(sweep.cutoff_l is not None for sweep in sweeps)
     assert len(kernel_calls) <= 13
-    assert sum(kernel_calls) <= 37_000
+    assert sum(kernel_calls) <= 30_400
 
 
 def _channels():
     rng = random.Random(6)
     drawn = [{key: rng.uniform(*bounds) for key, bounds in BOX.items()} for _ in range(6)]
-    return [KTH15, *drawn]
+    # the last at 2,000 grid points, where the sweep rows and the cutoff rounds
+    # take the two-level pass
+    return [KTH15, *drawn, {**KTH15, "grid_points": 2000}]
 
 
 @pytest.mark.parametrize("first_km, step_km", [(0.0, 1.0), (2.5, 2.5)])
@@ -87,12 +99,14 @@ def _channels():
 def test_sweep_cutoff_equals_cutoff_distance(channel, first_km, step_km):
     # the sweep decides midpoints outside its last secure grid cell without
     # evaluating them; bisection's monotone predicate makes that exact
+    channel = dict(channel)
+    search = {"grid_points": channel.pop("grid_points", optimizer.DEFAULT_GRID_POINTS)}
     distances = [first_km + step_km * k for k in range(int((150.0 - first_km) / step_km) + 1)]
     for family in SourceFamily:
         s = scenario(family, **channel)
-        sweep = sweep_distance([s], distances)[0]
+        sweep = sweep_distance([s], distances, **search)[0]
         assert sweep.cutoff_l is not None, (family, channel)
-        assert sweep.cutoff_l == cutoff_distance(s, distances[-1]), (family, channel)
+        assert sweep.cutoff_l == cutoff_distance(s, distances[-1], **search), (family, channel)
 
 
 def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsys):
@@ -103,4 +117,4 @@ def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsy
         counts.append((len(kernel_calls) - start, sum(kernel_calls[start:])))
     assert counts[0] == counts[1]
     calls, cells = counts[0]
-    assert calls <= 13 and cells <= 37_000
+    assert calls <= 13 and cells <= 30_400

@@ -6,6 +6,7 @@ absolute; search results (parameters, brackets, cutoffs) must not move at all.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ from mcs_qkd import (
     secure_rate,
     sweep_distance,
 )
-from mcs_qkd.optimizer import _breakdown, _search, _secure_at
+from mcs_qkd.optimizer import _BLOCK_CELLS, _breakdown, _search, _secure_at
 
 REL_TOL = 1e-11
 ABS_TOL = 1e-15
@@ -234,24 +235,36 @@ def test_batched_sweep_equals_per_distance_search(family):
     assert 0 < secure < len(distances)
 
 
-@pytest.mark.parametrize("family", list(SourceFamily))
-def test_grid_only_cutoff_predicate_agrees_with_the_optimum(family):
+@functools.cache
+def optimum_bisection(family):
+    """The distances that a 0.01 km bisection of [0, 100] km on the refined optimum
+    probes, each with whether the optimum is secure there, and the cutoff it ends at."""
     s = scenario(family)
-    grid, _ = _search()
 
     def secure_by_optimum(distance):
         point = optimize_param(s.at_distance(distance))
         return point is not None and point.breakdown.R_raw > 0.0
 
-    probes = [0.0, 100.0]
+    probes = {0.0: secure_by_optimum(0.0), 100.0: secure_by_optimum(100.0)}
     lo, hi = 0.0, 100.0
     while hi - lo > 0.01:
         mid = 0.5 * (lo + hi)
-        probes.append(mid)
-        if secure_by_optimum(mid):
-            lo = mid
-        else:
-            hi = mid
-    for distance in probes:
-        assert _secure_at(s, distance, grid) == secure_by_optimum(distance), distance
-    assert cutoff_distance(s, 100.0) == lo == KTH15_CUTOFFS_KM[family]
+        probes[mid] = secure_by_optimum(mid)
+        lo, hi = (mid, hi) if probes[mid] else (lo, mid)
+    return probes, lo
+
+
+@pytest.mark.parametrize("family", list(SourceFamily))
+def test_grid_only_cutoff_predicate_agrees_with_the_optimum(family):
+    s = scenario(family)
+    grid, _ = _search()
+    probes, cutoff = optimum_bisection(family)
+    for distance, secure in probes.items():
+        assert _secure_at(s, distance, grid) == secure, distance
+    # every family's probes in one call, rows enough for the two-level pass
+    rows = [(code, distance, secure) for code, other in enumerate(SourceFamily)
+            for distance, secure in optimum_bisection(other)[0].items()]
+    codes, distances, want = map(list, zip(*rows))
+    assert len(rows) * len(grid) > _BLOCK_CELLS
+    assert _secure_at(s, distances, grid, np.array(codes)).tolist() == want
+    assert cutoff_distance(s, 100.0) == cutoff == KTH15_CUTOFFS_KM[family]

@@ -16,6 +16,7 @@ from mcs_qkd import ChannelModel, ConstantF, DetectorModel, Scenario, SourceFami
 from mcs_qkd import optimizer
 
 TABLE = TableF(((0.0, 1.05), (0.03, 1.1), (0.08, 1.2), (0.2, 1.45), (0.5, 2.0)))
+DARK_COUNTS = st.floats(-6.0, np.log10(3e-3)).map(lambda x: 10.0 ** x)
 
 
 def full_grid(scenario, families, etas, grid):
@@ -36,30 +37,79 @@ def assert_full_grid_cells(scenario, distances, grid):
 
 
 @st.composite
-def searches(draw):
-    """A scenario, a distance list and a coarse grid from the box the pass was checked on."""
+def boxes(draw, dark_counts=DARK_COUNTS):
+    """A scenario and a coarse grid from the box the pass was checked on."""
     scenario = Scenario(
         source_family=SourceFamily.COHERENT_BB84,
         channel=ChannelModel(draw(st.floats(0.15, 0.3)), 0.0, draw(st.floats(0.0, 3.0)),
                              draw(st.floats(0.05, 0.5))),
-        detector=DetectorModel(10.0 ** draw(st.floats(-6.0, np.log10(3e-3))),
-                               draw(st.floats(0.0, 0.02))),
+        detector=DetectorModel(draw(dark_counts), draw(st.floats(0.0, 0.02))),
         f_policy=draw(st.one_of(st.builds(ConstantF, st.floats(1.0, 1.5)), st.just(TABLE))),
     )
     points = draw(st.one_of(st.integers(2, 2000), st.integers(40, 260)))
     grid = np.geomspace(10.0 ** draw(st.floats(-6.0, -3.0)), draw(st.floats(1.0, 100.0)), points)
+    return scenario, grid
+
+
+def padded(distances, rows_per_distance, points):
+    """``distances`` and evenly spread ones from 0 to 200 km, rows enough for the full
+    grid to take more than one kernel call, where the two-level pass takes over."""
+    pad = optimizer._BLOCK_CELLS // (rows_per_distance * points) + 1 - len(distances)
+    return distances + [200.0 * k / pad for k in range(pad)]
+
+
+@st.composite
+def searches(draw):
+    """A scenario, a distance list and a coarse grid from the box the pass was checked on."""
+    scenario, grid = draw(boxes())
     distances = draw(st.lists(st.floats(0.0, 200.0), min_size=1, max_size=40))
-    # evenly spread distances make the rows enough for the full grid to take more
-    # than one kernel call, where the two-level pass takes over
-    pad = optimizer._BLOCK_CELLS // (len(SourceFamily) * points) + 1 - len(distances)
-    distances += [200.0 * k / pad for k in range(pad)]
-    return scenario, distances, grid
+    return scenario, padded(distances, len(SourceFamily), len(grid)), grid
 
 
 @settings(max_examples=80, deadline=None)
 @given(searches())
 def test_two_level_pass_equals_the_full_grid(search):
     assert_full_grid_cells(*search)
+
+
+def full_grid_cutoffs(scenario, grid):
+    """Per family, the last distance the full grid finds secure and the first it finds
+    insecure, bisected from [0, 3000] km to 1e-9 km; None where insecure at 0 km."""
+    codes = np.arange(len(SourceFamily))
+
+    def secure(distances):
+        etas = np.array([scenario.channel.eta_at(l) for l in distances.tolist()])
+        return full_grid(scenario, codes, etas, grid)[1] > 0.0
+
+    lo, hi = np.zeros(len(codes)), np.full(len(codes), 3000.0)
+    at_zero = secure(lo)
+    assert not secure(hi).any()
+    while (hi - lo > 1e-9).any():
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.where(secure(mid), (mid, hi), (lo, mid))
+    return [(a, b) if ok else None for a, b, ok in zip(lo.tolist(), hi.tolist(), at_zero)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(boxes(dark_counts=st.one_of(st.just(0.0), DARK_COUNTS)))
+def test_cutoff_predicate_equals_the_full_grid_near_each_cutoff(box):
+    # the cutoff bisections ask the two-level pass whether a distance is secure,
+    # right where the secure window shrinks to a few grid cells (or, without dark
+    # counts, where the rows turn faint)
+    scenario, grid = box
+    distances, families = [], []
+    for code, bracket in enumerate(full_grid_cutoffs(scenario, grid)):
+        if bracket is not None:
+            near = [bracket[0] + d for width in (0.5, 1e-3) for d in np.linspace(-width, width, 21)]
+            near = [*bracket, *(l for l in near if l >= 0.0)]
+            distances += near
+            families += [code] * len(near)
+    distances = padded(distances, 1, len(grid))
+    families += [k % len(SourceFamily) for k in range(len(distances) - len(families))]
+    families = np.array(families)
+    etas = np.array([scenario.channel.eta_at(l) for l in distances])
+    want = full_grid(scenario, families, etas, grid)[1] > 0.0
+    assert np.array_equal(optimizer._secure_at(scenario, distances, grid, families), want)
 
 
 def test_kth15_sweep_rows_equal_the_full_grid():

@@ -22,10 +22,12 @@ import mcs_qkd
 from mcs_qkd import (
     DEFAULT_GRID,
     DomainError,
+    Protocol,
     QUADRATURE,
     cli,
     fock_oracle,
     make_state,
+    mcs_state,
     p0_via_fock,
     p0_via_quadrature,
     verify_closed_forms,
@@ -122,6 +124,18 @@ class TestFockSumHelper:
         assert repr(fock_oracle._no_click_sum(squares, eta, grown)) == repr(reference)
         assert len(grown[loss]) == len(squares)
         assert repr(p0_via_fock(state, eta)) == repr(reference)
+
+
+def test_multi_photon_oracle_sums_the_cached_squares():
+    # the SARG04 tuned state at this nu has a vacuum amplitude whose c**2 (libm's pow)
+    # is one ulp below c * c with glibc 2.36 on x86-64; the p_multi_min oracle sums the same
+    # c * c squares as the no-click sums and the per-point reference
+    nu = 0.3181293623861858
+    amplitudes = fock_oracle._truncated_distribution(mcs_state(nu, Protocol.SARG04),
+                                                      DEFAULT_FOCK_N_MAX).amplitudes[:3]
+    report = next(r for r in verify_closed_forms([(0.0, nu, 0.0)])
+                  if r.formula == "p_multi_min[sarg04]")
+    assert repr(report.oracle_value) == repr(1.0 - math.fsum(c * c for c in amplitudes))
 
 
 class TestPrecedence:

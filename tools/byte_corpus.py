@@ -183,6 +183,13 @@ CASES = [
               "baseline_error_c = 0.006\nl_max_km = 60\n"),
     _case("figure2 no dark counts out to 2000 km", "figure2 --config c.cfg",
           cfg="dark_prob_Pd = 0\nl_max_km = 2000\nl_step_km = 4\n"),
+    # cutoff rounds of more rows than one kernel call takes, which the two-level
+    # pass answers; without dark counts the far cutoffs put faint rows in them
+    _case("figure2 500 grid points", "figure2 --config c.cfg", cfg="grid_points = 500\n"),
+    _case("figure2 2000 grid points, 1e-4 km cutoffs", "figure2 --config c.cfg",
+          cfg="grid_points = 2000\ncutoff_resolution_km = 1e-4\n"),
+    _case("figure2 no dark counts out to 2000 km at 500 points", "figure2 --config c.cfg",
+          cfg="dark_prob_Pd = 0\nl_max_km = 2000\nl_step_km = 4\ngrid_points = 500\n"),
     _case("figure2 parameter bound", "figure2 --config c.cfg",
           cfg=FAST_FIGURE2 + "param_max = 100\n"),
     _case("figure2 above the parameter bound", "figure2 --config c.cfg",
