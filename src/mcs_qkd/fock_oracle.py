@@ -207,8 +207,8 @@ def p0_via_quadrature(
     # log |<beta|U|alpha>|^2 = (nu*alpha^2 - nu*u^2 + nu*v^2 + 2*u*alpha)/mu - alpha^2 - |beta|^2
     # - log(mu); the weight adds -eta*|beta|^2/(1-eta) - log(pi*(1-eta)); v terms: -a_v*v^2.
     # one math.log and one dot per row: numpy's SIMD log and a gemv may round differently
-    constant = np.array([[nu * alpha * alpha / mu - alpha * alpha - math.log(mu * math.pi * x)]
-                         for x in loss[:, 0]])
+    constant = np.array([nu * alpha * alpha / mu - alpha * alpha - math.log(mu * math.pi * x)
+                         for x in loss[:, 0]]).reshape(-1, 1)
     in_u = (2.0 * alpha - nu * u) * u / mu - u * u / loss + t * t + constant
     scale = np.sqrt(math.pi / (a_u[:, 0] * a_v[:, 0]))
     totals = [min(float(w @ row) * float(s), 1.0) for row, s in zip(np.exp(in_u), scale)]

@@ -1,9 +1,10 @@
 """Source-parameter optimization, distance sweeps, and cutoff location.
 
-For each source family the free parameter is the mean photon number
-``|alpha|**2`` (plain coherent state) or the squeeze magnitude ``nu``
-(interference-tuned sources).  A coarse logarithmic grid brackets the best
-rate over that parameter and a section search polishes it (16 probes per
+This module only searches; the source model, ``SourceFamily.source``, lives in
+``photon_source``.  For each source family the free parameter is the mean
+photon number ``|alpha|**2`` (plain coherent state) or the squeeze magnitude
+``nu`` (interference-tuned sources).  A coarse logarithmic grid brackets the
+best rate over that parameter and a section search polishes it (16 probes per
 step).  The coarse pass has two levels: about ``_SAMPLES`` grid points a
 stride apart, then the points around the best of them, ranked by the
 unclamped rate ``R_raw``.  It finds the full grid's best point whenever that
@@ -24,17 +25,17 @@ total efficiency and source parameter, with a source family per row.  A sweep
 stacks one row per (family, distance), evaluates each level of their coarse
 pass in blocks of ``_BLOCK_CELLS`` cells and refines the secure rows
 together, one call per section step: each row takes the steps of a
-one-distance search, and ``optimize_param`` is the one-row case.  A cutoff
-bisection asks for every midpoint its next ``_TREE_DEPTH`` steps may visit at
-once, as rows of one coarse pass; a sweep runs the bisections of its families
-in lockstep, one ``_secure_at`` call per round, and ``cutoff_distance`` is the
-one-family case.
+one-distance search, and ``optimize_param`` is the one-row case.  The cutoff
+bisections run in one loop, ``_cutoffs``: each round, every family descends
+through the midpoints it knows, and one ``_secure_at`` call evaluates, as rows
+of one coarse pass, every midpoint that the next ``_TREE_DEPTH`` steps of each
+family may visit.  A sweep bisects its families in lockstep, and
+``cutoff_distance`` is the one-family case.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -49,7 +50,7 @@ from .key_rate import (
 
 # p_multi, p_multi_min, p_signal and secure_rate are not called here; they stay
 # importable from this module, where bench/spans.py wraps them for tracing.
-from .photon_source import Protocol, p0_formula, p_multi, p_multi_min, p_multi_min_formula, p_signal
+from .photon_source import SourceFamily, p0_formula, p_multi, p_multi_min, p_signal
 
 __all__ = ["DistanceSweep", "OptimumPoint", "Scenario", "SourceFamily", "cutoff_distance",
            "optimize_param", "rate_at", "sweep_distance"]
@@ -84,23 +85,6 @@ _FAINT = 1e-12
 
 #: Largest coarse parameter grid a search may ask for.
 _MAX_GRID_POINTS = 100_000
-
-
-class SourceFamily(enum.Enum):
-    """Source/protocol combination under study."""
-
-    COHERENT_BB84 = "coherent-bb84"
-    MCS_BB84 = "mcs-bb84"
-    MCS_SARG04 = "mcs-sarg04"
-
-    @property
-    def protocol(self) -> Protocol:
-        return Protocol.SARG04 if self is SourceFamily.MCS_SARG04 else Protocol.BB84
-
-    @property
-    def param_name(self) -> str:
-        """Name of the free source parameter: mean photon number or squeeze."""
-        return "alpha2" if self is SourceFamily.COHERENT_BB84 else "nu"
 
 
 _FAMILIES = tuple(SourceFamily)  #: the families by the index the searches give each row
@@ -141,15 +125,6 @@ class DistanceSweep:
     cutoff_l: float | None
 
 
-def _source(family: SourceFamily, param):
-    """``alpha2``, ``nu``, ``mu`` and unclamped ``p_m`` of ``family`` at ``param``, elementwise."""
-    if family is SourceFamily.COHERENT_BB84:
-        return param, 0.0, 1.0, 1.0 - (1.0 + param) * np.exp(-param)
-    mu = np.sqrt(1.0 + param * param)
-    return (family.protocol.tuning_factor * mu * param, param, mu,
-            p_multi_min_formula(param, mu, family.protocol))
-
-
 def _breakdown(scenario: Scenario, eta, param, families=None) -> RateBreakdown:
     """Rate breakdown elementwise over broadcast arrays of efficiency and parameter.
 
@@ -160,14 +135,14 @@ def _breakdown(scenario: Scenario, eta, param, families=None) -> RateBreakdown:
     """
     codes = [] if families is None else np.unique(families).tolist()
     if len(codes) < 2:
-        alpha2, nu, mu, p_m = _source(_FAMILIES[codes[0]] if codes else scenario.source_family,
-                                      param)
+        family = _FAMILIES[codes[0]] if codes else scenario.source_family
+        alpha2, nu, mu, p_m = family.source(param)
     else:  # a coherent row's nu = 0 and mu = 1 cells give the bits of the scalars
         shape = np.broadcast_shapes(np.shape(eta), np.shape(param))
         alpha2, nu, mu, p_m = source = [np.empty(shape) for _ in range(4)]
         for code in codes:
             rows = families == code
-            parts = _source(_FAMILIES[code], param[rows] if np.ndim(param) == len(shape) else param)
+            parts = _FAMILIES[code].source(param[rows] if np.ndim(param) == len(shape) else param)
             for whole, part in zip(source, parts):
                 whole[rows] = part
     return rate_formula(
@@ -378,15 +353,14 @@ def sweep_distance(
     sweeps = [tuple(zip(distances, optima[k * n:(k + 1) * n])) for k in range(len(codes))]
     # secure(l) is monotone, which bisection assumes: a scenario is secure up to its
     # last secure grid distance (at least 0 km) and insecure from the next one on
-    bisections = [None] * len(sweeps)
+    brackets = [None] * len(sweeps)
     for k, points in enumerate(sweeps):
         if points and points[-1][1] is None:
             first = next(i for i, (_, point) in enumerate(points) if point is None)
             if first or (distances[0] > 0.0 and _secure_at(scenarios[k], 0.0, grid)):
-                bisections[k] = _bisect_cutoff(distances[-1], cutoff_resolution_km,
-                                               distances[first - 1] if first else 0.0,
-                                               distances[first])
-    cutoffs = _cutoffs(scenario, grid, codes, bisections)
+                brackets[k] = (distances[-1], distances[first - 1] if first else 0.0,
+                               distances[first])
+    cutoffs = _cutoffs(scenario, grid, codes, brackets, cutoff_resolution_km)
     return [DistanceSweep(points, cutoff) for points, cutoff in zip(sweeps, cutoffs)]
 
 
@@ -399,46 +373,39 @@ def _bisection_midpoints(lo: float, hi: float, depth: int, resolution_km: float)
             *_bisection_midpoints(mid, hi, depth - 1, resolution_km)]
 
 
-def _bisect_cutoff(l_max: float, resolution_km: float, secure_to: float, insecure_from: float):
-    """Generator bisecting [0, l_max] for the last secure distance, which it returns.
+def _cutoffs(scenario: Scenario, grid: np.ndarray, families, brackets,
+             resolution_km: float) -> list:
+    """Last secure distance in [0, l_max] by bisection, per bracket (None gives None).
 
-    Midpoints up to ``secure_to`` are secure, from ``insecure_from`` on insecure; it yields
-    the others that its next ``_TREE_DEPTH`` levels may visit and is sent their secure flags.
+    In a bracket ``(l_max, secure_to, insecure_from)``, midpoints up to ``secure_to``
+    are secure and from ``insecure_from`` on insecure; ``families`` holds the
+    brackets' ``_FAMILIES`` indices.  The rounds are as in the module notes.
     """
-    lo, hi, secure = 0.0, l_max, {}
-    while hi - lo > resolution_km:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats: a tiny resolution cannot be met
-        if secure_to < mid < insecure_from and mid not in secure:
-            tree = [l for l in _bisection_midpoints(lo, hi, _TREE_DEPTH, resolution_km)
-                    if secure_to < l < insecure_from]
-            secure = dict(zip(tree, (yield tree)))
-        if mid <= secure_to or (mid < insecure_from and secure[mid]):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _cutoffs(scenario: Scenario, grid: np.ndarray, families, bisections) -> list:
-    """Cutoffs of ``_bisect_cutoff`` generators (or None), run in lockstep.
-
-    ``families`` holds their ``_FAMILIES`` indices.  Each round, one ``_secure_at`` call
-    evaluates the distances that every unfinished bisection asks for."""
-    cutoffs = [None] * len(bisections)
-    flags = {k: None for k, bisection in enumerate(bisections) if bisection is not None}
-    while flags:
-        asked = {}
-        for k, answer in flags.items():
-            try:
-                asked[k] = bisections[k].send(answer)
-            except StopIteration as done:
-                cutoffs[k] = done.value
-        rows = np.repeat([families[k] for k in asked], [len(tree) for tree in asked.values()])
-        secure = iter(_secure_at(scenario, [l for tree in asked.values() for l in tree], grid,
+    cutoffs = [None] * len(brackets)
+    spans = {k: (0.0, bracket[0]) for k, bracket in enumerate(brackets) if bracket is not None}
+    known = {k: {} for k in spans}  # secure flags of each bisection's last tree
+    while spans:
+        trees = {}
+        for k, (lo, hi) in spans.items():
+            _, secure_to, insecure_from = brackets[k]
+            # a span down to adjacent floats ends before a tiny resolution is met
+            while hi - lo > resolution_km and lo < (mid := 0.5 * (lo + hi)) < hi:
+                if secure_to < mid < insecure_from and mid not in known[k]:
+                    trees[k] = [l for l in _bisection_midpoints(lo, hi, _TREE_DEPTH, resolution_km)
+                                if secure_to < l < insecure_from]
+                    break
+                if mid <= secure_to or (mid < insecure_from and known[k][mid]):
+                    lo = mid
+                else:
+                    hi = mid
+            else:
+                cutoffs[k] = lo
+            spans[k] = lo, hi
+        spans = {k: spans[k] for k in trees}
+        rows = np.repeat([families[k] for k in trees], [len(tree) for tree in trees.values()])
+        secure = iter(_secure_at(scenario, [l for tree in trees.values() for l in tree], grid,
                                  rows).tolist())
-        flags = {k: [next(secure) for _ in tree] for k, tree in asked.items()}
+        known = {k: {l: next(secure) for l in tree} for k, tree in trees.items()}
     return cutoffs
 
 
@@ -457,7 +424,8 @@ def cutoff_distance(
     itself when still secure there (no cutoff within range); raises
     ``DegenerateInputError`` when insecure already at zero distance, and
     ``DomainError`` for a non-finite or non-positive ``resolution_km``.  The
-    keywords in ``search`` and their defaults are those of :func:`optimize_param`.
+    keywords in ``search`` and their defaults are those of :func:`optimize_param`;
+    ``rtol`` is checked but unused, as no step refines an optimum.
     """
     if not math.isfinite(l_max) or l_max <= 0.0:
         raise DomainError(f"l_max must be finite and > 0, got {l_max!r}")
@@ -469,4 +437,4 @@ def cutoff_distance(
     if secure_at_max:
         return l_max
     return _cutoffs(scenario, grid, [_FAMILIES.index(scenario.source_family)],
-                    [_bisect_cutoff(l_max, resolution_km, 0.0, l_max)])[0]
+                    [(l_max, 0.0, l_max)], resolution_km)[0]

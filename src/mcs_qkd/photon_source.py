@@ -8,7 +8,7 @@ two amplitudes cancel removes the two-photon component (for BB84) or, with a
 larger displacement, the three-photon component (for SARG04).  This module
 evaluates the resulting photon-number amplitudes, the multi-photon
 probabilities that the interference suppresses, and the detection
-probabilities behind a lossy channel.
+probabilities behind a lossy channel, for the three source families compared.
 
 Conventions: the displacement amplitude ``alpha`` and the squeeze magnitude
 ``nu`` are real and non-negative (the cancellation optima require
@@ -37,6 +37,7 @@ __all__ = [
     "DEFAULT_TOL",
     "FockDistribution",
     "Protocol",
+    "SourceFamily",
     "SqueezedCoherentState",
     "coeff_closed_form",
     "fock_coefficients",
@@ -45,7 +46,6 @@ __all__ = [
     "p0_formula",
     "p_multi",
     "p_multi_min",
-    "p_multi_min_formula",
     "p_signal",
     "p_signal_mcs",
     "p_vacuum_lossy",
@@ -74,6 +74,47 @@ class Protocol(enum.Enum):
     def attack_photons(self) -> int:
         """Fewest photons in a pulse the eavesdropper can attack."""
         return 2 if self is Protocol.BB84 else 3
+
+
+class SourceFamily(enum.Enum):
+    """Source/protocol combination under study."""
+
+    COHERENT_BB84 = "coherent-bb84"
+    MCS_BB84 = "mcs-bb84"
+    MCS_SARG04 = "mcs-sarg04"
+
+    @property
+    def protocol(self) -> Protocol:
+        return Protocol.SARG04 if self is SourceFamily.MCS_SARG04 else Protocol.BB84
+
+    @property
+    def param_name(self) -> str:
+        """Name of the free source parameter: mean photon number or squeeze."""
+        return "alpha2" if self is SourceFamily.COHERENT_BB84 else "nu"
+
+    def source(self, param):
+        """``alpha2``, ``nu``, ``mu`` and the unclamped ``p_multi_min`` at ``param``, elementwise.
+
+        The coherent family's parameter is ``alpha2``; a tuned family's is ``nu``, with
+        alpha**2 = k * mu * nu, and its kept orders (0-1 for BB84, 0-2 for SARG04) sum to
+        exp(-k * (mu - nu) * nu) / mu times 1 + r or (1 + r) * (1 + 2 * r), with r = nu / mu.
+        A float ``param`` is computed in floats up to the exponential: they overflow to
+        inf quietly, where numpy scalars warn.  Unvalidated; the rate kernel and the
+        scalar functions call it.
+        """
+        if self is SourceFamily.COHERENT_BB84:
+            return param, 0.0, 1.0, 1.0 - (1.0 + param) * np.exp(-param)
+        mu = (math.sqrt if isinstance(param, float) else np.sqrt)(1.0 + param * param)
+        ratio = param / mu
+        kept = 1.0 + ratio if self is SourceFamily.MCS_BB84 else (1.0 + ratio) * (1.0 + 2.0 * ratio)
+        tuning_factor = self.protocol.tuning_factor
+        return (tuning_factor * mu * param, param, mu,
+                1.0 - kept * np.exp(-tuning_factor * (mu - param) * param) / mu)
+
+
+def _tuned(protocol: Protocol) -> SourceFamily:
+    """The interference-tuned family of ``protocol``."""
+    return SourceFamily.MCS_SARG04 if protocol is Protocol.SARG04 else SourceFamily.MCS_BB84
 
 
 def _clamp01(p: float) -> float:
@@ -120,8 +161,7 @@ def mcs_state(nu: float, protocol: Protocol) -> SqueezedCoherentState:
     """
     nu = float(nu)
     require_finite_nonneg("nu", nu)
-    mu = math.sqrt(1.0 + nu * nu)
-    return SqueezedCoherentState(math.sqrt(protocol.tuning_factor * mu * nu), nu)
+    return SqueezedCoherentState(math.sqrt(_tuned(protocol).source(nu)[0]), nu)
 
 
 @dataclass(frozen=True)
@@ -236,29 +276,16 @@ def p_multi(state: SqueezedCoherentState, protocol: Protocol) -> float:
     return _clamp01(1.0 - kept)
 
 
-def p_multi_min_formula(nu, mu, protocol: Protocol):
-    """Unclamped ``p_multi_min``, elementwise over arrays of nu and mu = sqrt(1 + nu**2).
-
-    At alpha**2 = k * mu * nu the kept orders (0-1 for BB84, 0-2 for SARG04)
-    sum to exp(-k * (mu - nu) * nu) / mu times 1 + r or (1 + r) * (1 + 2 * r),
-    with r = nu / mu.  Unvalidated; ``p_multi_min`` and the rate kernel call it.
-    """
-    ratio = nu / mu
-    kept = 1.0 + ratio
-    if protocol is Protocol.SARG04:
-        kept = kept * (1.0 + 2.0 * ratio)
-    return 1.0 - kept * np.exp(-protocol.tuning_factor * (mu - nu) * nu) / mu
-
-
 def p_multi_min(nu: float, protocol: Protocol) -> float:
     """Multi-photon probability at the interference optimum, in closed form.
 
     Equals ``p_multi(mcs_state(nu, protocol), protocol)``; kept as an
-    independent expression so the two routes can cross-check each other.
+    independent expression (``SourceFamily.source``) so the two routes can
+    cross-check each other.
     """
     nu = float(nu)
     require_finite_nonneg("nu", nu)
-    return _clamp01(float(p_multi_min_formula(nu, math.sqrt(1.0 + nu * nu), protocol)))
+    return _clamp01(float(_tuned(protocol).source(nu)[3]))
 
 
 def p0_formula(alpha2, nu, mu, eta):
@@ -298,5 +325,5 @@ def p_signal_mcs(nu: float, eta: float, protocol: Protocol) -> float:
     nu = float(nu)
     require_finite_nonneg("nu", nu)
     require_unit_interval("eta", eta)
-    mu = math.sqrt(1.0 + nu * nu)
-    return _clamp01(1.0 - float(p0_formula(protocol.tuning_factor * mu * nu, nu, mu, eta)))
+    alpha2, nu, mu, _ = _tuned(protocol).source(nu)
+    return _clamp01(1.0 - float(p0_formula(alpha2, nu, mu, eta)))

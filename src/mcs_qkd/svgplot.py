@@ -26,9 +26,9 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 Curve = tuple[str, Sequence[tuple[float, float]]]
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / 5
+    return [lo + i * step for i in range(6)]
 
 
 def _span(values: list[float]) -> tuple[float, float]:

@@ -178,6 +178,10 @@ class TestQuadratureOracle:
         with pytest.raises(DomainError, match="<= 256"):
             p0_via_quadrature(make_state(0.5, 0.1), 0.5, nodes=1025)
 
+    @pytest.mark.parametrize("etas", [[], ()], ids=["list", "tuple"])
+    def test_empty_sequence_gives_no_values(self, etas):
+        assert p0_via_quadrature(make_state(0.5, 0.1), etas) == []
+
     def test_cached_nodes_are_read_only(self):
         p0_via_quadrature(make_state(0.5, 0.1), 0.5, nodes=40)
         for array in fock_oracle._hermgauss(40):

@@ -89,9 +89,10 @@ def test_kth15_sweep_budget(kernel_calls):
 def _channels():
     rng = random.Random(6)
     drawn = [{key: rng.uniform(*bounds) for key, bounds in BOX.items()} for _ in range(6)]
-    # the last at 2,000 grid points, where the sweep rows and the cutoff rounds
-    # take the two-level pass
-    return [KTH15, *drawn, {**KTH15, "grid_points": 2000}]
+    # at 2,000 grid points the sweep rows and the cutoff rounds take the two-level
+    # pass; at a 1e-300 km resolution every bisection ends at adjacent floats
+    return [KTH15, *drawn, {**KTH15, "grid_points": 2000},
+            {**KTH15, "grid_points": 60, "cutoff_resolution_km": 1e-300}]
 
 
 @pytest.mark.parametrize("first_km, step_km", [(0.0, 1.0), (2.5, 2.5)])
@@ -101,12 +102,27 @@ def test_sweep_cutoff_equals_cutoff_distance(channel, first_km, step_km):
     # evaluating them; bisection's monotone predicate makes that exact
     channel = dict(channel)
     search = {"grid_points": channel.pop("grid_points", optimizer.DEFAULT_GRID_POINTS)}
+    resolution_km = channel.pop("cutoff_resolution_km", optimizer.DEFAULT_CUTOFF_RESOLUTION_KM)
     distances = [first_km + step_km * k for k in range(int((150.0 - first_km) / step_km) + 1)]
     for family in SourceFamily:
         s = scenario(family, **channel)
-        sweep = sweep_distance([s], distances, **search)[0]
+        sweep = sweep_distance([s], distances, cutoff_resolution_km=resolution_km, **search)[0]
         assert sweep.cutoff_l is not None, (family, channel)
-        assert sweep.cutoff_l == cutoff_distance(s, distances[-1], **search), (family, channel)
+        assert sweep.cutoff_l == cutoff_distance(s, distances[-1], resolution_km=resolution_km,
+                                                 **search), (family, channel)
+
+
+def test_lockstep_cutoffs_end_at_adjacent_floats():
+    # no span of floats meets a 1e-300 km resolution: the three lockstep bisections
+    # run until each midpoint equals an end of its span
+    families = list(SourceFamily)
+    distances = [5.0 * k for k in range(21)]
+    sweeps = sweep_distance([scenario(family) for family in families], distances,
+                            cutoff_resolution_km=1e-300, grid_points=60)
+    cutoffs = [sweep.cutoff_l for sweep in sweeps]
+    assert cutoffs == [24.139144143055788, 45.80431476104458, 77.89935288698958]
+    assert cutoffs == [cutoff_distance(scenario(family), 100.0, resolution_km=1e-300,
+                                       grid_points=60) for family in families]
 
 
 def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +318,33 @@ class TestCoherentLimits:
         assert p_multi(state, BB84) == pytest.approx(
             1.0 - math.exp(-alpha2) * (1.0 + alpha2), abs=1e-12
         )
+
+
+class TestOverflowingNu:
+    """The tuned scalar functions where ``nu * nu`` or ``alpha**2`` overflow, warning-free.
+
+    Float arithmetic overflows to inf quietly, where numpy scalars would warn.
+    """
+
+    # per protocol: mcs_state's alpha, p_multi_min and p_signal_mcs at eta = 0.5
+    @pytest.mark.parametrize("nu, bb84, sarg04", [
+        (1e154, (1e154, 1.0, 1.0), (DomainError, 1.0, math.nan)),
+        (1e200, (DomainError, 1.0, math.nan), (DomainError, 1.0, math.nan)),
+        (math.inf, (DomainError,) * 3, (DomainError,) * 3),
+    ], ids=["1e154", "1e200", "inf"])
+    def test_values_and_errors(self, nu, bb84, sarg04):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for protocol, expected in ((BB84, bb84), (SARG04, sarg04)):
+                calls = (lambda: mcs_state(nu, protocol).alpha, lambda: p_multi_min(nu, protocol),
+                         lambda: p_signal_mcs(nu, 0.5, protocol))
+                for call, value in zip(calls, expected):
+                    if value is DomainError:
+                        with pytest.raises(DomainError):
+                            call()
+                    else:
+                        result = call()
+                        assert result == value or math.isnan(value) and math.isnan(result)
 
 
 class TestClamp:

@@ -93,6 +93,10 @@ CASES = [
     _case("rate negative distance", "rate --family mcs-bb84 --nu 0.2 --l -1"),
     _case("rate nan distance", "rate --family mcs-bb84 --nu 0.2 --l nan"),
     _case("rate parameter at its bound", "rate --family mcs-sarg04 --nu 100 --l 5"),
+    _case("rate mcs-bb84 at its bound", "rate --family mcs-bb84 --nu 100 --l 5"),
+    _case("rate coherent at its bound", "rate --family coherent-bb84 --alpha2 100 --l 5"),
+    _case("rate mcs-bb84 near zero", "rate --family mcs-bb84 --nu 1e-300 --l 5"),
+    _case("rate coherent at the least float", "rate --family coherent-bb84 --alpha2 5e-324 --l 5"),
     _case("rate parameter above its bound", "rate --family mcs-sarg04 --nu 1e154 --l 5"),
     _case("global flags before the command",
           "--f-policy const:1.2 rate --family mcs-bb84 --nu 0.2"),
