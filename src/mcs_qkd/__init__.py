@@ -7,116 +7,15 @@ secure-rate formula, optimizes the source parameter per distance, and verifies
 every closed form against independent brute-force oracles.
 """
 
-from .errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    DomainError,
-    InsufficientTruncationError,
-    TruncationError,
-    UnsupportedOrderError,
-)
-from .fock_oracle import (
-    DEFAULT_GRID,
-    FOCK_SUM,
-    FOCK_TOLERANCE,
-    QUADRATURE,
-    QUADRATURE_TOLERANCE,
-    OracleReport,
-    max_abs_diff_by_formula,
-    p0_via_fock,
-    p0_via_quadrature,
-    verify_closed_forms,
-)
-from .key_rate import (
-    ChannelModel,
-    ConstantF,
-    DetectorModel,
-    KTH15_CHANNEL,
-    KTH15_DETECTOR,
-    RateBreakdown,
-    TableF,
-    adjusted_signal,
-    error_rate,
-    f_ec,
-    secure_rate,
-    shannon_h,
-    tau_compression,
-)
-from .optimizer import (
-    DistanceSweep,
-    OptimumPoint,
-    Scenario,
-    SourceFamily,
-    cutoff_distance,
-    optimize_param,
-    rate_at,
-    sweep_distance,
-)
-from .photon_source import (
-    FockDistribution,
-    Protocol,
-    SqueezedCoherentState,
-    coeff_closed_form,
-    fock_coefficients,
-    make_state,
-    mcs_state,
-    p_multi,
-    p_multi_min,
-    p_signal,
-    p_signal_mcs,
-    p_vacuum_lossy,
-)
+from . import errors, fock_oracle, key_rate, optimizer, photon_source
+from .errors import *
+from .fock_oracle import *
+from .key_rate import *
+from .optimizer import *
+from .photon_source import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelModel",
-    "ConfigurationError",
-    "ConstantF",
-    "DEFAULT_GRID",
-    "DegenerateInputError",
-    "DetectorModel",
-    "DistanceSweep",
-    "DomainError",
-    "FOCK_SUM",
-    "FOCK_TOLERANCE",
-    "FockDistribution",
-    "InsufficientTruncationError",
-    "KTH15_CHANNEL",
-    "KTH15_DETECTOR",
-    "OptimumPoint",
-    "OracleReport",
-    "Protocol",
-    "QUADRATURE",
-    "QUADRATURE_TOLERANCE",
-    "RateBreakdown",
-    "Scenario",
-    "SourceFamily",
-    "SqueezedCoherentState",
-    "TableF",
-    "TruncationError",
-    "UnsupportedOrderError",
-    "adjusted_signal",
-    "coeff_closed_form",
-    "cutoff_distance",
-    "error_rate",
-    "f_ec",
-    "fock_coefficients",
-    "make_state",
-    "max_abs_diff_by_formula",
-    "mcs_state",
-    "optimize_param",
-    "p0_via_fock",
-    "p0_via_quadrature",
-    "p_multi",
-    "p_multi_min",
-    "p_signal",
-    "p_signal_mcs",
-    "p_vacuum_lossy",
-    "rate_at",
-    "secure_rate",
-    "shannon_h",
-    "sweep_distance",
-    "tau_compression",
-    "verify_closed_forms",
-]
+# each module's __all__ is the one list of its public names
+__all__ = [*errors.__all__, *fock_oracle.__all__, *key_rate.__all__, *optimizer.__all__,
+           *photon_source.__all__]

@@ -40,8 +40,9 @@ from .key_rate import (
 )
 from .optimizer import (
     DEFAULT_CUTOFF_RESOLUTION_KM, DEFAULT_GRID_POINTS, DEFAULT_PARAM_MAX, DEFAULT_PARAM_MIN,
-    DEFAULT_RTOL, Scenario, SourceFamily, rate_at, sweep_distance,
+    DEFAULT_RTOL, Scenario, rate_at, sweep_distance,
 )
+from .photon_source import SourceFamily
 from .svgplot import render_line_chart
 
 __all__ = ["RunConfig", "build_config", "main", "parse_f_policy"]

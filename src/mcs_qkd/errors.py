@@ -2,6 +2,9 @@
 
 import math
 
+__all__ = ["ConfigurationError", "DegenerateInputError", "DomainError",
+           "InsufficientTruncationError", "TruncationError", "UnsupportedOrderError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside its physically meaningful domain."""

@@ -47,12 +47,7 @@ from .photon_source import (
 )
 
 __all__ = [
-    "DEFAULT_ALPHAS",
-    "DEFAULT_ETAS",
-    "DEFAULT_FOCK_N_MAX",
     "DEFAULT_GRID",
-    "DEFAULT_NUS",
-    "DEFAULT_QUAD_NODES",
     "FOCK_SUM",
     "FOCK_TOLERANCE",
     "QUADRATURE",

@@ -37,7 +37,6 @@ from .errors import (ConfigurationError, DegenerateInputError, DomainError,
 __all__ = [
     "ChannelModel",
     "ConstantF",
-    "DEFAULT_F_POLICY",
     "DetectorModel",
     "KTH15_CHANNEL",
     "KTH15_DETECTOR",
@@ -46,7 +45,6 @@ __all__ = [
     "adjusted_signal",
     "error_rate",
     "f_ec",
-    "rate_formula",
     "secure_rate",
     "shannon_h",
     "tau_compression",
@@ -250,10 +248,11 @@ def rate_formula(
     p_s, p_m = np.broadcast_arrays(p_s, p_m)
     p_bar = _dark_adjusted(p_s, det.dark_prob_Pd)
     sign = 1.0 if paper_literal_sign else -1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = (det.baseline_error_c * p_s + det.dark_prob_Pd / 2.0) / p_bar
         e = np.minimum(0.5, np.maximum(0.0, e))
-        rho = (p_bar - p_m) / p_bar
+        # where Ps_bar is 0 or Pm / Ps_bar overflows, rho is the most negative float, not -inf
+        rho = np.maximum((p_bar - p_m) / p_bar, -np.finfo(float).max)
         h = _entropy(e)
         f = f_ec(e, f_policy)
         tau = _compression(e, rho)

@@ -20,8 +20,9 @@ enough for one kernel call, such as ``optimize_param``'s one row, evaluate
 every grid point, as do rows whose ``eta * param_min`` is below ``_FAINT``.
 
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
-source statistics and the rate formula elementwise over broadcast arrays of
-total efficiency and source parameter, with a source family per row.  A sweep
+source statistics (``photon_source``'s ``SourceFamily.source`` and
+``p_signal_formula``) and the rate formula elementwise over broadcast arrays
+of total efficiency and source parameter, with a source family per row.  A sweep
 stacks one row per (family, distance), evaluates each level of their coarse
 pass in blocks of ``_BLOCK_CELLS`` cells and refines the secure rows
 together, one call per section step: each row takes the steps of a
@@ -50,10 +51,10 @@ from .key_rate import (
 
 # p_multi, p_multi_min, p_signal and secure_rate are not called here; they stay
 # importable from this module, where bench/spans.py wraps them for tracing.
-from .photon_source import SourceFamily, p0_formula, p_multi, p_multi_min, p_signal
+from .photon_source import SourceFamily, p_multi, p_multi_min, p_signal, p_signal_formula
 
-__all__ = ["DistanceSweep", "OptimumPoint", "Scenario", "SourceFamily", "cutoff_distance",
-           "optimize_param", "rate_at", "sweep_distance"]
+__all__ = ["DistanceSweep", "OptimumPoint", "Scenario", "cutoff_distance", "optimize_param",
+           "rate_at", "sweep_distance"]
 
 #: Defaults of the search keywords of ``optimize_param`` and of the cutoff resolution.
 DEFAULT_PARAM_MIN = 1e-5
@@ -130,8 +131,8 @@ def _breakdown(scenario: Scenario, eta, param, families=None) -> RateBreakdown:
 
     ``families`` gives each row (leading axis) a ``_FAMILIES`` index in place
     of ``scenario``'s family; ``param`` then has that axis or is shared by all
-    rows.  The source statistics are ``photon_source``'s closed forms, which
-    the oracles check.  Inputs are not validated.
+    rows.  The source statistics are ``photon_source``'s closed forms, which the
+    oracles check and its scalar functions share.  Inputs are not validated.
     """
     codes = [] if families is None else np.unique(families).tolist()
     if len(codes) < 2:
@@ -146,7 +147,7 @@ def _breakdown(scenario: Scenario, eta, param, families=None) -> RateBreakdown:
             for whole, part in zip(source, parts):
                 whole[rows] = part
     return rate_formula(
-        1.0 - np.minimum(p0_formula(alpha2, nu, mu, eta), 1.0),
+        p_signal_formula(alpha2, nu, mu, eta),
         np.maximum(p_m, 0.0),  # at most 1 by construction; rounding can dip below 0
         scenario.detector,
         scenario.f_policy,

@@ -33,8 +33,6 @@ from .errors import (DomainError, TruncationError, UnsupportedOrderError, requir
                      require_unit_interval)
 
 __all__ = [
-    "DEFAULT_N_CAP",
-    "DEFAULT_TOL",
     "FockDistribution",
     "Protocol",
     "SourceFamily",
@@ -43,7 +41,6 @@ __all__ = [
     "fock_coefficients",
     "make_state",
     "mcs_state",
-    "p0_formula",
     "p_multi",
     "p_multi_min",
     "p_signal",
@@ -52,10 +49,10 @@ __all__ = [
 ]
 
 #: Adaptive truncation: once half the probability mass is summed, stop after
-#: this many consecutive photon-number probabilities fall below the tolerance.
+#: this many consecutive photon-number probabilities fall below ``_TAIL_TOL``.
 _TAIL_RUN = 5
+_TAIL_TOL = 1e-14
 
-DEFAULT_TOL = 1e-14
 DEFAULT_N_CAP = 512
 
 
@@ -112,9 +109,19 @@ class SourceFamily(enum.Enum):
                 1.0 - kept * np.exp(-tuning_factor * (mu - param) * param) / mu)
 
 
-def _tuned(protocol: Protocol) -> SourceFamily:
-    """The interference-tuned family of ``protocol``."""
-    return SourceFamily.MCS_SARG04 if protocol is Protocol.SARG04 else SourceFamily.MCS_BB84
+def _tuned_source(nu, protocol: Protocol):
+    """``SourceFamily.source`` of ``protocol``'s interference-tuned family at a checked ``nu``.
+
+    Raises ``DomainError`` for a negative or non-finite ``nu``, and for one whose
+    alpha**2 = k * mu * nu overflows.
+    """
+    nu = float(nu)
+    require_finite_nonneg("nu", nu)
+    family = SourceFamily.MCS_SARG04 if protocol is Protocol.SARG04 else SourceFamily.MCS_BB84
+    source = family.source(nu)
+    if not math.isfinite(source[0]):
+        raise DomainError(f"alpha**2 = {protocol.tuning_factor:g} * mu * nu overflows at nu={nu!r}")
+    return source
 
 
 def _clamp01(p: float) -> float:
@@ -157,11 +164,11 @@ def mcs_state(nu: float, protocol: Protocol) -> SqueezedCoherentState:
 
     BB84 pins ``alpha**2 = mu * nu`` so the two-photon amplitude vanishes;
     SARG04 pins ``alpha**2 = 3 * mu * nu`` so the three-photon amplitude
-    vanishes instead.
+    vanishes instead.  Raises ``DomainError`` for a negative or non-finite
+    ``nu``, and for one whose ``alpha**2`` overflows.
     """
-    nu = float(nu)
-    require_finite_nonneg("nu", nu)
-    return SqueezedCoherentState(math.sqrt(_tuned(protocol).source(nu)[0]), nu)
+    alpha2, nu, _, _ = _tuned_source(nu, protocol)
+    return SqueezedCoherentState(math.sqrt(alpha2), nu)
 
 
 @dataclass(frozen=True)
@@ -173,16 +180,18 @@ class FockDistribution:
     """
 
     amplitudes: tuple[float, ...]
-    n_max: int
     tail_bound: float
+
+    @property
+    def n_max(self) -> int:
+        """Highest photon number kept."""
+        return len(self.amplitudes) - 1
 
     def total_mass(self) -> float:
         return math.fsum(c * c for c in self.amplitudes)
 
 
-def _expand_amplitudes(
-    state: SqueezedCoherentState, tol: float, n_cap: int
-) -> tuple[list[float], bool]:
+def _expand_amplitudes(state: SqueezedCoherentState, n_cap: int) -> tuple[list[float], bool]:
     """Iterate photon-number amplitudes until the adaptive tail rule fires.
 
     Returns ``(amplitudes, converged)``.  The Hermite three-term relation is
@@ -211,32 +220,26 @@ def _expand_amplitudes(
         amps.append(c)
         n += 1
         mass += c * c
-        small_run = small_run + 1 if c * c < tol and mass > 0.5 else 0
+        small_run = small_run + 1 if c * c < _TAIL_TOL and mass > 0.5 else 0
     return amps, small_run >= _TAIL_RUN
 
 
-def fock_coefficients(
-    state: SqueezedCoherentState,
-    tol: float = DEFAULT_TOL,
-    n_cap: int = DEFAULT_N_CAP,
-) -> FockDistribution:
+def fock_coefficients(state: SqueezedCoherentState, n_cap: int = DEFAULT_N_CAP) -> FockDistribution:
     """Photon-number amplitudes of ``state``, truncated adaptively.
 
     Once the summed probability exceeds 1/2, iteration stops at ``_TAIL_RUN``
-    consecutive probabilities below ``tol``; all computed amplitudes (including
-    the small trailing ones) are kept.  Raises ``TruncationError`` carrying the
-    partial distribution when order ``n_cap`` is reached first.
+    consecutive probabilities below ``_TAIL_TOL``; all computed amplitudes
+    (including the small trailing ones) are kept.  Raises ``TruncationError``
+    carrying the partial distribution when order ``n_cap`` is reached first.
     """
-    if not 0.0 < tol <= 1e-6:
-        raise DomainError(f"tol must be in (0, 1e-6], got {tol!r}")
     if n_cap < 8:
         raise DomainError(f"n_cap must be >= 8, got {n_cap!r}")
-    amps, converged = _expand_amplitudes(state, tol, n_cap)
+    amps, converged = _expand_amplitudes(state, n_cap)
     mass = math.fsum(c * c for c in amps)
-    dist = FockDistribution(tuple(amps), len(amps) - 1, max(1.0 - mass, 0.0))  # NaN stays NaN
+    dist = FockDistribution(tuple(amps), max(1.0 - mass, 0.0))  # NaN stays NaN
     if not converged:
         raise TruncationError(
-            f"photon-number tail not below {tol} after {_TAIL_RUN} consecutive orders "
+            f"photon-number tail not below {_TAIL_TOL} after {_TAIL_RUN} consecutive orders "
             f"within n_cap={n_cap} (mass so far {mass:.17g})",
             partial_mass=mass,
             partial=dist,
@@ -283,9 +286,7 @@ def p_multi_min(nu: float, protocol: Protocol) -> float:
     independent expression (``SourceFamily.source``) so the two routes can
     cross-check each other.
     """
-    nu = float(nu)
-    require_finite_nonneg("nu", nu)
-    return _clamp01(float(_tuned(protocol).source(nu)[3]))
+    return _clamp01(float(_tuned_source(nu, protocol)[3]))
 
 
 def p0_formula(alpha2, nu, mu, eta):
@@ -305,6 +306,14 @@ def p0_formula(alpha2, nu, mu, eta):
     return np.exp(-eta * alpha2 * (mu - nu) / (mu + nu * (1.0 - eta))) / np.sqrt(radicand)
 
 
+def p_signal_formula(alpha2, nu, mu, eta):
+    """Detection probability ``1 - p0_formula`` elementwise, with ``p0_formula`` capped at 1.
+
+    Unvalidated; ``p_signal``, ``p_signal_mcs`` and the rate kernel call it.
+    """
+    return 1.0 - np.minimum(p0_formula(alpha2, nu, mu, eta), 1.0)
+
+
 def p_vacuum_lossy(state: SqueezedCoherentState, eta: float) -> float:
     """Probability that a detector of total efficiency ``eta`` sees no photon (``p0_formula``)."""
     require_unit_interval("eta", eta)
@@ -312,18 +321,18 @@ def p_vacuum_lossy(state: SqueezedCoherentState, eta: float) -> float:
 
 
 def p_signal(state: SqueezedCoherentState, eta: float) -> float:
-    """Probability of at least one detected photon: 1 - p_vacuum_lossy."""
-    return _clamp01(1.0 - p_vacuum_lossy(state, eta))
+    """Probability of at least one detected photon, 1 - p_vacuum_lossy (``p_signal_formula``)."""
+    require_unit_interval("eta", eta)
+    return _clamp01(float(p_signal_formula(state.alpha * state.alpha, state.nu, state.mu, eta)))
 
 
 def p_signal_mcs(nu: float, eta: float, protocol: Protocol) -> float:
     """Detection probability of the interference-tuned source, specialized form.
 
-    ``1 - p0_formula`` at alpha**2 = k * mu * nu (k = 1 for BB84, 3 for SARG04), without
+    ``p_signal_formula`` at alpha**2 = k * mu * nu (k = 1 for BB84, 3 for SARG04), without
     ``mcs_state``'s square root; must agree with ``p_signal(mcs_state(nu, protocol), eta)``.
+    Raises ``DomainError`` where ``mcs_state`` does, including where alpha**2 overflows.
     """
-    nu = float(nu)
-    require_finite_nonneg("nu", nu)
+    alpha2, nu, mu, _ = _tuned_source(nu, protocol)
     require_unit_interval("eta", eta)
-    alpha2, nu, mu, _ = _tuned(protocol).source(nu)
-    return _clamp01(1.0 - float(p0_formula(alpha2, nu, mu, eta)))
+    return _clamp01(float(p_signal_formula(alpha2, nu, mu, eta)))

@@ -244,3 +244,10 @@ class TestSecureRate:
         det = DetectorModel(dark_prob_Pd=0.0, baseline_error_c=0.0)
         with pytest.raises(DegenerateInputError):
             secure_rate(0.0, 0.0, det)
+
+    def test_rho_saturates_where_pm_over_ps_bar_leaves_the_float_range(self):
+        # Pm / Ps_bar = 2e323: rho is the most negative float, not -inf, and no warning
+        det = DetectorModel(dark_prob_Pd=5e-324, baseline_error_c=0.01)
+        breakdown = secure_rate(0.0, 0.1, det)
+        assert breakdown.rho == -np.finfo(float).max
+        assert breakdown.tau == 1.0 and breakdown.R == 0.0

@@ -1,6 +1,8 @@
-"""No module of the package imports another module's private (underscore) name."""
+"""Module boundaries: no module imports another's private (underscore) name, and each public
+name of the package has one module that lists it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import mcs_qkd
@@ -21,3 +23,14 @@ def test_no_module_imports_a_private_name():
     assert len(modules) >= 8  # an empty glob would pass the check below vacuously
     offenders = {path.name: names for path in modules if (names := _private_imports(path))}
     assert offenders == {}
+
+
+def test_each_public_name_is_listed_by_one_module():
+    modules = [importlib.import_module(f"mcs_qkd.{path.stem}")
+               for path in Path(mcs_qkd.__file__).parent.glob("*.py")
+               if not path.stem.startswith("_")]
+    assert len(modules) >= 7
+    for name in mcs_qkd.__all__:
+        owners = [module for module in modules if name in getattr(module, "__all__", ())]
+        assert len(owners) == 1, (name, [module.__name__ for module in owners])
+        assert getattr(mcs_qkd, name) is getattr(owners[0], name)

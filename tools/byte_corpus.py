@@ -2,7 +2,7 @@
 
     python3 tools/byte_corpus.py PARENT_TREE CHANGE_TREE [--seed N]
 
-Each tree is a checkout with ``src/mcs_qkd``.  Every case runs as
+Each tree is a checkout with ``src/mcs_qkd``.  Every CLI case runs as
 ``python -m mcs_qkd ARGV`` in a fresh directory that holds only the case's
 input files, once per tree, with ``PYTHONPATH`` set to that tree's ``src``.
 A case matches when the exit code, stdout, stderr and the SHA-256 of every
@@ -11,9 +11,12 @@ CSV and SVG file written under the directory are the same for both trees.
 The corpus covers every command's normal runs, its configuration and I/O
 errors, argparse errors and ``--help``, plus every op of the benchmark's
 ``sweep``, ``scan`` and ``oracle`` pools at ``--seed`` (inputs made by the
-``bench/workloads.py`` next to this script).  It prints one line per case that
-differs and a summary, and exits 0 only when every case matches.  A pure
-refactor of the CLI or its output path should leave every case matching.
+``bench/workloads.py`` next to this script).  Library cases run
+``python -c LIBRARY_SCRIPT NU``: one line per scalar function, protocol, state
+and efficiency at that ``nu``, holding the ``repr`` of the value or the type
+name of the exception.  The tool prints one line per case that differs (and,
+for a library case, each line of it that differs) and a summary, and exits 0
+only when every case matches.  A pure refactor should leave every case matching.
 """
 
 from __future__ import annotations
@@ -241,6 +244,45 @@ CASES = [
 ]
 
 
+#: Squeezes of the library cases: 0, the least subnormal, 1e-8 to 100, and two values past
+#: the CLI's parameter bound, where alpha**2 of one or both tuned sources overflows.
+LIBRARY_NUS = (0.0, 5e-324, 1e-8, 1e-4, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e154, 1e200)
+LIBRARY_SCRIPT = """
+import sys
+from mcs_qkd import (Protocol, make_state, mcs_state, p_multi, p_multi_min, p_signal,
+                     p_signal_mcs, p_vacuum_lossy)
+
+def show(label, call):
+    try:
+        value = repr(call())
+    except Exception as err:
+        value = type(err).__name__
+    print(f"{label}: {value}")
+
+nu = float(sys.argv[1])
+etas = (0.0, 0.1136, 0.5, 1.0)
+for p in Protocol:
+    show(f"mcs_state({nu!r}, {p.value}).alpha", lambda: mcs_state(nu, p).alpha)
+    show(f"p_multi_min({nu!r}, {p.value})", lambda: p_multi_min(nu, p))
+    show(f"p_multi(mcs_state({nu!r}, {p.value}))", lambda: p_multi(mcs_state(nu, p), p))
+    for eta in etas:
+        show(f"p_signal_mcs({nu!r}, {eta!r}, {p.value})", lambda: p_signal_mcs(nu, eta, p))
+        show(f"p_vacuum_lossy(mcs_state({nu!r}, {p.value}), {eta!r})",
+             lambda: p_vacuum_lossy(mcs_state(nu, p), eta))
+        show(f"p_signal(mcs_state({nu!r}, {p.value}), {eta!r})",
+             lambda: p_signal(mcs_state(nu, p), eta))
+for alpha in (0.0, 0.3, 2.0):
+    state = make_state(alpha, nu)
+    for p in Protocol:
+        show(f"p_multi({state}, {p.value})", lambda: p_multi(state, p))
+    for eta in etas:
+        show(f"p_vacuum_lossy({state}, {eta!r})", lambda: p_vacuum_lossy(state, eta))
+        show(f"p_signal({state}, {eta!r})", lambda: p_signal(state, eta))
+"""
+LIBRARY_CASES = [(f"library scalars at nu = {nu!r}", ("-c", LIBRARY_SCRIPT, repr(nu)), {})
+                 for nu in LIBRARY_NUS]
+
+
 def bench_cases(seed: int, scratch: Path) -> list:
     """Every op of the benchmark's pools at ``seed``, with paths made relative to the case."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -268,7 +310,8 @@ def run(tree: Path, argv, files) -> tuple:
         for name, text in files.items():
             (work / name).parent.mkdir(parents=True, exist_ok=True)
             (work / name).write_text(text, encoding="utf-8")
-        done = subprocess.run([sys.executable, "-m", "mcs_qkd", *argv], cwd=work, env=env,
+        command = argv if argv[:1] == ("-c",) else ("-m", "mcs_qkd", *argv)
+        done = subprocess.run([sys.executable, *command], cwd=work, env=env,
                               capture_output=True, text=True, timeout=TIMEOUT_S)
         digests = {
             str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -289,7 +332,7 @@ def main(argv=None) -> int:
         if not (tree / "src" / "mcs_qkd" / "__init__.py").is_file():
             parser.error(f"{tree} has no src/mcs_qkd")
     with tempfile.TemporaryDirectory() as scratch:
-        cases = CASES + bench_cases(args.seed, Path(scratch))
+        cases = CASES + LIBRARY_CASES + bench_cases(args.seed, Path(scratch))
         differ = 0
         for name, case_argv, files in cases:
             parent, change = (run(tree, case_argv, files) for tree in trees)
@@ -297,7 +340,13 @@ def main(argv=None) -> int:
                 differ += 1
                 parts = ("exit code", "stdout", "stderr", "files")
                 what = [part for part, a, b in zip(parts, parent, change) if a != b]
-                print(f"DIFFERS {name}: {', '.join(what)} (argv: {' '.join(case_argv)})")
+                if case_argv[:1] == ("-c",):
+                    print(f"DIFFERS {name}: {', '.join(what)}")
+                    for a, b in zip(parent[1].splitlines(), change[1].splitlines()):
+                        if a != b:
+                            print(f"    {a}  ->  {b.rpartition(': ')[2]}")
+                else:
+                    print(f"DIFFERS {name}: {', '.join(what)} (argv: {' '.join(case_argv)})")
     print(f"{len(cases)} cases: {len(cases) - differ} identical, {differ} differ")
     return 1 if differ else 0
 
