@@ -183,6 +183,7 @@ class TableF:
 
 
 DEFAULT_F_POLICY = ConstantF()
+_MOST_NEGATIVE = -np.finfo(float).max  #: rho's floor, where Ps_bar is 0 or Pm / Ps_bar overflows
 
 
 def f_ec(e, policy: ConstantF | TableF = DEFAULT_F_POLICY):
@@ -237,9 +238,9 @@ def rate_formula(
 
         R_raw = (Ps_bar / 2) * [rho * (1 - tau(e, rho)) - f(e) * h(e)]
 
-    with R = max(R_raw, 0).  When rho <= 0 there is no single-photon surplus:
-    tau is reported at its cap and R_raw collapses to the non-positive
-    -(Ps_bar/2) * f * h regardless of the sign flag.
+    with R = max(R_raw, 0).  When rho <= 0 (or nan) there is no single-photon
+    surplus: tau is reported at its cap and R_raw collapses to the non-positive
+    -(Ps_bar/2) * f * h regardless of the sign flag, evaluated on those cells only.
 
     Inputs are not validated; callers check them once where they enter.  A
     cell with no detection events (Ps_bar = 0) has no error rate: its e, h
@@ -251,26 +252,15 @@ def rate_formula(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = (det.baseline_error_c * p_s + det.dark_prob_Pd / 2.0) / p_bar
         e = np.minimum(0.5, np.maximum(0.0, e))
-        # where Ps_bar is 0 or Pm / Ps_bar overflows, rho is the most negative float, not -inf
-        rho = np.maximum((p_bar - p_m) / p_bar, -np.finfo(float).max)
+        rho = np.maximum((p_bar - p_m) / p_bar, _MOST_NEGATIVE)
         h = _entropy(e)
         f = f_ec(e, f_policy)
         tau = _compression(e, rho)
-        r_raw = np.where(
-            rho > 0.0, 0.5 * p_bar * (rho * (1.0 - tau) + sign * f * h), -0.5 * p_bar * f * h
-        )
-    return RateBreakdown(
-        p_s=p_s,
-        p_s_bar=p_bar,
-        p_m=p_m,
-        e=e,
-        rho=rho,
-        tau=tau,
-        h=h,
-        f=f,
-        R=np.where(r_raw > 0.0, r_raw, 0.0),
-        R_raw=r_raw,
-    )
+        r_raw = np.asarray(0.5 * p_bar * (rho * (1.0 - tau) + sign * f * h))
+        low = ~(rho > 0.0)  # no single-photon surplus, or a nan rho
+        r_raw[low] = -0.5 * p_bar[low] * f[low] * h[low]
+    return RateBreakdown(p_s=p_s, p_s_bar=p_bar, p_m=p_m, e=e, rho=rho, tau=tau, h=h, f=f,
+                         R=np.where(r_raw > 0.0, r_raw, 0.0), R_raw=r_raw)
 
 
 def secure_rate(

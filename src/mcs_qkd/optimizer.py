@@ -22,8 +22,9 @@ every grid point, as do rows whose ``eta * param_min`` is below ``_FAINT``.
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
 source statistics (``photon_source``'s ``SourceFamily.source`` and
 ``p_signal_formula``) and the rate formula elementwise over broadcast arrays
-of total efficiency and source parameter, with a source family per row.  A sweep
-stacks one row per (family, distance), evaluates each level of their coarse
+of total efficiency and source parameter, with a source family per row; rows
+come in runs of one family, one source call each.  A sweep stacks one row per
+(family, distance), family by family, evaluates each level of their coarse
 pass in blocks of ``_BLOCK_CELLS`` cells and refines the secure rows
 together, one call per section step: each row takes the steps of a
 one-distance search, and ``optimize_param`` is the one-row case.  The cutoff
@@ -129,30 +130,28 @@ class DistanceSweep:
 def _breakdown(scenario: Scenario, eta, param, families=None) -> RateBreakdown:
     """Rate breakdown elementwise over broadcast arrays of efficiency and parameter.
 
-    ``families`` gives each row (leading axis) a ``_FAMILIES`` index in place
-    of ``scenario``'s family; ``param`` then has that axis or is shared by all
-    rows.  The source statistics are ``photon_source``'s closed forms, which the
-    oracles check and its scalar functions share.  Inputs are not validated.
+    ``families`` gives each row (leading axis) a ``_FAMILIES`` index in place of
+    ``scenario``'s family (kept for an empty array); ``param`` then has that axis or
+    is shared by all rows.  Rows may come in any order; each run of one family takes
+    one ``source`` call, over the shared cells or its rows.  Inputs are not validated.
     """
-    codes = [] if families is None else np.unique(families).tolist()
-    if len(codes) < 2:
-        family = _FAMILIES[codes[0]] if codes else scenario.source_family
-        alpha2, nu, mu, p_m = family.source(param)
+    if families is None or not len(families):
+        families = [_FAMILIES.index(scenario.source_family)]
+    cuts = (np.flatnonzero(np.diff(families)) + 1).tolist() if len(families) > 1 else []
+    if not cuts:
+        alpha2, nu, mu, p_m = _FAMILIES[families[0]].source(param)
     else:  # a coherent row's nu = 0 and mu = 1 cells give the bits of the scalars
         shape = np.broadcast_shapes(np.shape(eta), np.shape(param))
         alpha2, nu, mu, p_m = source = [np.empty(shape) for _ in range(4)]
-        for code in codes:
-            rows = families == code
-            parts = _FAMILIES[code].source(param[rows] if np.ndim(param) == len(shape) else param)
+        for run in map(slice, [0, *cuts], [*cuts, len(families)]):
+            parts = _FAMILIES[families[run.start]].source(
+                param[run] if np.ndim(param) == len(shape) else param)
             for whole, part in zip(source, parts):
-                whole[rows] = part
-    return rate_formula(
-        p_signal_formula(alpha2, nu, mu, eta),
-        np.maximum(p_m, 0.0),  # at most 1 by construction; rounding can dip below 0
-        scenario.detector,
-        scenario.f_policy,
-        paper_literal_sign=scenario.paper_literal_sign,
-    )
+                whole[run] = part
+    # p_m is at most 1 by construction; rounding can dip below 0
+    return rate_formula(p_signal_formula(alpha2, nu, mu, eta), np.maximum(p_m, 0.0),
+                        scenario.detector, scenario.f_policy,
+                        paper_literal_sign=scenario.paper_literal_sign)
 
 
 def rate_at(scenario: Scenario, param) -> RateBreakdown:

@@ -191,6 +191,14 @@ class FockDistribution:
         return math.fsum(c * c for c in self.amplitudes)
 
 
+def _vacuum_amplitude(alpha: float, nu: float, mu: float) -> float:
+    """c0 = exp(nu * alpha**2 / (2 * mu) - alpha**2 / 2) / sqrt(mu); inf or nan on overflow."""
+    try:
+        return math.exp(nu * alpha * alpha / (2.0 * mu) - 0.5 * alpha * alpha) / math.sqrt(mu)
+    except OverflowError:  # the exponent is at most 0, but its rounding error need not be
+        return math.inf
+
+
 def _expand_amplitudes(state: SqueezedCoherentState, n_cap: int) -> tuple[list[float], bool]:
     """Iterate photon-number amplitudes until the adaptive tail rule fires.
 
@@ -209,7 +217,7 @@ def _expand_amplitudes(state: SqueezedCoherentState, n_cap: int) -> tuple[list[f
     bit.)
     """
     alpha, nu, mu = state.alpha, state.nu, state.mu
-    c = math.exp(nu * alpha * alpha / (2.0 * mu) - 0.5 * alpha * alpha) / math.sqrt(mu)
+    c = _vacuum_amplitude(alpha, nu, mu)
     amps = [c]
     c_prev = 0.0
     mass, small_run = c * c, 0  # small leading terms of a far-displaced state are no tail
@@ -251,12 +259,15 @@ def coeff_closed_form(state: SqueezedCoherentState, n: int) -> float:
     """Explicit low-order amplitude, independent of the recurrence.
 
     Supports n in 0..4 and is used as a cross-check on ``fock_coefficients``;
-    higher orders raise ``UnsupportedOrderError``.
+    higher orders raise ``UnsupportedOrderError``, and a state whose vacuum
+    amplitude overflows (``nu * alpha**2`` or ``alpha**2`` does) ``DomainError``.
     """
     if n < 0 or n > 4:
         raise UnsupportedOrderError(f"closed forms cover n in 0..4, got {n!r}")
     alpha, nu, mu = state.alpha, state.nu, state.mu
-    c0 = math.exp(nu * alpha * alpha / (2.0 * mu) - 0.5 * alpha * alpha) / math.sqrt(mu)
+    c0 = _vacuum_amplitude(alpha, nu, mu)
+    if not math.isfinite(c0):
+        raise DomainError(f"the vacuum amplitude at alpha={alpha!r}, nu={nu!r} is not finite")
     r = alpha / mu
     if n == 0:
         return c0

@@ -11,6 +11,12 @@ with warnings.catch_warnings():
                             category=DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
+from hypothesis import settings
+
+# CI runs the properties on a fixed set of examples and no example database, so the
+# same commit draws the same inputs on every machine: pytest --hypothesis-profile=ci
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+
 from mcs_qkd import ChannelModel, ConstantF, DetectorModel, Scenario, SourceFamily
 
 

@@ -20,6 +20,7 @@ from mcs_qkd import (
     shannon_h,
     tau_compression,
 )
+from mcs_qkd.key_rate import rate_formula
 
 
 class TestChannel:
@@ -251,3 +252,52 @@ class TestSecureRate:
         breakdown = secure_rate(0.0, 0.1, det)
         assert breakdown.rho == -np.finfo(float).max
         assert breakdown.tau == 1.0 and breakdown.R == 0.0
+
+
+def two_branch_r_raw(b, paper_literal_sign):
+    """R_raw of breakdown ``b`` by the two-branch ``np.where`` form, both branches everywhere."""
+    sign = 1.0 if paper_literal_sign else -1.0
+    p_bar, rho, tau, f, h = b.p_s_bar, b.rho, b.tau, b.f, b.h
+    with np.errstate(all="ignore"):
+        return np.where(
+            rho > 0.0, 0.5 * p_bar * (rho * (1.0 - tau) + sign * f * h), -0.5 * p_bar * f * h
+        )
+
+
+#: 0, the least subnormal (Pm / Ps_bar overflows without dark counts), and up to 1:
+#: every pair with Pm above Ps_bar has rho <= 0, and Ps = 0 without dark counts no events
+CELL_VALUES = [0.0, 5e-324, 1e-300, 1e-6, 0.01, 0.3, 1.0]
+
+
+def bits_equal(a, b):
+    """Equal bit for bit: nan where nan, and the same sign bits (so -0.0 is not 0.0)."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("form", ["array", "0-d", "float"])
+@pytest.mark.parametrize("literal", [False, True], ids=["corrected", "literal"])
+@pytest.mark.parametrize("policy", [ConstantF(1.16), TableF(((0.0, 1.05), (0.1, 1.3)))],
+                         ids=["const", "table"])
+@pytest.mark.parametrize("dark", [0.0, 2e-4])
+def test_one_branch_r_raw_equals_the_two_branch_form(dark, policy, literal, form):
+    det = DetectorModel(dark_prob_Pd=dark, baseline_error_c=0.01)
+    p_s, p_m = np.meshgrid(CELL_VALUES, CELL_VALUES)
+    if form == "array":
+        calls = [(p_s, p_m)]
+    else:
+        make = np.asarray if form == "0-d" else float
+        calls = [(make(ps), make(pm)) for ps, pm in zip(p_s.ravel(), p_m.ravel())]
+    seen = set()
+    for ps, pm in calls:
+        b = rate_formula(ps, pm, det, policy, paper_literal_sign=literal)
+        want = two_branch_r_raw(b, literal)
+        assert bits_equal(b.R_raw, want), (ps, pm)
+        assert bits_equal(b.R, np.where(want > 0.0, want, 0.0)), (ps, pm)
+        assert np.shape(b.R_raw) == np.shape(ps)
+        rho = np.ravel(b.rho)
+        seen |= {"rho <= 0"} if (rho <= 0.0).any() else set()
+        seen |= {"rho > 0"} if (rho > 0.0).any() else set()
+        seen |= {"no events"} if np.isnan(b.R_raw).any() else set()
+        seen |= {"overflow"} if (rho == -np.finfo(float).max).any() else set()
+    assert seen == {"rho <= 0", "rho > 0", "no events", "overflow"} - (
+        {"no events", "overflow"} if dark else set())

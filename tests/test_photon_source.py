@@ -176,6 +176,16 @@ class TestClosedFormCoefficients:
                 dist.amplitudes[n], abs=1e-10
             )
 
+    @pytest.mark.parametrize("alpha, nu", [
+        (1e154, 1e154),  # mcs_state(1e154, BB84): nu * alpha**2 overflows, c0 = inf
+        (1e155, 0.5),  # alpha**2 overflows, c0 = exp(inf - inf) = nan
+        (6.269678730061013e38, 2.989843962493586e38),  # exponent rounds far above 709
+    ])
+    @pytest.mark.parametrize("n", range(5))
+    def test_rejects_an_overflowing_vacuum_amplitude(self, alpha, nu, n):
+        with pytest.raises(DomainError, match="vacuum amplitude"):
+            coeff_closed_form(make_state(alpha, nu), n)
+
     @pytest.mark.parametrize("n", [5, 6, -1])
     def test_rejects_unsupported_orders(self, n):
         with pytest.raises(UnsupportedOrderError):
@@ -208,6 +218,13 @@ class TestMultiPhotonProbability:
         assert p_multi_min(nu, protocol) == pytest.approx(
             p_multi(mcs_state(nu, protocol), protocol), abs=1e-12
         )
+
+    def test_tuned_bb84_raises_where_p_multi_min_is_still_finite(self):
+        # p_multi_min gives 1.0 here; the amplitudes' nu * alpha**2 overflows, which
+        # once made p_multi clamp 1 - inf to a wrong 0.0
+        assert p_multi_min(1e154, BB84) == 1.0
+        with pytest.raises(DomainError):
+            p_multi(mcs_state(1e154, BB84), BB84)
 
     def test_minimum_at_zero_squeeze(self):
         assert p_multi_min(0.0, BB84) == 0.0
@@ -351,14 +368,19 @@ class TestClamp:
 
     HUGE = make_state(1e200, 0.3)  # alpha**2 overflows, so the closed forms are NaN
 
-    @pytest.mark.parametrize("value", [
-        lambda: p_multi(TestClamp.HUGE, BB84),
-        lambda: p_multi(TestClamp.HUGE, SARG04),
-        lambda: p_vacuum_lossy(TestClamp.HUGE, 0.0),
-        lambda: p_signal(TestClamp.HUGE, 0.0),
+    @pytest.mark.parametrize("value, raises", [
+        (lambda: p_multi(TestClamp.HUGE, BB84), True),
+        (lambda: p_multi(TestClamp.HUGE, SARG04), True),
+        (lambda: p_vacuum_lossy(TestClamp.HUGE, 0.0), False),
+        (lambda: p_signal(TestClamp.HUGE, 0.0), False),
     ], ids=["p_multi bb84", "p_multi sarg04", "p_vacuum_lossy", "p_signal"])
-    def test_nan_is_not_clamped_into_a_probability(self, value):
-        assert math.isnan(value())
+    def test_nan_is_not_clamped_into_a_probability(self, value, raises):
+        # p_multi's amplitudes check their common factor, which is nan here, and raise
+        if raises:
+            with pytest.raises(DomainError, match="vacuum amplitude .* is not finite"):
+                value()
+        else:
+            assert math.isnan(value())
 
     @pytest.mark.parametrize("p, clamped", [(-0.0, 0.0), (0.0, 0.0), (-1e-17, 0.0), (0.25, 0.25),
                                             (1.0, 1.0), (1.5, 1.0), (math.inf, 1.0),

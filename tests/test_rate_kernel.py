@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcs_qkd import (
     ChannelModel,
@@ -33,7 +35,9 @@ from mcs_qkd import (
     secure_rate,
     sweep_distance,
 )
-from mcs_qkd.optimizer import _BLOCK_CELLS, _breakdown, _search, _secure_at
+from mcs_qkd.optimizer import _BLOCK_CELLS, _FAMILIES, _breakdown, _search, _secure_at
+from test_kernel_calls import BOX
+from test_key_rate import bits_equal
 
 REL_TOL = 1e-11
 ABS_TOL = 1e-15
@@ -134,6 +138,39 @@ def test_vacuum_without_dark_counts_is_marked_not_raised():
     b = rate_at(silent, np.array([0.0, 0.2]))
     assert b.p_s_bar[0] == 0.0 and math.isnan(b.e[0]) and b.R[0] == 0.0
     assert b.p_s_bar[1] > 0.0 and math.isfinite(b.R_raw[1])
+
+
+#: Family codes of 0-40 rows: runs of 1-8 rows (one row each alternates) of drawn families.
+ROW_FAMILIES = st.lists(st.tuples(st.sampled_from(range(len(_FAMILIES))), st.integers(1, 8)),
+                        max_size=12).map(lambda runs: [c for c, n in runs for _ in range(n)][:40])
+PARAMS_DRAWN = st.floats(1e-5, 4.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), codes=ROW_FAMILIES, per_row=st.booleans(),
+       channel=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in BOX.items()}),
+       policy=st.sampled_from(list(POLICIES.values())), literal=st.booleans())
+def test_mixed_family_call_equals_one_family_calls(data, codes, per_row, channel, policy,
+                                                   literal):
+    # each row of a call whose families come in any order, bit for bit as that row alone
+    s = Scenario(SourceFamily.COHERENT_BB84,
+                 ChannelModel(channel["loss_coeff_a"], 0.0, 1.0, channel["detector_eff"]),
+                 DetectorModel(channel["dark_prob_Pd"], channel["baseline_error_c"]),
+                 policy, literal)
+    rows, cells = len(codes), data.draw(st.integers(1, 12))
+    etas = np.array([s.channel.eta_at(l) for l in data.draw(
+        st.lists(st.floats(0.0, 150.0), min_size=rows, max_size=rows))])[:, None]
+    shape = (rows, cells) if per_row else (cells,)
+    param = np.array(data.draw(st.lists(PARAMS_DRAWN, min_size=math.prod(shape),
+                                        max_size=math.prod(shape)))).reshape(shape)
+    mixed = _breakdown(s, etas, param, np.array(codes, dtype=np.intp))
+    for name in FIELDS:
+        assert getattr(mixed, name).shape == (rows, cells)
+    for row, code in enumerate(codes):
+        alone = _breakdown(dataclasses.replace(s, source_family=_FAMILIES[code]),
+                           etas[row:row + 1], param[row:row + 1] if per_row else param)
+        for name in FIELDS:
+            assert bits_equal(getattr(mixed, name)[row], getattr(alone, name)[0]), (row, name)
 
 
 def scalar_search(s, param_max, grid_points, rtol=1e-5):

@@ -190,6 +190,12 @@ _REJECTED = {
     "alpha whose square overflows": (
         {"verify_alphas": "1e200", "verify_nus": "0.3", "verify_etas": "0.5"},
         "the photon-number expansion at alpha=1e+200, nu=0.3 is not finite"),
+    # the vacuum amplitude's exponent, at most 0, rounds past exp's range
+    "vacuum exponent past exp's range": (
+        {"verify_alphas": "6.269678730061013e38", "verify_nus": "2.989843962493586e38",
+         "verify_etas": "0.5"},
+        "the photon-number expansion at alpha=6.269678730061013e+38, "
+        "nu=2.989843962493586e+38 is not finite"),
 }
 
 
