@@ -238,11 +238,11 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _write_figure(cfg: RunConfig, name: str, comments, header, rows, curves, **chart) -> str:
-    """Write ``name``.csv, then ``name``.svg charting ``curves``; returns the line saying so."""
+def _write_figure(cfg: RunConfig, name: str, csv_text: str, curves, **chart) -> str:
+    """Write ``csv_text`` to ``name``.csv and ``name``.svg charting ``curves``; say so."""
     out = _out_dir(cfg)
     csv_path, svg_path = out / f"{name}.csv", out / f"{name}.svg"
-    _write_text(csv_path, _csv_text(comments, header, rows))
+    _write_text(csv_path, csv_text)
     _write_text(svg_path, render_line_chart(curves, **chart))
     return f"wrote {csv_path} and {svg_path}"
 
@@ -316,26 +316,27 @@ def cmd_figure1(cfg: RunConfig, _args: argparse.Namespace) -> int:
     if cfg.fig1_points > _MAX_POINTS or not math.isfinite(cfg.fig1_param_max):
         raise ConfigurationError(f"need fig1_points <= {_MAX_POINTS} and a finite fig1_param_max")
     f_policy = parse_f_policy(cfg.f_policy)
-    params = np.array(
-        [cfg.fig1_param_max * i / (cfg.fig1_points - 1) for i in range(cfg.fig1_points)]
-    )
+    params = cfg.fig1_param_max * np.arange(cfg.fig1_points) / (cfg.fig1_points - 1)
     eta = _scenario(cfg, SourceFamily.COHERENT_BB84, distance, f_policy).channel.total_eta()
     if eta == 0.0:  # its dB value for the CSV header would be -inf
         raise ConfigurationError(f"total efficiency underflows to 0 at l = {distance:g} km")
-    rows = []
-    curves = []
+    # the param cells are shared by the three families, so each is formatted once
+    param_cells = np.array(["%.17g" % p for p in params.tolist()], dtype=object)
+    value_format = _row_format(FIGURE1_HEADER[2:])
+    lines, curves = [], []
     for family in SourceFamily:
         b = rate_at(_scenario(cfg, family, distance, f_policy), params)
         # a vacuum source with zero dark counts has no detection events: no row
         detected = b.p_s_bar > 0.0
-        columns = [c[detected].tolist() for c in (params, *_breakdown_values(b, FIGURE1_HEADER))]
-        rows.extend(zip(repeat(family.value), *columns))
-        curves.append((_family_label(family), list(zip(columns[0], columns[-1]))))
+        row_format = f"{family.value},%s,{value_format}"
+        columns = [c[detected].tolist() for c in _breakdown_values(b, FIGURE1_HEADER)]
+        lines.extend([row_format % row for row in zip(param_cells[detected].tolist(), *columns)])
+        curves.append((_family_label(family), np.column_stack((params, b.R))[detected]))
     eta_db = 10.0 * math.log10(eta)
     comments = (f"distance_km = {_fmt(distance)}", f"eta_db = {_fmt(eta_db)}",
                 _sign_note(cfg), f"f_policy = {cfg.f_policy}")
     wrote = _write_figure(
-        cfg, "figure1", comments, FIGURE1_HEADER, rows, curves,
+        cfg, "figure1", _csv_join(comments, FIGURE1_HEADER, lines), curves,
         title=f"Secure rate vs source parameter at l = {distance:g} km",
         x_label="source parameter (mean photon number alpha2 or squeeze nu)",
         y_label="secure rate per slot",
@@ -380,7 +381,7 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
     comments = (f"l_max_km = {_fmt(l_max)}", f"l_step_km = {_fmt(l_step)}",
                 _sign_note(cfg), f"f_policy = {cfg.f_policy}")
     notes.append(_write_figure(
-        cfg, "figure2", comments, FIGURE2_HEADER, rows, curves,
+        cfg, "figure2", _csv_text(comments, FIGURE2_HEADER, rows), curves,
         title="Optimal secure rate vs transmission distance",
         x_label="distance (km)",
         y_label="optimal secure rate per slot",

@@ -259,8 +259,8 @@ def coeff_closed_form(state: SqueezedCoherentState, n: int) -> float:
     """Explicit low-order amplitude, independent of the recurrence.
 
     Supports n in 0..4 and is used as a cross-check on ``fock_coefficients``;
-    higher orders raise ``UnsupportedOrderError``, and a state whose vacuum
-    amplitude overflows (``nu * alpha**2`` or ``alpha**2`` does) ``DomainError``.
+    higher orders raise ``UnsupportedOrderError``, and ``DomainError`` where the vacuum
+    amplitude (``nu * alpha**2`` or ``alpha**2``), or amplitude n or its square, overflows.
     """
     if n < 0 or n > 4:
         raise UnsupportedOrderError(f"closed forms cover n in 0..4, got {n!r}")
@@ -269,15 +269,19 @@ def coeff_closed_form(state: SqueezedCoherentState, n: int) -> float:
     if not math.isfinite(c0):
         raise DomainError(f"the vacuum amplitude at alpha={alpha!r}, nu={nu!r} is not finite")
     r = alpha / mu
-    if n == 0:
-        return c0
-    if n == 1:
-        return c0 * r
-    if n == 2:
-        return c0 / math.sqrt(2.0) * (r * r - nu / mu)
-    if n == 3:
-        return c0 / math.sqrt(6.0) * (r**3 - 3.0 * nu * alpha / mu**2)
-    return c0 / math.sqrt(24.0) * (r**4 - 6.0 * nu * alpha * alpha / mu**3 + 3.0 * (nu / mu) ** 2)
+    try:  # where alpha / mu is above about 1e102, r**3 and r**4 raise OverflowError
+        if n < 3:
+            amplitude = (c0, c0 * r, c0 / math.sqrt(2.0) * (r * r - nu / mu))[n]
+        elif n == 3:
+            amplitude = c0 / math.sqrt(6.0) * (r**3 - 3.0 * nu * alpha / mu**2)
+        else:
+            amplitude = c0 / math.sqrt(24.0) * (r**4 - 6.0 * nu * alpha * alpha / mu**3
+                                                + 3.0 * (nu / mu) ** 2)
+    except OverflowError:
+        amplitude = math.inf
+    if not math.isfinite(amplitude * amplitude):  # p_multi sums the squares
+        raise DomainError(f"amplitude {n} at alpha={alpha!r}, nu={nu!r} or its square overflows")
+    return amplitude
 
 
 def p_multi(state: SqueezedCoherentState, protocol: Protocol) -> float:

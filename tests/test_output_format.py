@@ -1,19 +1,31 @@
 """The CSV and SVG writers against the one-cell-at-a-time formatting they replaced.
 
-Each table row is written with one ``%``-format built from its header, and
-each polyline point with one ``"%.2f,%.2f"``.  The references below are the
-per-cell formatters those replaced; every drawn table must come out byte for
-byte the same.
+Each table row is written with one ``%``-format built from its header;
+figure1 formats its shared ``param`` cells once for all three families.  The
+renderer places every point with numpy and formats each distinct coordinate
+once.  The references are the per-cell CSV join below and the per-point
+renderer in ``svgplot_reference``; every drawn table, chart and figure1 must
+come out byte for byte the same.
 """
 
+import contextlib
+import io
+import itertools
 import math
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcs_qkd import DomainError, cli, svgplot
+import svgplot_reference
+from mcs_qkd import (
+    KTH15_CHANNEL, KTH15_DETECTOR, ConstantF, DetectorModel, DomainError, Scenario, SourceFamily,
+    TableF, cli, rate_at, svgplot,
+)
 from mcs_qkd.cli import FIGURE1_HEADER, FIGURE2_HEADER, RATE_HEADER, VERIFY_HEADER
 
 
@@ -165,3 +177,94 @@ def test_range_wider_than_the_float_range_is_rejected(points):
     # the widened or the drawn range would put nan and inf into the ticks and coordinates
     with pytest.raises(DomainError, match="wider than the float range"):
         svgplot.render_line_chart([("a", points)], title="t", x_label="x", y_label="y")
+
+
+def first_difference(got: str, want: str):
+    """(index, got line, wanted line) of the first line, with its end, where two texts differ.
+
+    None when they are equal.  A failing ``==`` on texts this long would have pytest
+    diff them, which takes seconds per example while Hypothesis shrinks.
+    """
+    pairs = itertools.zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+
+
+def render_outcome(render, curves, log_y):
+    """The SVG that ``render`` draws of ``curves``, or the message of its ``DomainError``."""
+    try:
+        return render(curves, title="t", x_label="x", y_label="y", log_y=log_y)
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+#: Values a chart repeats: both zeros, the non-finite values that are dropped, and
+#: non-positive values, which a log axis drops too.
+CHART_EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, -1.0, 1e-3, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def charts(draw):
+    """0-3 curves of 0-60 points whose coordinates come from a pool of at most 8 values."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(CHART_EDGES), st.floats(-1e6, 1e6), FLOATS),
+                         min_size=1, max_size=8))
+    value = st.sampled_from(pool)
+    return draw(st.lists(st.lists(st.tuples(value, value), max_size=60), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(charts(), st.booleans(), st.lists(st.booleans(), min_size=3, max_size=3))
+def test_renderer_matches_the_per_point_reference(curves, log_y, as_array):
+    labelled = [(f"curve {i}", points) for i, points in enumerate(curves)]
+    # each curve is handed over as a list of (x, y) tuples or as an (n, 2) array
+    handed = [(label, np.array(points, dtype=float).reshape(-1, 2) if array else points)
+              for (label, points), array in zip(labelled, as_array)]
+    assert first_difference(render_outcome(svgplot.render_line_chart, handed, log_y),
+                            render_outcome(svgplot_reference.render_line_chart, labelled,
+                                           log_y)) is None
+
+
+F_TABLE_KNOTS = ((0.0, 1.05), (0.05, 1.2), (0.1, 1.3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.integers(2, 300), param_max=st.floats(1e-3, 10.0),
+       distance=st.floats(0.0, 150.0), dark=st.one_of(st.just(0.0), st.floats(1e-7, 1e-3)),
+       table=st.booleans())
+def test_figure1_matches_one_rate_at_per_family_and_the_reference_renderer(
+        points, param_max, distance, dark, table):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "f.csv").write_text("".join(f"{e!r},{f!r}\n" for e, f in F_TABLE_KNOTS))
+        f_spec = f"table:{out / 'f.csv'}" if table else "const:1.16"
+        config = out / "c.cfg"
+        config.write_text(f"fig1_points = {points}\nfig1_param_max = {param_max!r}\n"
+                          f"distance_km = {distance!r}\ndark_prob_Pd = {dark!r}\n"
+                          f"f_policy = {f_spec}\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["figure1", "--config", str(config), "--out", str(out)]) == 0
+        csv_text = (out / "figure1.csv").read_text(encoding="utf-8")
+        svg_text = (out / "figure1.svg").read_text(encoding="utf-8")
+
+    # one rate_at per family; a parameter without detection events (dark = 0 and a
+    # vacuum source at param 0) has no row and no point
+    params = [param_max * i / (points - 1) for i in range(points)]
+    channel = KTH15_CHANNEL.at_distance(distance)
+    detector = DetectorModel(dark_prob_Pd=dark, baseline_error_c=KTH15_DETECTOR.baseline_error_c)
+    f_policy = TableF(F_TABLE_KNOTS) if table else ConstantF(1.16)
+    rows, curves = [], []
+    for family in SourceFamily:
+        b = rate_at(Scenario(family, channel, detector, f_policy), np.array(params))
+        kept = [i for i in range(points) if b.p_s_bar[i] > 0.0]
+        rows += [(family.value, params[i], *(float(getattr(b, name)[i]) for name in
+                                             FIGURE1_HEADER[2:])) for i in kept]
+        curves.append((f"{family.value} ({family.param_name})",
+                       [(params[i], float(b.R[i])) for i in kept]))
+    eta_db = 10.0 * math.log10(channel.total_eta())
+    comments = [f"distance_km = {reference_fmt(distance)}", f"eta_db = {reference_fmt(eta_db)}",
+                "sign = corrected", f"f_policy = {f_spec}"]
+    assert first_difference(csv_text, reference_csv(comments, FIGURE1_HEADER, rows)) is None
+    assert first_difference(svg_text, svgplot_reference.render_line_chart(
+        curves, title=f"Secure rate vs source parameter at l = {distance:g} km",
+        x_label="source parameter (mean photon number alpha2 or squeeze nu)",
+        y_label="secure rate per slot",
+    )) is None

@@ -186,6 +186,20 @@ class TestClosedFormCoefficients:
         with pytest.raises(DomainError, match="vacuum amplitude"):
             coeff_closed_form(make_state(alpha, nu), n)
 
+    @pytest.mark.parametrize("alpha, nu, n", [
+        (1e145, 1e10, 2),  # a finite amplitude of about 7e264, whose square overflows
+        (1e145, 1e10, 3),  # r**3 raises OverflowError
+        (1e120, 0.0, 4),  # r**4 raises OverflowError, though c0 underflows to 0
+    ])
+    def test_rejects_an_overflowing_amplitude(self, alpha, nu, n):
+        with pytest.raises(DomainError, match=f"amplitude {n} at .* overflows"):
+            coeff_closed_form(make_state(alpha, nu), n)
+
+    def test_p_multi_rejects_an_amplitude_whose_square_overflows(self):
+        # SARG04 sums the squares of amplitudes 0..2; this one once raised OverflowError
+        with pytest.raises(DomainError, match="amplitude 2 at .* overflows"):
+            p_multi(make_state(1e145, 1e10), SARG04)
+
     @pytest.mark.parametrize("n", [5, 6, -1])
     def test_rejects_unsupported_orders(self, n):
         with pytest.raises(UnsupportedOrderError):
