@@ -397,10 +397,15 @@ def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
     reports = verify_closed_forms(grid, fock_n_max=n_max, quad_nodes=nodes)
     # one line per report object (reused tuned-source reports): equality would merge 0.0, -0.0
     distinct = {id(r): r for r in reports}
-    row_format = _row_format(VERIFY_HEADER)
-    lines = {key: row_format % (r.formula, r.alpha, r.nu, r.eta, r.method, r.resolution,
-                                r.closed_form_value, r.oracle_value, r.abs_diff,
-                                "true" if r.within_tolerance else "false")
+    cells: dict[float, str] = {}  # each distinct value formatted once
+
+    def cell(value: float) -> str:  # 0.0 == -0.0 as keys, but they print 0 and -0
+        return (cells.get(value) or cells.setdefault(value, _fmt(value))) if value else _fmt(value)
+
+    lines = {key: "%s,%s,%s,%s,%s,%d,%s,%s,%s,%s" % (
+                 r.formula, cell(r.alpha), cell(r.nu), cell(r.eta), r.method, r.resolution,
+                 cell(r.closed_form_value), cell(r.oracle_value), cell(r.abs_diff),
+                 "true" if r.within_tolerance else "false")
              for key, r in distinct.items()}
     comments = (_sign_note(cfg), f"fock_n_max = {n_max}", f"quad_nodes = {nodes}")
     out = _out_dir(cfg)

@@ -219,15 +219,16 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
     of the lossy vacuum probability, the quadrature check of the same formula
     (skipped at eta endpoints where the weight degenerates), and Fock-sum
     checks of the tuned-source multi-photon minima and signal probabilities
-    for both protocols.  Each distinct state is expanded once per call: the
-    tuned states depend on nu alone.  The four tuned-source checks depend on
-    (nu, eta) alone, so they repeat for every alpha; each is computed once per
-    call and the same reports are reused.  The grid is walked once, raising
-    what a point-by-point pass would, then one ``p0_via_quadrature`` call per
-    distinct state covers all its interior efficiencies.  Nothing outlives
-    the call.  The settings are checked first: an out-of-bound ``quad_nodes``
-    raises before any grid point is read, even on a grid of endpoint
-    efficiencies only.
+    for both protocols.  Each distinct state is expanded once per call.  The
+    tuned source depends on nu alone: its state, its expansion, ``p_multi_min``
+    and that check's Fock sum are computed once per nu and protocol.  The four
+    tuned-source checks depend on (nu, eta) alone, so they repeat for every
+    alpha; each is computed once per call and the same reports are reused.
+    The grid is walked once, raising what a point-by-point pass would, then
+    one ``p0_via_quadrature`` call per distinct state covers all its interior
+    efficiencies.  Nothing outlives the call.  The settings are checked
+    first: an out-of-bound ``quad_nodes`` raises before any grid point is
+    read, even on a grid of endpoint efficiencies only.
     """
     _require_quad_nodes(quad_nodes)
     expanded: dict[SqueezedCoherentState, tuple[FockDistribution, list[float]]] = {}
@@ -240,6 +241,8 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
             expanded[state] = found = dist, [c * c for c in dist.amplitudes]
         return found
 
+    # per (repr(nu), protocol): tuned alpha, squares, p_multi_min and its Fock-sum oracle
+    tuned_sources: dict[tuple[str, Protocol], tuple[float, list[float], float, float]] = {}
     tuned_checks: dict[tuple[str, str], list[OracleReport]] = {}
     # per state, the index of each quadrature check and the Fock-sum check of its point
     quadrature: dict[SqueezedCoherentState, list[tuple[int, OracleReport]]] = {}
@@ -256,14 +259,19 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
         if key not in tuned_checks:
             tuned_checks[key] = checks = []
             for protocol in Protocol:
-                tuned = mcs_state(nu, protocol)
-                squares = expand(tuned)[1]
-                kept = math.fsum(squares[: protocol.attack_photons])
+                source = repr(nu), protocol
+                if source not in tuned_sources:
+                    tuned = mcs_state(nu, protocol)
+                    squares = expand(tuned)[1]
+                    kept = math.fsum(squares[: protocol.attack_photons])
+                    tuned_sources[source] = (tuned.alpha, squares, p_multi_min(nu, protocol),
+                                             max(1.0 - kept, 0.0))
+                tuned_alpha, squares, multi, multi_oracle = tuned_sources[source]
                 checks.append(OracleReport(
-                    f"p_multi_min[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM, fock_n_max,
-                    p_multi_min(nu, protocol), max(1.0 - kept, 0.0)))
+                    f"p_multi_min[{protocol.value}]", tuned_alpha, nu, eta, FOCK_SUM, fock_n_max,
+                    multi, multi_oracle))
                 checks.append(OracleReport(
-                    f"p_signal_mcs[{protocol.value}]", tuned.alpha, nu, eta, FOCK_SUM, fock_n_max,
+                    f"p_signal_mcs[{protocol.value}]", tuned_alpha, nu, eta, FOCK_SUM, fock_n_max,
                     p_signal_mcs(nu, eta, protocol), 1.0 - _no_click_sum(squares, eta, powers)))
         reports.extend(tuned_checks[key])
     for state, points in quadrature.items():

@@ -267,10 +267,7 @@ class TestVerifyClosedForms:
         reference = _per_point_oracles(grid)
         assert len(reports) == len(reference)
         for report, value in zip(reports, reference):
-            if report.method == QUADRATURE:
-                assert abs(report.oracle_value - value) <= 2e-15, report
-            else:
-                assert report.oracle_value == value, report
+            assert report.oracle_value == value, report
 
     def test_expands_each_distinct_state_once(self, monkeypatch):
         calls = []
@@ -295,14 +292,29 @@ class TestVerifyClosedForms:
         verify_closed_forms(_seeded_grid())
         # 8 alphas x 6 nus raw states, plus 6 nus x 2 protocols tuned states
         assert len(calls) == len(set(calls)) == 60
-        # tuned checks: 6 nus x 6 etas x 2 protocols, not 8 alphas times as many
+        # the tuned source and its p_multi_min check depend on nu alone: 6 nus x 2 protocols;
+        # p_signal_mcs also on eta: 6 nus x 6 etas x 2 protocols, not 8 alphas times as many
+        assert counts["mcs_state"] == counts["p_multi_min"] == 12
         assert counts["p_signal_mcs"] == 72
-        assert counts["p_multi_min"] <= 72
-        assert counts["mcs_state"] <= 72
         first = dict(counts)
         verify_closed_forms(_seeded_grid())
         assert len(calls) == 120  # nothing is kept between calls
         assert counts == {name: 2 * n for name, n in first.items()}
+
+    def test_first_bad_tuned_source_raises_at_its_grid_point(self, monkeypatch):
+        exact = fock_oracle.mcs_state
+
+        def failing(nu, protocol):
+            if nu == 0.6 and protocol is Protocol.SARG04:
+                raise DomainError("no tuned source at nu=0.6")
+            return exact(nu, protocol)
+
+        monkeypatch.setattr(fock_oracle, "mcs_state", failing)
+        bad_nu, bad_alpha = (0.5, 0.6, 0.5), (-1.0, 0.3, 0.5)
+        with pytest.raises(DomainError, match="nu=0.6"):
+            verify_closed_forms([(0.5, 0.3, 0.5), bad_nu, bad_alpha])
+        with pytest.raises(DomainError, match="alpha must be"):
+            verify_closed_forms([(0.5, 0.3, 0.5), bad_alpha, bad_nu])
 
     @settings(max_examples=40, deadline=None)
     @given(_ALPHAS, _NUS, _ETAS)

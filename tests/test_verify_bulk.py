@@ -58,13 +58,16 @@ def _generator_sum(amplitudes, eta):
     return min(1.0, math.fsum(c * c * loss**n for n, c in enumerate(amplitudes)))
 
 
-def _seeded_grid(seed=2024):
-    """8 x 6 x 6 points with distinct, non-zero alphas and nus, as the benchmark draws them."""
+def _seeded_axes(seed=2024):
+    """8 alphas, 6 nus and 6 etas, distinct and non-zero, as the benchmark draws them."""
     rng = random.Random(seed)
-    alphas = sorted(rng.uniform(0.05, 2.0) for _ in range(8))
-    nus = sorted(rng.uniform(0.05, 0.8) for _ in range(6))
-    etas = sorted(rng.uniform(0.05, 0.95) for _ in range(6))
-    return list(product(alphas, nus, etas))
+    return tuple(tuple(sorted(rng.uniform(lo, hi) for _ in range(count)))
+                 for count, lo, hi in ((8, 0.05, 2.0), (6, 0.05, 0.8), (6, 0.05, 0.95)))
+
+
+def _seeded_grid(seed=2024):
+    """The 8 x 6 x 6 points of ``_seeded_axes(seed)``."""
+    return list(product(*_seeded_axes(seed)))
 
 
 _INTERIOR = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -297,16 +300,28 @@ class TestNodeCap:
         assert proc.stderr == f"config error: need 32 <= nodes <= {CAP}, got {CAP + 1}\n"
 
 
-def test_verify_csv_writes_each_report_as_a_per_row_pass_would(tmp_path, capsys):
+#: Each grid's axes and the cells its rows must reach.
+_CSV_GRIDS = {
+    "signed-zeros": (((0.5, 1.0), (-0.0, 0.0), (0.0, -0.0, 0.5)), (",-0,", ",0,0,")),
+    "seeded": (_seeded_axes(), ()),
+    # 0.5 as alpha, nu and eta of one row, and an abs_diff that is exactly 0
+    "shared-values": (((0.5,), (0.5,), (0.0, 0.5, 1.0)), (",0.5,0.5,0.5,", ",0,true")),
+}
+
+
+@pytest.mark.parametrize("axes, cells", _CSV_GRIDS.values(), ids=_CSV_GRIDS)
+def test_verify_csv_writes_each_report_as_a_per_row_pass_would(tmp_path, capsys, axes, cells):
     config = tmp_path / "c.cfg"
-    config.write_text("verify_alphas = 0.5, 1\nverify_nus = -0.0, 0\nverify_etas = 0, -0.0, 0.5\n",
+    config.write_text("".join(f"{key} = {', '.join(map(repr, values))}\n" for key, values in
+                              zip(("verify_alphas", "verify_nus", "verify_etas"), axes)),
                       encoding="utf-8")
     assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
-    reports = verify_closed_forms(product((0.5, 1.0), (-0.0, 0.0), (0.0, -0.0, 0.5)))
+    reports = verify_closed_forms(product(*axes))
     rows = [(r.formula, r.alpha, r.nu, r.eta, r.method, r.resolution, r.closed_form_value,
              r.oracle_value, r.abs_diff, "true" if r.within_tolerance else "false")
             for r in reports]
     written = (tmp_path / "verify.csv").read_text(encoding="utf-8").splitlines()
     expected = cli._csv_text([], cli.VERIFY_HEADER, rows).splitlines()
     assert written[3:] == expected
-    assert any(",-0," in line for line in expected) and any(",0,0," in line for line in expected)
+    for text in cells:
+        assert any(text in line for line in expected), text

@@ -231,6 +231,12 @@ CASES = [
     _case("verify bad first alpha with --quad-nodes 8", "verify --config c.cfg --quad-nodes 8",
           cfg="verify_alphas = -1, 0.5\n"),
     _case("verify eta below 0", "verify --config c.cfg", cfg="verify_etas = -0.5\n"),
+    # a repeated nu reuses its tuned source; the -0 and 0 nus keep their own rows and cells
+    _case("verify repeated and signed-zero nus", "verify --config c.cfg",
+          cfg="verify_nus = 0.3, 0.3, -0.0, 0\nverify_etas = 0, 0.5, 1\n"),
+    # one value fills the alpha and eta cells of the same rows
+    _case("verify one value as alpha and eta", "verify --config c.cfg",
+          cfg="verify_alphas = 0.5\nverify_etas = 0.5\n"),
     # alpha**2 overflows, so the Fock amplitudes are NaN
     _case("verify alpha whose square overflows", "verify --config c.cfg",
           cfg="verify_alphas = 1e200\nverify_nus = 0.3\nverify_etas = 0.5\n"),
