@@ -355,33 +355,36 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
     if not (math.isfinite(l_max) and math.isfinite(l_step) and span <= _MAX_POINTS):
         raise ConfigurationError(f"need finite l_max_km, l_step_km and <= {_MAX_POINTS} distances")
     f_policy = parse_f_policy(cfg.f_policy)
-    l_grid = [float(l) for l in np.arange(0.0, l_max + 0.5 * l_step, l_step)]
+    # the last distance may pass l_max by up to half a step; it stays only if it passes
+    # by rounding alone, as 3 * 0.1 = 0.30000000000000004 ends a 0.3 km range
+    l_grid = np.arange(0.0, l_max + 0.5 * l_step, l_step)
+    l_grid = l_grid[l_grid <= l_max * (1.0 + 4.0 * sys.float_info.epsilon)]
     settings = dict(param_min=cfg.param_min, param_max=cfg.param_max, grid_points=cfg.grid_points,
                     rtol=cfg.golden_rtol, cutoff_resolution_km=cfg.cutoff_resolution_km)
-    rows, curves, notes = [], [], []
     scenarios = [_scenario(cfg, family, 0.0, f_policy) for family in SourceFamily]
-    for family, scenario, sweep in zip(SourceFamily, scenarios,
-                                       sweep_distance(scenarios, l_grid, **settings)):
+    # the l and eta cells of a distance are shared by the three families, so each is formatted once
+    channel = scenarios[0].channel
+    shared_cells = np.array(["%.17g,%.17g" % (l, channel.eta_at(l)) for l in l_grid.tolist()],
+                            dtype=object)
+    value_format = _row_format(FIGURE2_HEADER[3:-1])
+    lines, curves, notes = [], [], []
+    for family, sweep in zip(SourceFamily, sweep_distance(scenarios, l_grid, **settings)):
         cutoff = sweep.cutoff_l
-        cutoff_cell = "" if cutoff is None else _fmt(cutoff)
-        points = []
-        for distance, optimum in sweep.points:
-            if optimum is None:
-                continue
-            b = optimum.breakdown
-            eta = scenario.channel.eta_at(distance)
-            rows.append((family.value, distance, eta, optimum.param_value,
-                         *_breakdown_values(b, FIGURE2_HEADER), cutoff_cell))
-            points.append((distance, b.R))
-        curves.append((_family_label(family), points))
+        row_format = f"{family.value},%s,{value_format},{'' if cutoff is None else _fmt(cutoff)}"
+        columns = [c.tolist() for c in (sweep.param_value,
+                                         *_breakdown_values(sweep.breakdown, FIGURE2_HEADER))]
+        lines.extend([row_format % row
+                      for row in zip(shared_cells[sweep.index].tolist(), *columns)])
+        curves.append((_family_label(family),
+                       np.column_stack((l_grid[sweep.index], sweep.breakdown.R))))
         found = f"none within {l_max:g} km" if cutoff is None else f"{cutoff:.2f} km"
-        if not points:  # the grid starts at 0 km, so the family is insecure from 0 km on
+        if not len(sweep.index):  # the grid starts at 0 km, so the family is insecure from 0 km on
             found = "insecure at every distance"
         notes.append(f"cutoff[{family.value}]: {found}")
     comments = (f"l_max_km = {_fmt(l_max)}", f"l_step_km = {_fmt(l_step)}",
                 _sign_note(cfg), f"f_policy = {cfg.f_policy}")
     notes.append(_write_figure(
-        cfg, "figure2", _csv_text(comments, FIGURE2_HEADER, rows), curves,
+        cfg, "figure2", _csv_join(comments, FIGURE2_HEADER, lines), curves,
         title="Optimal secure rate vs transmission distance",
         x_label="distance (km)",
         y_label="optimal secure rate per slot",

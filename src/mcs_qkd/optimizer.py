@@ -27,10 +27,11 @@ come in runs of one family, one source call each.  A sweep stacks one row per
 (family, distance), family by family, evaluates each level of their coarse
 pass in blocks of ``_BLOCK_CELLS`` cells and refines the secure rows
 together, one call per section step: each row takes the steps of a
-one-distance search, and ``optimize_param`` is the one-row case.  The cutoff
-bisections run in one loop, ``_cutoffs``: each round, every family descends
-through the midpoints it knows, and one ``_secure_at`` call evaluates, as rows
-of one coarse pass, every midpoint that the next ``_TREE_DEPTH`` steps of each
+one-distance search, and ``optimize_param`` is the one-row case; the secure
+rows come out in columns, one array per field.  The cutoff bisections run in
+one loop, ``_cutoffs``: each round, every family descends through the
+midpoints it knows, and one ``_secure_at`` call evaluates, as rows of one
+coarse pass, every midpoint that the next ``_TREE_DEPTH`` steps of each
 family may visit.  A sweep bisects its families in lockstep, and
 ``cutoff_distance`` is the one-family case.
 """
@@ -117,13 +118,18 @@ class OptimumPoint:
 
 @dataclass(frozen=True)
 class DistanceSweep:
-    """Optimal operating points per distance; ``None`` marks insecure distances.
+    """Optimal operating points at a sweep's secure distances, in columns.
 
-    ``cutoff_l`` is set when the sweep ends insecure and a cutoff could be
-    bisected inside the swept range.
+    ``index`` holds the secure distances' positions in the grid, ascending;
+    ``param_value``, ``breakdown`` (of arrays) and ``bracket`` (n x 2) what an
+    ``OptimumPoint`` holds, at each of them.  ``cutoff_l`` is set when the sweep
+    ends insecure and a cutoff could be bisected inside the swept range.
     """
 
-    points: tuple[tuple[float, OptimumPoint | None], ...]
+    index: np.ndarray
+    param_value: np.ndarray
+    breakdown: RateBreakdown
+    bracket: np.ndarray
     cutoff_l: float | None
 
 
@@ -264,10 +270,16 @@ def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families=None) -
     return (_best_cells(scenario, families, etas, grid)[1] > 0.0).reshape(np.shape(distances))
 
 
+def _take(b: RateBreakdown, cells) -> RateBreakdown:
+    """The breakdown of arrays at ``cells``, an index into each field."""
+    return RateBreakdown(*(getattr(b, field.name)[cells] for field in dataclasses.fields(b)))
+
+
 def _optimize_rows(
     scenario: Scenario, families: np.ndarray, etas: np.ndarray, grid: np.ndarray, rtol: float
-) -> list[OptimumPoint | None]:
-    """Refined optimum for each row (a family and a total efficiency); None where insecure."""
+) -> tuple[np.ndarray, np.ndarray, RateBreakdown, np.ndarray]:
+    """The secure rows (a family and a total efficiency each), ascending, and in columns
+    their refined optima, breakdowns and final brackets."""
     best_i, best_r = _best_cells(scenario, families, etas, grid)
     rows = np.flatnonzero(best_r > 0.0)
     families, eta, cell = families[rows], etas[rows, None], best_i[rows]
@@ -290,13 +302,8 @@ def _optimize_rows(
     # keep the coarse-grid winner if refinement somehow lost ground
     candidates = np.stack((0.5 * (lo + hi), grid[cell]), axis=1)
     final = _breakdown(scenario, eta, candidates, families)
-    pick = (final.R[:, 1] > final.R[:, 0]).astype(np.intp)
-    optima: list[OptimumPoint | None] = [None] * len(etas)
-    columns = [getattr(final, f.name)[index, pick].tolist() for f in dataclasses.fields(final)]
-    for row, param, fields, lo_k, hi_k in zip(rows.tolist(), candidates[index, pick].tolist(),
-                                              zip(*columns), lo.tolist(), hi.tolist()):
-        optima[row] = OptimumPoint(param, RateBreakdown(*fields), (lo_k, hi_k))
-    return optima
+    pick = (index, (final.R[:, 1] > final.R[:, 0]).astype(np.intp))
+    return rows, candidates[pick], _take(final, pick), np.stack((lo, hi), axis=1)
 
 
 def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
@@ -313,7 +320,11 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     """
     grid, rtol = _search(**search)
     codes = np.array([_FAMILIES.index(scenario.source_family)])
-    return _optimize_rows(scenario, codes, np.array([scenario.channel.total_eta()]), grid, rtol)[0]
+    rows, param, breakdown, bracket = _optimize_rows(
+        scenario, codes, np.array([scenario.channel.total_eta()]), grid, rtol)
+    if not len(rows):
+        return None
+    return OptimumPoint(float(param[0]), breakdown.at(0), tuple(bracket[0].tolist()))
 
 
 def sweep_distance(
@@ -323,7 +334,7 @@ def sweep_distance(
     cutoff_resolution_km: float = DEFAULT_CUTOFF_RESOLUTION_KM,
     **search,
 ) -> list[DistanceSweep]:
-    """Optimal operating point per distance over an ascending distance grid, per scenario.
+    """Per scenario, the optimum at each distance of an ascending grid where one is secure.
 
     The scenarios are searched together and may differ only in their source
     family (and ``distance_l``, which is ignored), else ``DomainError``; each
@@ -349,19 +360,24 @@ def sweep_distance(
     codes = [_FAMILIES.index(s.source_family) for s in scenarios]
     etas = np.array([scenario.channel.eta_at(l) for l in distances])
     # scenario-major rows, so that most blocks hold one family and skip the per-family split
-    optima = _optimize_rows(scenario, np.repeat(codes, n), np.tile(etas, len(codes)), grid, rtol)
-    sweeps = [tuple(zip(distances, optima[k * n:(k + 1) * n])) for k in range(len(codes))]
+    rows, param, breakdown, bracket = _optimize_rows(
+        scenario, np.repeat(codes, n), np.tile(etas, len(codes)), grid, rtol)
+    secure = np.zeros(len(codes) * n, dtype=bool)
+    secure[rows] = True
     # secure(l) is monotone, which bisection assumes: a scenario is secure up to its
     # last secure grid distance (at least 0 km) and insecure from the next one on
-    brackets = [None] * len(sweeps)
-    for k, points in enumerate(sweeps):
-        if points and points[-1][1] is None:
-            first = next(i for i, (_, point) in enumerate(points) if point is None)
+    brackets = [None] * len(codes)
+    for k, flags in enumerate(secure.reshape(len(codes), n).tolist()):
+        if flags and not flags[-1]:
+            first = flags.index(False)
             if first or (distances[0] > 0.0 and _secure_at(scenarios[k], 0.0, grid)):
                 brackets[k] = (distances[-1], distances[first - 1] if first else 0.0,
                                distances[first])
     cutoffs = _cutoffs(scenario, grid, codes, brackets, cutoff_resolution_km)
-    return [DistanceSweep(points, cutoff) for points, cutoff in zip(sweeps, cutoffs)]
+    ends = np.searchsorted(rows, n * np.arange(len(codes) + 1)).tolist()
+    return [DistanceSweep(rows[part] - k * n, param[part], _take(breakdown, part),
+                          bracket[part], cutoff)
+            for k, (part, cutoff) in enumerate(zip(map(slice, ends, ends[1:]), cutoffs))]
 
 
 def _bisection_midpoints(lo: float, hi: float, depth: int, resolution_km: float) -> list[float]:

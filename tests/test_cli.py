@@ -320,6 +320,24 @@ class TestFigure2:
         _, rows = read_csv(out / "figure2.csv")
         assert [row["family"] for row in rows] == ["mcs-sarg04"]
 
+    @pytest.mark.parametrize("l_max, l_step, distances", [
+        ("10", "6", ["0", "6"]),  # the range's next step, 12 km, lies past l_max
+        ("37", "0.7", [f"{k * 0.7:.17g}" for k in range(53)]),  # not 37.099999999999994
+        ("0.3", "0.1", ["0", "0.10000000000000001", "0.20000000000000001",
+                        "0.30000000000000004"]),  # 3 * 0.1 passes 0.3 by rounding alone
+    ], ids=["past-by-a-step", "past-by-a-fraction", "rounding"])
+    def test_distances_stop_at_l_max(self, tmp_path, capsys, l_max, l_step, distances):
+        config = tmp_path / "fast.cfg"
+        config.write_text("grid_points = 40\n", encoding="utf-8")
+        assert main(["figure2", "--config", str(config), "--out", str(tmp_path),
+                     "--l-max", l_max, "--l-step", l_step]) == 0
+        _, rows = read_csv(tmp_path / "figure2.csv")
+        sarg04 = [row["l"] for row in rows if row["family"] == "mcs-sarg04"]
+        assert sarg04 == distances  # secure over each range
+        assert max(float(row["l"]) for row in rows) <= float(distances[-1])
+        notes = capsys.readouterr().out.splitlines()
+        assert notes[2] == f"cutoff[mcs-sarg04]: none within {l_max} km"
+
     def test_family_secure_over_the_whole_range_has_no_cutoff(self, tmp_path, capsys):
         config = tmp_path / "fast.cfg"
         config.write_text(FAST_FIGURE2 + "l_max_km = 10\n", encoding="utf-8")

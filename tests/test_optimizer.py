@@ -126,7 +126,8 @@ class TestOptimizeParam:
 class TestSweepDistance:
     def test_empty_grid(self, kth15_scenario):
         sweep = sweep_distance([kth15_scenario(SourceFamily.MCS_BB84)], [])[0]
-        assert sweep.points == ()
+        assert sweep.index.tolist() == sweep.param_value.tolist() == []
+        assert sweep.breakdown.R.tolist() == []
         assert sweep.cutoff_l is None
 
     def test_rejects_unsorted_grid(self, kth15_scenario):
@@ -137,7 +138,8 @@ class TestSweepDistance:
         sweep = sweep_distance(
             [kth15_scenario(SourceFamily.MCS_SARG04)], [0.0, 10.0, 20.0], **FAST_SEARCH
         )[0]
-        rates = [point.breakdown.R for _, point in sweep.points]
+        assert sweep.index.tolist() == [0, 1, 2]
+        rates = sweep.breakdown.R.tolist()
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
         assert sweep.cutoff_l is None
 
@@ -153,7 +155,7 @@ class TestSweepDistance:
         sweep = sweep_distance(
             [kth15_scenario(SourceFamily.COHERENT_BB84)], [0.0, 20.0, 40.0], **FAST_SEARCH
         )[0]
-        assert sweep.points[-1][1] is None
+        assert 2 not in sweep.index.tolist()
         assert sweep.cutoff_l is not None
         assert 20.0 < sweep.cutoff_l < 40.0
 

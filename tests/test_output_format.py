@@ -1,10 +1,12 @@
 """The CSV and SVG writers against the one-cell-at-a-time formatting they replaced.
 
 Each table row is written with one ``%``-format built from its header;
-figure1 formats its shared ``param`` cells once for all three families.  The
-renderer places every point with numpy and formats each distinct coordinate
-once.  The references are the per-cell CSV join below and the per-point
-renderer in ``svgplot_reference``; every drawn table, chart and figure1 must
+figure1 formats its shared ``param`` cells once for all three families, and
+figure2 its shared ``l`` and ``eta`` cells, writing each family's rows from the
+columns of its sweep.  The renderer places every point with numpy and formats
+each distinct coordinate once.  The references are the per-cell CSV join
+below, the per-point renderer in ``svgplot_reference`` and, for figure2, one
+``optimize_param`` per row; every drawn table, chart, figure1 and figure2 must
 come out byte for byte the same.
 """
 
@@ -13,6 +15,7 @@ import io
 import itertools
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,10 +26,12 @@ from hypothesis import strategies as st
 
 import svgplot_reference
 from mcs_qkd import (
-    KTH15_CHANNEL, KTH15_DETECTOR, ConstantF, DetectorModel, DomainError, Scenario, SourceFamily,
-    TableF, cli, rate_at, svgplot,
+    KTH15_CHANNEL, KTH15_DETECTOR, ChannelModel, ConstantF, DegenerateInputError, DetectorModel,
+    DomainError, Scenario, SourceFamily, TableF, cli, cutoff_distance, optimize_param, rate_at,
+    svgplot,
 )
 from mcs_qkd.cli import FIGURE1_HEADER, FIGURE2_HEADER, RATE_HEADER, VERIFY_HEADER
+from test_kernel_calls import BOX
 
 
 def reference_fmt(value) -> str:
@@ -267,4 +272,64 @@ def test_figure1_matches_one_rate_at_per_family_and_the_reference_renderer(
         curves, title=f"Secure rate vs source parameter at l = {distance:g} km",
         x_label="source parameter (mean photon number alpha2 or squeeze nu)",
         y_label="secure rate per slot",
+    )) is None
+
+
+def reference_distances(l_max, l_step):
+    """0, l_step, 2 * l_step, ... up to l_max, where a last step past it by rounding alone
+    stays (3 * 0.1 = 0.30000000000000004 ends a 0.3 km range)."""
+    steps = range(int(l_max / l_step) + 2)
+    return [k * l_step for k in steps if k * l_step <= l_max * (1.0 + 4.0 * sys.float_info.epsilon)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_points=st.integers(40, 80), l_step=st.floats(2.0, 10.0), l_max=st.floats(10.0, 100.0),
+       channel=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in BOX.items()}),
+       table=st.booleans(), literal=st.booleans())
+def test_figure2_matches_one_optimize_param_per_row_and_the_reference_renderer(
+        grid_points, l_step, l_max, channel, table, literal):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "f.csv").write_text("".join(f"{e!r},{f!r}\n" for e, f in F_TABLE_KNOTS))
+        f_spec = f"table:{out / 'f.csv'}" if table else "const:1.16"
+        config = out / "c.cfg"
+        config.write_text("".join(f"{key} = {value!r}\n" for key, value in channel.items())
+                          + f"grid_points = {grid_points}\nl_max_km = {l_max!r}\n"
+                          f"l_step_km = {l_step!r}\nf_policy = {f_spec}\n"
+                          f"paper_literal_sign = {literal}\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["figure2", "--config", str(config), "--out", str(out)]) == 0
+        csv_text = (out / "figure2.csv").read_text(encoding="utf-8")
+        svg_text = (out / "figure2.svg").read_text(encoding="utf-8")
+
+    # one optimize_param per (family, distance), and the family's cutoff_distance over
+    # the swept range when that range ends insecure and starts secure
+    distances = reference_distances(l_max, l_step)
+    detector = DetectorModel(channel["dark_prob_Pd"], channel["baseline_error_c"])
+    f_policy = TableF(F_TABLE_KNOTS) if table else ConstantF(1.16)
+    rows, curves = [], []
+    for family in SourceFamily:
+        scenario = Scenario(family, ChannelModel(channel["loss_coeff_a"], 0.0, 1.0,
+                                                 channel["detector_eff"]),
+                            detector, f_policy, literal)
+        optima = [(l, optimize_param(scenario.at_distance(l), grid_points=grid_points))
+                  for l in distances]
+        cutoff = None
+        if optima[-1][1] is None:
+            try:
+                cutoff = cutoff_distance(scenario, distances[-1], grid_points=grid_points)
+            except DegenerateInputError:  # insecure from 0 km on
+                pass
+        secure = [(l, optimum) for l, optimum in optima if optimum is not None]
+        rows += [(family.value, l, scenario.channel.eta_at(l), optimum.param_value,
+                  *(getattr(optimum.breakdown, name) for name in FIGURE2_HEADER[4:-1]),
+                  "" if cutoff is None else reference_fmt(cutoff)) for l, optimum in secure]
+        curves.append((f"{family.value} ({family.param_name})",
+                       [(l, optimum.breakdown.R) for l, optimum in secure]))
+    comments = [f"l_max_km = {reference_fmt(l_max)}", f"l_step_km = {reference_fmt(l_step)}",
+                f"sign = {'paper-literal' if literal else 'corrected'}", f"f_policy = {f_spec}"]
+    assert first_difference(csv_text, reference_csv(comments, FIGURE2_HEADER, rows)) is None
+    assert first_difference(svg_text, svgplot_reference.render_line_chart(
+        curves, title="Optimal secure rate vs transmission distance",
+        x_label="distance (km)", y_label="optimal secure rate per slot", log_y=True,
     )) is None

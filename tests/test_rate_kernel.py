@@ -212,12 +212,14 @@ def test_lockstep_refinement_takes_the_scalar_steps(family, edge):
     distances = [0.0, 10.0, 20.0, 24.0, 40.0, 45.5, 70.0, 77.9, 90.0]
     search = {"param_max": EDGE_PARAM_MAX[family] if edge else 4.0, "grid_points": 120}
     sweep = sweep_distance([scenario(family)], distances, **search)[0]
-    for distance, point in sweep.points:
+    found = dict(zip(sweep.index.tolist(),
+                     zip(sweep.param_value.tolist(), map(tuple, sweep.bracket.tolist()))))
+    for k, distance in enumerate(distances):
         expected = scalar_search(scenario(family, distance), **search)
         if expected is None:
-            assert point is None, distance
+            assert k not in found, distance
         else:
-            assert (point.param_value, point.bracket) == expected, distance
+            assert found[k] == expected, distance
 
 
 def golden_reference(s, etas, rtol=1e-13):
@@ -242,15 +244,13 @@ def test_search_reaches_a_tight_golden_section_optimum(family):
     s = scenario(family)
     etas = np.array([s.channel.eta_at(l) for l in distances])
     ref_param, ref_r = golden_reference(s, etas)
-    secure = 0
-    for k, (distance, point) in enumerate(sweep_distance([s], distances)[0].points):
-        assert (point is None) == (ref_r[k] <= 0.0), distance
-        if point is None:
-            continue
-        secure += 1
-        assert point.breakdown.R >= (1.0 - 1e-8) * ref_r[k], distance
-        assert abs(point.param_value - ref_param[k]) <= 1e-5 * ref_param[k], distance
-    assert secure >= 25
+    sweep = sweep_distance([s], distances)[0]
+    assert sweep.index.tolist() == np.flatnonzero(ref_r > 0.0).tolist()
+    for k, param, rate in zip(sweep.index.tolist(), sweep.param_value.tolist(),
+                              sweep.breakdown.R.tolist()):
+        assert rate >= (1.0 - 1e-8) * ref_r[k], distances[k]
+        assert abs(param - ref_param[k]) <= 1e-5 * ref_param[k], distances[k]
+    assert len(sweep.index) >= 25
 
 
 @pytest.mark.parametrize("family", list(SourceFamily))
@@ -258,18 +258,14 @@ def test_batched_sweep_equals_per_distance_search(family):
     distances = [float(l) for l in range(101)]
     s = scenario(family)
     sweep = sweep_distance([s], distances)[0]
-    assert [l for l, _ in sweep.points] == distances
-    secure = 0
-    for distance, point in sweep.points:
-        single = optimize_param(s.at_distance(distance))
-        assert (point is None) == (single is None), distance
-        if point is None:
-            continue
-        secure += 1
-        assert point.param_value == single.param_value, distance
-        assert point.bracket == single.bracket, distance
-        assert max(worst_excess(point.breakdown, single.breakdown).values()) <= 0.0
-    assert 0 < secure < len(distances)
+    singles = [optimize_param(s.at_distance(distance)) for distance in distances]
+    assert sweep.index.tolist() == [k for k, single in enumerate(singles) if single is not None]
+    for row, k in enumerate(sweep.index.tolist()):
+        single = singles[k]
+        assert sweep.param_value[row] == single.param_value, distances[k]
+        assert tuple(sweep.bracket[row].tolist()) == single.bracket, distances[k]
+        assert max(worst_excess(sweep.breakdown.at(row), single.breakdown).values()) <= 0.0
+    assert 0 < len(sweep.index) < len(distances)
 
 
 @functools.cache

@@ -177,6 +177,9 @@ CASES = [
           cfg="l_max_km = 37\nl_step_km = 0.7\n"),
     _case("figure2 distances not a multiple of a 32-row block", "figure2 --config c.cfg",
           cfg="grid_points = 150\nl_max_km = 90\nl_step_km = 1.3\n"),
+    # the column edges: one row per family, and a range whose next step passes l_max
+    _case("figure2 one distance", "figure2 --l-max 0.5 --l-step 1"),
+    _case("figure2 range past l_max", "figure2 --l-max 10 --l-step 6"),
     # the two-level coarse pass: where its stride switches on (50 points), a window
     # clipped at the grid's top edge, the literal sign's full grid, and faint rows
     *(_case(f"figure2 {points} grid points", "figure2 --config c.cfg",
