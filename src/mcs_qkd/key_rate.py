@@ -200,7 +200,7 @@ def f_ec(e, policy: ConstantF | TableF = DEFAULT_F_POLICY):
 class RateBreakdown:
     """Every intermediate of one operating point, plus the clamped rate.
 
-    ``R_raw`` keeps its sign so cutoff searches can bisect on it; ``R`` is
+    ``R_raw`` keeps its sign, which the cutoff search decides on; ``R`` is
     clamped to zero where the protocol is insecure.  ``rate_formula`` returns
     one breakdown whose fields are arrays of a common shape; ``at`` picks one
     operating point out of it.

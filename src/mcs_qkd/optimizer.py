@@ -28,12 +28,13 @@ come in runs of one family, one source call each.  A sweep stacks one row per
 pass in blocks of ``_BLOCK_CELLS`` cells and refines the secure rows
 together, one call per section step: each row takes the steps of a
 one-distance search, and ``optimize_param`` is the one-row case; the secure
-rows come out in columns, one array per field.  The cutoff bisections run in
-one loop, ``_cutoffs``: each round, every family descends through the
-midpoints it knows, and one ``_secure_at`` call evaluates, as rows of one
-coarse pass, every midpoint that the next ``_TREE_DEPTH`` steps of each
-family may visit.  A sweep bisects its families in lockstep, and
-``cutoff_distance`` is the one-family case.
+rows come out in columns, one array per field.  The cutoff is the last
+multiple ``j * resolution_km`` (j >= 0, rounded once) where the optimum is
+secure, so the range searched does not move it.  One loop, ``_cutoffs``,
+finds it for every family at once: each round cuts every span of multiples,
+from the last known secure to the first known insecure, into ``_CUTS``
+parts, and one ``_secure_at`` call evaluates the cut points that no bracket
+decides.  A span closes at adjacent multiples or adjacent floats.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ DEFAULT_CUTOFF_RESOLUTION_KM = 0.01
 #: Probes of a refinement step, which keeps 2 of the 17 cells between them.
 _PROBES = np.arange(1.0, 17.0)
 
-#: Bisection levels of a cutoff that one kernel call resolves.
-_TREE_DEPTH = 4
+#: Parts that a cutoff round cuts each span of multiples into.
+_CUTS = 16
 
 #: Largest source parameter; far above it ``nu * nu`` and ``alpha2`` overflow.
 _PARAM_MAX = 100.0
@@ -122,8 +123,8 @@ class DistanceSweep:
 
     ``index`` holds the secure distances' positions in the grid, ascending;
     ``param_value``, ``breakdown`` (of arrays) and ``bracket`` (n x 2) what an
-    ``OptimumPoint`` holds, at each of them.  ``cutoff_l`` is set when the sweep
-    ends insecure and a cutoff could be bisected inside the swept range.
+    ``OptimumPoint`` holds, at each of them.  If the sweep ends insecure, ``cutoff_l``
+    is the cutoff that :func:`cutoff_distance` gives (``None`` if none is secure).
     """
 
     index: np.ndarray
@@ -338,10 +339,10 @@ def sweep_distance(
 
     The scenarios are searched together and may differ only in their source
     family (and ``distance_l``, which is ignored), else ``DomainError``; each
-    sweep equals that of its scenario alone.  If a final grid point is
-    insecure (and the scenario secure at 0 km), the cutoff is bisected within
-    the range, equal to :func:`cutoff_distance`'s.  ``search`` is as for
-    :func:`optimize_param`.
+    sweep equals that of its scenario alone.  If the final grid point is
+    insecure, ``cutoff_l`` is :func:`cutoff_distance`'s cutoff, whatever the range;
+    the grid's flags decide the multiples around them without evaluation.
+    ``search`` is as for :func:`optimize_param`.
     """
     scenarios = list(scenarios)
     if len({dataclasses.replace(s, source_family=SourceFamily.COHERENT_BB84,
@@ -364,15 +365,13 @@ def sweep_distance(
         scenario, np.repeat(codes, n), np.tile(etas, len(codes)), grid, rtol)
     secure = np.zeros(len(codes) * n, dtype=bool)
     secure[rows] = True
-    # secure(l) is monotone, which bisection assumes: a scenario is secure up to its
-    # last secure grid distance (at least 0 km) and insecure from the next one on
+    # secure(l) is monotone, which the cutoff rounds assume: a scenario is secure up to
+    # its last secure grid distance and insecure from the next one on
     brackets = [None] * len(codes)
     for k, flags in enumerate(secure.reshape(len(codes), n).tolist()):
         if flags and not flags[-1]:
             first = flags.index(False)
-            if first or (distances[0] > 0.0 and _secure_at(scenarios[k], 0.0, grid)):
-                brackets[k] = (distances[-1], distances[first - 1] if first else 0.0,
-                               distances[first])
+            brackets[k] = distances[first - 1] if first else -math.inf, distances[first]
     cutoffs = _cutoffs(scenario, grid, codes, brackets, cutoff_resolution_km)
     ends = np.searchsorted(rows, n * np.arange(len(codes) + 1)).tolist()
     return [DistanceSweep(rows[part] - k * n, param[part], _take(breakdown, part),
@@ -380,49 +379,48 @@ def sweep_distance(
             for k, (part, cutoff) in enumerate(zip(map(slice, ends, ends[1:]), cutoffs))]
 
 
-def _bisection_midpoints(lo: float, hi: float, depth: int, resolution_km: float) -> list[float]:
-    """Every midpoint that ``depth`` steps of bisecting [lo, hi] to ``resolution_km`` may visit."""
-    mid = 0.5 * (lo + hi)
-    if depth == 0 or not (hi - lo > resolution_km and lo < mid < hi):
-        return []
-    return [mid, *_bisection_midpoints(lo, mid, depth - 1, resolution_km),
-            *_bisection_midpoints(mid, hi, depth - 1, resolution_km)]
-
-
 def _cutoffs(scenario: Scenario, grid: np.ndarray, families, brackets,
              resolution_km: float) -> list:
-    """Last secure distance in [0, l_max] by bisection, per bracket (None gives None).
+    """Per bracket, the last multiple of ``resolution_km`` where the optimum is secure, or None.
 
-    In a bracket ``(l_max, secure_to, insecure_from)``, midpoints up to ``secure_to``
-    are secure and from ``insecure_from`` on insecure; ``families`` holds the
-    brackets' ``_FAMILIES`` indices.  The rounds are as in the module notes.
+    Distances up to a bracket's ``secure_to`` are secure and from its ``insecure_from`` on
+    insecure, and a ``None`` bracket has no cutoff; ``families`` holds their ``_FAMILIES``.
     """
+    num, den = resolution_km.as_integer_ratio()  # multiple j is j * num / den, rounded once
+
+    def floor_index(l: float) -> int:  # the last multiple at or below l, exactly
+        a, b = l.as_integer_ratio()
+        return a * den // (b * num)
+
     cutoffs = [None] * len(brackets)
-    spans = {k: (0.0, bracket[0]) for k, bracket in enumerate(brackets) if bracket is not None}
-    known = {k: {} for k in spans}  # secure flags of each bisection's last tree
-    while spans:
-        trees = {}
-        for k, (lo, hi) in spans.items():
-            _, secure_to, insecure_from = brackets[k]
+    # lo: last multiple known secure (-1: none), hi: first known insecure, all insecure from hi_l
+    spans = {k: (floor_index(b[0]) if b[0] >= 0.0 else -1, -floor_index(-b[1]), b[1])
+             for k, b in enumerate(brackets) if b is not None}
+    while True:
+        for k, (lo, hi, hi_l) in list(spans.items()):
             # a span down to adjacent floats ends before a tiny resolution is met
-            while hi - lo > resolution_km and lo < (mid := 0.5 * (lo + hi)) < hi:
-                if secure_to < mid < insecure_from and mid not in known[k]:
-                    trees[k] = [l for l in _bisection_midpoints(lo, hi, _TREE_DEPTH, resolution_km)
-                                if secure_to < l < insecure_from]
+            if hi - lo <= 1 or (lo >= 0 and math.nextafter(lo * num / den, math.inf) >= hi_l):
+                cutoffs[k] = lo * num / den if lo >= 0 else None
+                del spans[k]
+        if not spans:
+            return cutoffs
+        cuts, asks = {}, {}
+        for k, (lo, hi, _) in spans.items():
+            base = max(lo, 0)  # nothing known secure: cut at 0 too, so 0 km insecure ends it
+            js = sorted({base + (hi - base) * i // _CUTS for i in range(_CUTS)} - {lo, hi})
+            cuts[k] = [(j, j * num / den) for j in js]
+            secure_to, insecure_from = brackets[k]
+            asks.update(dict.fromkeys((k, l) for _, l in cuts[k] if secure_to < l < insecure_from))
+        flags = _secure_at(scenario, [l for _, l in asks], grid,
+                           np.array([families[k] for k, _ in asks]))
+        asks = dict(zip(asks, flags.tolist()))
+        for k, (lo, hi, hi_l) in spans.items():
+            for j, l in cuts[k]:  # ascending: keep the last secure cut before the first insecure
+                if not asks.get((k, l), l <= brackets[k][0]):
+                    hi, hi_l = j, l
                     break
-                if mid <= secure_to or (mid < insecure_from and known[k][mid]):
-                    lo = mid
-                else:
-                    hi = mid
-            else:
-                cutoffs[k] = lo
-            spans[k] = lo, hi
-        spans = {k: spans[k] for k in trees}
-        rows = np.repeat([families[k] for k in trees], [len(tree) for tree in trees.values()])
-        secure = iter(_secure_at(scenario, [l for tree in trees.values() for l in tree], grid,
-                                 rows).tolist())
-        known = {k: {l: next(secure) for l in tree} for k, tree in trees.items()}
-    return cutoffs
+                lo = j
+            spans[k] = lo, hi, hi_l
 
 
 def cutoff_distance(
@@ -432,11 +430,12 @@ def cutoff_distance(
     resolution_km: float = DEFAULT_CUTOFF_RESOLUTION_KM,
     **search,
 ) -> float:
-    """Largest distance with a positive unclamped optimal rate, by bisection.
+    """Last multiple of ``resolution_km`` with a positive unclamped optimal rate.
 
-    The unclamped rate's sign drives the bisection; the clamped rate is flat at
-    zero past the cutoff and would give the search nothing to work with.  Each
-    step needs only the coarse grid (see ``_secure_at``).  Returns ``l_max``
+    That is at most one resolution below the true cutoff, and ``l_max`` does not
+    move it.  The unclamped rate's sign drives the search; the clamped rate is
+    flat at zero past the cutoff and would give it nothing to work with.  Each
+    probe needs only the coarse grid (see ``_secure_at``).  Returns ``l_max``
     itself when still secure there (no cutoff within range); raises
     ``DegenerateInputError`` when insecure already at zero distance, and
     ``DomainError`` for a non-finite or non-positive ``resolution_km``.  The
@@ -453,4 +452,4 @@ def cutoff_distance(
     if secure_at_max:
         return l_max
     return _cutoffs(scenario, grid, [_FAMILIES.index(scenario.source_family)],
-                    [(l_max, 0.0, l_max)], resolution_km)[0]
+                    [(0.0, l_max)], resolution_km)[0]

@@ -1,4 +1,4 @@
-"""Kernel-call budgets of the searches, and the sweep's shortcut to its cutoff.
+"""Kernel-call budgets of the searches, and the cutoff that sweeps and ``cutoff_distance`` share.
 
 Every rate goes through ``optimizer._breakdown``, and one call costs about the
 same for one cell as for a few hundred, so the number of calls is the cost
@@ -7,8 +7,12 @@ The counts are deterministic.
 """
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcs_qkd import (
     ChannelModel,
@@ -70,7 +74,7 @@ def test_cutoff_distance_budget(family, kernel_calls):
 
 @pytest.mark.parametrize("family", list(SourceFamily))
 def test_fine_cutoff_on_a_large_grid_budget(family, kernel_calls):
-    # a bisection round asks for up to 15 distances; at 2,000 points the full grid
+    # a cutoff round asks for up to 15 distances; at 2,000 points the full grid
     # took them in blocks of 2 rows (8 calls), the two-level pass takes 2 calls
     s = scenario(family)
     assert 0.0 < cutoff_distance(s, 100.0, resolution_km=1e-4, grid_points=2000) < 100.0
@@ -82,15 +86,60 @@ def test_kth15_sweep_budget(kernel_calls):
     distances = [float(l) for l in range(101)]
     sweeps = sweep_distance([scenario(family) for family in SourceFamily], distances)
     assert all(sweep.cutoff_l is not None for sweep in sweeps)
+    assert len(kernel_calls) <= 12
+    assert sum(kernel_calls) <= 29_568
+
+
+def test_sweep_from_past_a_cutoff(kernel_calls):
+    # coherent-bb84 is insecure from the first distance on; 0 km is multiple 0 of the
+    # resolution, and the cutoff rounds decide it with the others
+    scenarios = [scenario(family) for family in SourceFamily]
+    sweeps = sweep_distance(scenarios, [30.0 + 5.0 * k for k in range(15)])
+    assert not len(sweeps[0].index)
     assert len(kernel_calls) <= 13
-    assert sum(kernel_calls) <= 30_400
+    assert [sweep.cutoff_l for sweep in sweeps] == [cutoff_distance(s, 100.0) for s in scenarios]
+
+
+@pytest.mark.parametrize("resolution_km", [0.01, 1e-300])
+def test_sweep_insecure_from_0_km_budget(resolution_km, kernel_calls):
+    # a detector this noisy is insecure at 0 km; multiple 0 is among the first cut
+    # points of a span with nothing known secure, so one round closes every span
+    scenarios = [scenario(family, dark_prob_Pd=0.9) for family in SourceFamily]
+    sweeps = sweep_distance(scenarios, [30.0 + 5.0 * k for k in range(15)],
+                            cutoff_resolution_km=resolution_km)
+    assert [sweep.cutoff_l for sweep in sweeps] == [None] * len(scenarios)
+    assert len(kernel_calls) <= 5
+
+
+#: Two figure2-like ranges that pass every cutoff of the ``BOX`` channels (at most
+#: about 109 km), with 10 to 500 distances each.
+RANGES = st.tuples(st.floats(110.0, 250.0), st.floats(0.5, 11.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(channel=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in BOX.items()}),
+       ranges=st.lists(RANGES, min_size=2, max_size=2))
+def test_cutoff_is_the_last_secure_multiple_whatever_the_range(channel, ranges):
+    resolution = Fraction(optimizer.DEFAULT_CUTOFF_RESOLUTION_KM)
+    scenarios = [scenario(family, **channel) for family in SourceFamily]
+    sweeps = [sweep_distance(scenarios, [step * k for k in range(int(l_max / step) + 1)])
+              for l_max, step in ranges]
+    for s, first, second in zip(scenarios, *sweeps):
+        cutoff = first.cutoff_l
+        assert cutoff is not None
+        assert second.cutoff_l == cutoff == cutoff_distance(s, 300.0)
+        j = round(Fraction(cutoff) / resolution)
+        assert float(j * resolution) == cutoff
+        point = optimize_param(s.at_distance(cutoff))
+        assert point is not None and point.breakdown.R_raw > 0.0
+        assert optimize_param(s.at_distance(float((j + 1) * resolution))) is None
 
 
 def _channels():
     rng = random.Random(6)
     drawn = [{key: rng.uniform(*bounds) for key, bounds in BOX.items()} for _ in range(6)]
     # at 2,000 grid points the sweep rows and the cutoff rounds take the two-level
-    # pass; at a 1e-300 km resolution every bisection ends at adjacent floats
+    # pass; at a 1e-300 km resolution every cutoff search ends at adjacent floats
     return [KTH15, *drawn, {**KTH15, "grid_points": 2000},
             {**KTH15, "grid_points": 60, "cutoff_resolution_km": 1e-300}]
 
@@ -98,8 +147,8 @@ def _channels():
 @pytest.mark.parametrize("first_km, step_km", [(0.0, 1.0), (2.5, 2.5)])
 @pytest.mark.parametrize("channel", _channels())
 def test_sweep_cutoff_equals_cutoff_distance(channel, first_km, step_km):
-    # the sweep decides midpoints outside its last secure grid cell without
-    # evaluating them; bisection's monotone predicate makes that exact
+    # the sweep decides multiples outside its last secure grid cell without
+    # evaluating them; the monotone predicate makes that exact
     channel = dict(channel)
     search = {"grid_points": channel.pop("grid_points", optimizer.DEFAULT_GRID_POINTS)}
     resolution_km = channel.pop("cutoff_resolution_km", optimizer.DEFAULT_CUTOFF_RESOLUTION_KM)
@@ -113,16 +162,18 @@ def test_sweep_cutoff_equals_cutoff_distance(channel, first_km, step_km):
 
 
 def test_lockstep_cutoffs_end_at_adjacent_floats():
-    # no span of floats meets a 1e-300 km resolution: the three lockstep bisections
-    # run until each midpoint equals an end of its span
+    # at a 1e-300 km resolution every float is a multiple: the three lockstep searches
+    # run until their spans end at adjacent floats
     families = list(SourceFamily)
     distances = [5.0 * k for k in range(21)]
     sweeps = sweep_distance([scenario(family) for family in families], distances,
                             cutoff_resolution_km=1e-300, grid_points=60)
-    cutoffs = [sweep.cutoff_l for sweep in sweeps]
-    assert cutoffs == [24.139144143055788, 45.80431476104458, 77.89935288698958]
-    assert cutoffs == [cutoff_distance(scenario(family), 100.0, resolution_km=1e-300,
-                                       grid_points=60) for family in families]
+    for family, sweep in zip(families, sweeps):
+        s, cutoff = scenario(family), sweep.cutoff_l
+        assert cutoff == cutoff_distance(s, 100.0, resolution_km=1e-300, grid_points=60)
+        assert optimize_param(s.at_distance(cutoff), grid_points=60) is not None
+        after = np.nextafter(cutoff, np.inf)
+        assert optimize_param(s.at_distance(after), grid_points=60) is None
 
 
 def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsys):
@@ -133,4 +184,4 @@ def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsy
         counts.append((len(kernel_calls) - start, sum(kernel_calls[start:])))
     assert counts[0] == counts[1]
     calls, cells = counts[0]
-    assert calls <= 13 and cells <= 30_400
+    assert calls <= 12 and cells <= 29_568

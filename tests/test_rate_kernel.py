@@ -8,6 +8,7 @@ absolute; search results (parameters, brackets, cutoffs) must not move at all.
 import dataclasses
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,9 +51,9 @@ POLICIES = {
     "table": TableF(((0.0, 1.05), (0.03, 1.1), (0.08, 1.2), (0.2, 1.45), (0.5, 2.0))),
 }
 KTH15_CUTOFFS_KM = {
-    SourceFamily.COHERENT_BB84: 24.1455078125,
-    SourceFamily.MCS_BB84: 45.806884765625,
-    SourceFamily.MCS_SARG04: 78.0029296875,
+    SourceFamily.COHERENT_BB84: 24.14,
+    SourceFamily.MCS_BB84: 45.800000000000004,
+    SourceFamily.MCS_SARG04: 78.0,
 }
 
 
@@ -270,21 +271,25 @@ def test_batched_sweep_equals_per_distance_search(family):
 
 @functools.cache
 def optimum_bisection(family):
-    """The distances that a 0.01 km bisection of [0, 100] km on the refined optimum
-    probes, each with whether the optimum is secure there, and the cutoff it ends at."""
+    """The distances that a binary search over the multiples 0..10,000 of 0.01 km
+    probes with the refined optimum, each with whether the optimum is secure there,
+    and the last secure multiple it ends at."""
     s = scenario(family)
+
+    def multiple(j):  # j times the float 0.01, rounded once
+        return float(j * Fraction(0.01))
 
     def secure_by_optimum(distance):
         point = optimize_param(s.at_distance(distance))
         return point is not None and point.breakdown.R_raw > 0.0
 
     probes = {0.0: secure_by_optimum(0.0), 100.0: secure_by_optimum(100.0)}
-    lo, hi = 0.0, 100.0
-    while hi - lo > 0.01:
-        mid = 0.5 * (lo + hi)
-        probes[mid] = secure_by_optimum(mid)
-        lo, hi = (mid, hi) if probes[mid] else (lo, mid)
-    return probes, lo
+    lo, hi = 0, 10_000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probes[multiple(mid)] = secure_by_optimum(multiple(mid))
+        lo, hi = (mid, hi) if probes[multiple(mid)] else (lo, mid)
+    return probes, multiple(lo)
 
 
 @pytest.mark.parametrize("family", list(SourceFamily))

@@ -93,7 +93,7 @@ def full_grid_cutoffs(scenario, grid):
 @settings(max_examples=50, deadline=None)
 @given(boxes(dark_counts=st.one_of(st.just(0.0), DARK_COUNTS)))
 def test_cutoff_predicate_equals_the_full_grid_near_each_cutoff(box):
-    # the cutoff bisections ask the two-level pass whether a distance is secure,
+    # the cutoff rounds ask the two-level pass whether a distance is secure,
     # right where the secure window shrinks to a few grid cells (or, without dark
     # counts, where the rows turn faint)
     scenario, grid = box

@@ -200,6 +200,10 @@ CASES = [
           cfg="grid_points = 2000\ncutoff_resolution_km = 1e-4\n"),
     _case("figure2 no dark counts out to 2000 km at 500 points", "figure2 --config c.cfg",
           cfg="dark_prob_Pd = 0\nl_max_km = 2000\nl_step_km = 4\ngrid_points = 500\n"),
+    # a span of about 1e600 multiples, whose exact ends no float product reaches
+    _case("figure2 1e300 km range at a 1e-300 km resolution",
+          "figure2 --config c.cfg --l-max 1e300 --l-step 1e298",
+          cfg="cutoff_resolution_km = 1e-300\ngrid_points = 60\n"),
     _case("figure2 parameter bound", "figure2 --config c.cfg",
           cfg=FAST_FIGURE2 + "param_max = 100\n"),
     _case("figure2 above the parameter bound", "figure2 --config c.cfg",
