@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -207,21 +207,6 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-#: Text columns (``cutoff_km`` and ``within_tol`` arrive formatted) and integer columns.
-_CELL_FORMATS = {"family": "%s", "formula": "%s", "method": "%s", "cutoff_km": "%s",
-                 "within_tol": "%s", "resolution": "%d"}
-
-
-def _row_format(header: Sequence[str]) -> str:
-    return ",".join(_CELL_FORMATS.get(name, "%.17g") for name in header)
-
-
-def _csv_text(comments: Sequence[str], header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Comment lines, the header, then each row in one ``%``-format built from the header."""
-    row_format = _row_format(header)
-    return _csv_join(comments, header, [row_format % tuple(row) for row in rows])
-
-
 def _csv_join(comments: Sequence[str], header: Sequence[str], lines: list[str]) -> str:
     """Comment lines, the header, then the already formatted row ``lines``."""
     return "\n".join([*(f"# {comment}" for comment in comments), ",".join(header), *lines]) + "\n"
@@ -276,6 +261,14 @@ def _breakdown_values(b: RateBreakdown, header: Sequence[str]) -> list:
     return [getattr(b, name) for name in header if name in _BREAKDOWN_FIELDS]
 
 
+def _family_lines(family: SourceFamily, lead: Sequence[str], columns: Sequence[np.ndarray],
+                  tail: str = "") -> list[str]:
+    """``family``'s CSV rows: its name, each formatted ``lead`` cell, the row's values of the
+    float ``columns`` in 17 digits, then ``tail`` (no ``%``); one ``%``-format for them all."""
+    row_format = f"{family.value},%s" + ",%.17g" * len(columns) + tail
+    return [row_format % row for row in zip(lead, *(column.tolist() for column in columns))]
+
+
 def cmd_rate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.family:
         raise ConfigurationError("missing 'family' (flag --family or config key family)")
@@ -292,7 +285,7 @@ def cmd_rate(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigurationError(f"missing '{name}' (flag --{name} or config key {name})")
     distances = args.distances or [cfg.distance_km]
     f_policy = parse_f_policy(cfg.f_policy)
-    rows = []
+    lines = []
     for distance in distances:
         scenario = _scenario(cfg, family, distance, f_policy)
         eta = scenario.channel.total_eta()
@@ -302,10 +295,10 @@ def cmd_rate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"{family.value} at l = {distance:g} km: no detection events (no signal "
                 "and no dark counts), so the error rate is undefined"
             )
-        columns = (column.tolist() for column in _breakdown_values(b, RATE_HEADER))
-        rows.extend(zip(repeat(family.value), repeat(distance), repeat(eta), params, *columns))
+        lead = ["%.17g,%.17g,%.17g" % (distance, eta, param) for param in params]
+        lines.extend(_family_lines(family, lead, _breakdown_values(b, RATE_HEADER)))
     comments = (_sign_note(cfg), f"f_policy = {cfg.f_policy}")
-    sys.stdout.write(_csv_text(comments, RATE_HEADER, rows))
+    sys.stdout.write(_csv_join(comments, RATE_HEADER, lines))
     return EXIT_OK
 
 
@@ -322,15 +315,13 @@ def cmd_figure1(cfg: RunConfig, _args: argparse.Namespace) -> int:
         raise ConfigurationError(f"total efficiency underflows to 0 at l = {distance:g} km")
     # the param cells are shared by the three families, so each is formatted once
     param_cells = np.array(["%.17g" % p for p in params.tolist()], dtype=object)
-    value_format = _row_format(FIGURE1_HEADER[2:])
     lines, curves = [], []
     for family in SourceFamily:
         b = rate_at(_scenario(cfg, family, distance, f_policy), params)
         # a vacuum source with zero dark counts has no detection events: no row
         detected = b.p_s_bar > 0.0
-        row_format = f"{family.value},%s,{value_format}"
-        columns = [c[detected].tolist() for c in _breakdown_values(b, FIGURE1_HEADER)]
-        lines.extend([row_format % row for row in zip(param_cells[detected].tolist(), *columns)])
+        lines.extend(_family_lines(family, param_cells[detected].tolist(),
+                                   [c[detected] for c in _breakdown_values(b, FIGURE1_HEADER)]))
         curves.append((_family_label(family), np.column_stack((params, b.R))[detected]))
     eta_db = 10.0 * math.log10(eta)
     comments = (f"distance_km = {_fmt(distance)}", f"eta_db = {_fmt(eta_db)}",
@@ -366,15 +357,12 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
     channel = scenarios[0].channel
     shared_cells = np.array(["%.17g,%.17g" % (l, channel.eta_at(l)) for l in l_grid.tolist()],
                             dtype=object)
-    value_format = _row_format(FIGURE2_HEADER[3:-1])
     lines, curves, notes = [], [], []
     for family, sweep in zip(SourceFamily, sweep_distance(scenarios, l_grid, **settings)):
         cutoff = sweep.cutoff_l
-        row_format = f"{family.value},%s,{value_format},{'' if cutoff is None else _fmt(cutoff)}"
-        columns = [c.tolist() for c in (sweep.param_value,
-                                         *_breakdown_values(sweep.breakdown, FIGURE2_HEADER))]
-        lines.extend([row_format % row
-                      for row in zip(shared_cells[sweep.index].tolist(), *columns)])
+        columns = (sweep.param_value, *_breakdown_values(sweep.breakdown, FIGURE2_HEADER))
+        lines.extend(_family_lines(family, shared_cells[sweep.index].tolist(), columns,
+                                   "," + ("" if cutoff is None else _fmt(cutoff))))
         curves.append((_family_label(family),
                        np.column_stack((l_grid[sweep.index], sweep.breakdown.R))))
         found = f"none within {l_max:g} km" if cutoff is None else f"{cutoff:.2f} km"

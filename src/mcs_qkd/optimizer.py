@@ -283,6 +283,10 @@ def _optimize_rows(
     their refined optima, breakdowns and final brackets."""
     best_i, best_r = _best_cells(scenario, families, etas, grid)
     rows = np.flatnonzero(best_r > 0.0)
+    if not len(rows):  # no optimum to refine, so no kernel call
+        empty = np.empty(0)
+        breakdown = RateBreakdown(*[empty] * len(dataclasses.fields(RateBreakdown)))
+        return rows, empty, breakdown, np.empty((0, 2))
     families, eta, cell = families[rows], etas[rows, None], best_i[rows]
     lo = grid[np.maximum(cell - 1, 0)]
     hi = grid[np.minimum(cell + 1, len(grid) - 1)]

@@ -67,6 +67,13 @@ def test_optimize_param_budget(family, kernel_calls):
 
 
 @pytest.mark.parametrize("family", list(SourceFamily))
+def test_optimize_param_past_the_cutoff_is_one_call(family, kernel_calls):
+    # the coarse grid finds no secure point, so there is no optimum to refine
+    assert optimize_param(scenario(family, 150.0)) is None
+    assert kernel_calls == [200]
+
+
+@pytest.mark.parametrize("family", list(SourceFamily))
 def test_cutoff_distance_budget(family, kernel_calls):
     assert 0.0 < cutoff_distance(scenario(family), 100.0) < 100.0
     assert len(kernel_calls) <= 6
@@ -108,7 +115,8 @@ def test_sweep_insecure_from_0_km_budget(resolution_km, kernel_calls):
     sweeps = sweep_distance(scenarios, [30.0 + 5.0 * k for k in range(15)],
                             cutoff_resolution_km=resolution_km)
     assert [sweep.cutoff_l for sweep in sweeps] == [None] * len(scenarios)
-    assert len(kernel_calls) <= 5
+    # no row is secure, so no call refines one
+    assert len(kernel_calls) <= 4 and 0 not in kernel_calls
 
 
 #: Two figure2-like ranges that pass every cutoff of the ``BOX`` channels (at most

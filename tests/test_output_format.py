@@ -1,13 +1,15 @@
 """The CSV and SVG writers against the one-cell-at-a-time formatting they replaced.
 
-Each table row is written with one ``%``-format built from its header;
-figure1 formats its shared ``param`` cells once for all three families, and
-figure2 its shared ``l`` and ``eta`` cells, writing each family's rows from the
-columns of its sweep.  The renderer places every point with numpy and formats
-each distinct coordinate once.  The references are the per-cell CSV join
-below, the per-point renderer in ``svgplot_reference`` and, for figure2, one
-``optimize_param`` per row; every drawn table, chart, figure1 and figure2 must
-come out byte for byte the same.
+``rate``, figure1 and figure2 write a family's rows with one ``%``-format: the
+family, a preformatted lead cell, the float columns in ``%.17g`` and a literal
+tail.  ``rate`` formats each row's ``l``, ``eta`` and ``param`` together,
+figure1 its shared ``param`` cells once for all three families, and figure2
+its shared ``l`` and ``eta`` cells, with the cutoff cell as the tail.  The
+renderer places every point with numpy and formats each distinct coordinate
+once.  The references are the per-cell CSV join below, the per-point renderer
+in ``svgplot_reference``, one ``rate_at`` per distance or family and, for
+figure2, one ``optimize_param`` per row; every drawn cell, rate table, chart,
+figure1 and figure2 must come out byte for byte the same.
 """
 
 import contextlib
@@ -64,60 +66,32 @@ FLOATS = st.one_of(
 )
 #: An int in a float column: "%.17g" writes it as str() does while it is an exact float.
 FLOAT_CELLS = st.one_of(FLOATS, st.integers(min_value=-(2**53), max_value=2**53))
-TEXT = st.one_of(
-    st.sampled_from(["coherent-bb84", "mcs-bb84", "mcs-sarg04", "p_multi_min", "fock"]),
-    st.text(max_size=12),
-)
-#: figure2's cutoff cell: a float, or "" when the family has no cutoff in range.
-CUTOFFS = st.one_of(st.just(""), FLOATS)
-COLUMNS = {
-    "family": TEXT, "formula": TEXT, "method": TEXT,
-    "resolution": st.integers(), "within_tol": st.booleans(), "cutoff_km": CUTOFFS,
-}
-HEADERS = {"rate": RATE_HEADER, "figure1": FIGURE1_HEADER,
-           "figure2": FIGURE2_HEADER, "verify": VERIFY_HEADER}
-
-
-def cli_row(header, row) -> tuple:
-    """``row`` as the command hands it to ``_csv_text``.
-
-    figure2 formats its cutoff first, and verify writes its flag as true/false.
-    """
-    def cell(name, value):
-        if name == "cutoff_km" and value != "":
-            return cli._fmt(value)
-        if name == "within_tol":
-            return "true" if value else "false"
-        return value
-
-    return tuple(cell(name, value) for name, value in zip(header, row))
-
-
-@st.composite
-def tables(draw):
-    header = HEADERS[draw(st.sampled_from(sorted(HEADERS)))]
-    row = st.tuples(*(COLUMNS.get(name, FLOAT_CELLS) for name in header))
-    comments = draw(st.lists(st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
-                                     max_size=20), max_size=3))
-    return comments, header, draw(st.lists(row, max_size=8))
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables())
-def test_csv_text_matches_the_per_cell_join(table):
-    comments, header, rows = table
-    written = cli._csv_text(comments, header, [cli_row(header, row) for row in rows])
-    assert written == reference_csv(comments, header, rows)
+@given(FLOAT_CELLS)
+def test_17_digit_cell_format_matches_the_per_cell_join(value):
+    assert "%.17g" % value == format(value, ".17g") == reference_fmt(value)
 
 
-def test_csv_text_of_no_rows_is_comments_and_header():
-    for header in HEADERS.values():
-        assert cli._csv_text(["a = 1"], header, []) == reference_csv(["a = 1"], header, [])
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20),
+                max_size=3))
+def test_csv_join_of_no_lines_is_comments_and_header(comments):
+    for header in (RATE_HEADER, FIGURE1_HEADER, FIGURE2_HEADER, VERIFY_HEADER):
+        assert cli._csv_join(comments, header, []) == reference_csv(comments, header, [])
 
 
-def test_csv_text_writes_every_edge_float_like_the_per_cell_join():
-    rows = [("mcs-bb84", *([value] * (len(FIGURE1_HEADER) - 1))) for value in EDGE_FLOATS]
-    assert cli._csv_text([], FIGURE1_HEADER, rows) == reference_csv([], FIGURE1_HEADER, rows)
+@pytest.mark.parametrize("cutoff", ["", 45.8, math.nan], ids=["no cutoff", "cutoff", "nan"])
+def test_family_lines_write_every_edge_float_like_the_per_cell_join(cutoff):
+    # figure2's layout: a lead cell (l, eta), the float columns, then the cutoff cell
+    values = np.array(EDGE_FLOATS)
+    lead = [f"{reference_fmt(value)},{reference_fmt(value)}" for value in EDGE_FLOATS]
+    lines = cli._family_lines(SourceFamily.MCS_BB84, lead, [values] * (len(FIGURE2_HEADER) - 4),
+                              "," + reference_fmt(cutoff))
+    rows = [("mcs-bb84", *([value] * (len(FIGURE2_HEADER) - 2)), reference_fmt(cutoff))
+            for value in EDGE_FLOATS]
+    assert cli._csv_join([], FIGURE2_HEADER, lines) == reference_csv([], FIGURE2_HEADER, rows)
 
 
 @given(FLOATS, FLOATS)
@@ -273,6 +247,54 @@ def test_figure1_matches_one_rate_at_per_family_and_the_reference_renderer(
         x_label="source parameter (mean photon number alpha2 or squeeze nu)",
         y_label="secure rate per slot",
     )) is None
+
+
+#: A source parameter: 0 (a vacuum source, which has no detection events without
+#: dark counts) or up to 10.
+PARAMS = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.tuples(st.lists(PARAMS, min_size=1, max_size=4),
+                                 st.lists(st.floats(0.0, 150.0), min_size=1, max_size=3)),
+                       min_size=3, max_size=3),
+       dark=st.one_of(st.just(0.0), st.floats(1e-7, 1e-3)), table=st.booleans())
+def test_rate_matches_one_rate_at_per_distance_and_the_reference_join(points, dark, table):
+    detector = DetectorModel(dark_prob_Pd=dark, baseline_error_c=KTH15_DETECTOR.baseline_error_c)
+    f_policy = TableF(F_TABLE_KNOTS) if table else ConstantF(1.16)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "f.csv").write_text("".join(f"{e!r},{f!r}\n" for e, f in F_TABLE_KNOTS))
+        f_spec = f"table:{out / 'f.csv'}" if table else "const:1.16"
+        config = out / "c.cfg"
+        config.write_text(f"dark_prob_Pd = {dark!r}\nf_policy = {f_spec}\n")
+        for family, (params, distances) in zip(SourceFamily, points):
+            argv = ["rate", "--config", str(config), "--family", family.value]
+            argv += [arg for p in params for arg in (f"--{family.param_name}", repr(p))]
+            argv += [arg for l in distances for arg in ("--l", repr(l))]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+
+            # one rate_at per distance; a point without detection events ends the command
+            rows, error = [], None
+            for l in distances:
+                channel = KTH15_CHANNEL.at_distance(l)
+                b = rate_at(Scenario(family, channel, detector, f_policy), np.array(params))
+                if not np.all(b.p_s_bar > 0.0):
+                    error = (f"config error: {family.value} at l = {l:g} km: no detection events "
+                             "(no signal and no dark counts), so the error rate is undefined\n")
+                    break
+                rows += [(family.value, l, channel.total_eta(), p,
+                          *(float(getattr(b, name)[i]) for name in RATE_HEADER[4:]))
+                         for i, p in enumerate(params)]
+            if error is not None:
+                assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", error)
+                continue
+            comments = ["sign = corrected", f"f_policy = {f_spec}"]
+            assert (code, stderr.getvalue()) == (0, "")
+            assert first_difference(stdout.getvalue(),
+                                    reference_csv(comments, RATE_HEADER, rows)) is None
 
 
 def reference_distances(l_max, l_step):

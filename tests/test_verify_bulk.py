@@ -36,6 +36,7 @@ from mcs_qkd.cli import main
 from mcs_qkd.fock_oracle import (
     DEFAULT_ALPHAS, DEFAULT_ETAS, DEFAULT_FOCK_N_MAX, DEFAULT_NUS, DEFAULT_QUAD_NODES,
 )
+from test_output_format import reference_csv
 
 CAP = fock_oracle._MAX_QUAD_NODES
 
@@ -318,10 +319,9 @@ def test_verify_csv_writes_each_report_as_a_per_row_pass_would(tmp_path, capsys,
     assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
     reports = verify_closed_forms(product(*axes))
     rows = [(r.formula, r.alpha, r.nu, r.eta, r.method, r.resolution, r.closed_form_value,
-             r.oracle_value, r.abs_diff, "true" if r.within_tolerance else "false")
-            for r in reports]
+             r.oracle_value, r.abs_diff, r.within_tolerance) for r in reports]
     written = (tmp_path / "verify.csv").read_text(encoding="utf-8").splitlines()
-    expected = cli._csv_text([], cli.VERIFY_HEADER, rows).splitlines()
+    expected = reference_csv([], cli.VERIFY_HEADER, rows).splitlines()
     assert written[3:] == expected
     for text in cells:
         assert any(text in line for line in expected), text
