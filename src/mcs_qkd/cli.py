@@ -203,10 +203,6 @@ def _scenario(cfg: RunConfig, family: SourceFamily, distance_km: float, f_policy
                     f_policy=f_policy, paper_literal_sign=cfg.paper_literal_sign)
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def _csv_join(comments: Sequence[str], header: Sequence[str], lines: list[str]) -> str:
     """Comment lines, the header, then the already formatted row ``lines``."""
     return "\n".join([*(f"# {comment}" for comment in comments), ",".join(header), *lines]) + "\n"
@@ -324,7 +320,7 @@ def cmd_figure1(cfg: RunConfig, _args: argparse.Namespace) -> int:
                                    [c[detected] for c in _breakdown_values(b, FIGURE1_HEADER)]))
         curves.append((_family_label(family), np.column_stack((params, b.R))[detected]))
     eta_db = 10.0 * math.log10(eta)
-    comments = (f"distance_km = {_fmt(distance)}", f"eta_db = {_fmt(eta_db)}",
+    comments = ("distance_km = %.17g" % distance, "eta_db = %.17g" % eta_db,
                 _sign_note(cfg), f"f_policy = {cfg.f_policy}")
     wrote = _write_figure(
         cfg, "figure1", _csv_join(comments, FIGURE1_HEADER, lines), curves,
@@ -353,23 +349,22 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
     settings = dict(param_min=cfg.param_min, param_max=cfg.param_max, grid_points=cfg.grid_points,
                     rtol=cfg.golden_rtol, cutoff_resolution_km=cfg.cutoff_resolution_km)
     scenarios = [_scenario(cfg, family, 0.0, f_policy) for family in SourceFamily]
-    # the l and eta cells of a distance are shared by the three families, so each is formatted once
-    channel = scenarios[0].channel
-    shared_cells = np.array(["%.17g,%.17g" % (l, channel.eta_at(l)) for l in l_grid.tolist()],
-                            dtype=object)
+    # the l cells are shared by the three families, so each is formatted once
+    l_cells = np.array(["%.17g" % l for l in l_grid.tolist()], dtype=object)
     lines, curves, notes = [], [], []
     for family, sweep in zip(SourceFamily, sweep_distance(scenarios, l_grid, **settings)):
         cutoff = sweep.cutoff_l
-        columns = (sweep.param_value, *_breakdown_values(sweep.breakdown, FIGURE2_HEADER))
-        lines.extend(_family_lines(family, shared_cells[sweep.index].tolist(), columns,
-                                   "," + ("" if cutoff is None else _fmt(cutoff))))
+        columns = (sweep.eta, sweep.param_value,
+                   *_breakdown_values(sweep.breakdown, FIGURE2_HEADER))
+        lines.extend(_family_lines(family, l_cells[sweep.index].tolist(), columns,
+                                   "," + ("" if cutoff is None else "%.17g" % cutoff)))
         curves.append((_family_label(family),
                        np.column_stack((l_grid[sweep.index], sweep.breakdown.R))))
         found = f"none within {l_max:g} km" if cutoff is None else f"{cutoff:.2f} km"
         if not len(sweep.index):  # the grid starts at 0 km, so the family is insecure from 0 km on
             found = "insecure at every distance"
         notes.append(f"cutoff[{family.value}]: {found}")
-    comments = (f"l_max_km = {_fmt(l_max)}", f"l_step_km = {_fmt(l_step)}",
+    comments = ("l_max_km = %.17g" % l_max, "l_step_km = %.17g" % l_step,
                 _sign_note(cfg), f"f_policy = {cfg.f_policy}")
     notes.append(_write_figure(
         cfg, "figure2", _csv_join(comments, FIGURE2_HEADER, lines), curves,
@@ -391,7 +386,9 @@ def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
     cells: dict[float, str] = {}  # each distinct value formatted once
 
     def cell(value: float) -> str:  # 0.0 == -0.0 as keys, but they print 0 and -0
-        return (cells.get(value) or cells.setdefault(value, _fmt(value))) if value else _fmt(value)
+        if not value:
+            return "%.17g" % value
+        return cells.get(value) or cells.setdefault(value, "%.17g" % value)
 
     lines = {key: "%s,%s,%s,%s,%s,%d,%s,%s,%s,%s" % (
                  r.formula, cell(r.alpha), cell(r.nu), cell(r.eta), r.method, r.resolution,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -231,19 +231,35 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
     read, even on a grid of endpoint efficiencies only.
     """
     _require_quad_nodes(quad_nodes)
-    expanded: dict[SqueezedCoherentState, tuple[FockDistribution, list[float]]] = {}
     powers: dict[float, list[float]] = {}
 
-    def expand(state: SqueezedCoherentState) -> tuple[FockDistribution, list[float]]:
-        found = expanded.get(state)
-        if found is None:
-            dist = _truncated_distribution(state, fock_n_max)
-            expanded[state] = found = dist, [c * c for c in dist.amplitudes]
-        return found
+    @cache
+    def squares(state: SqueezedCoherentState) -> list[float]:
+        return [c * c for c in _truncated_distribution(state, fock_n_max).amplitudes]
 
-    # per (repr(nu), protocol): tuned alpha, squares, p_multi_min and its Fock-sum oracle
-    tuned_sources: dict[tuple[str, Protocol], tuple[float, list[float], float, float]] = {}
-    tuned_checks: dict[tuple[str, str], list[OracleReport]] = {}
+    # the tuned caches take each value's repr too, as the report fields hold it: as keys
+    # 0.0, -0.0 and 0 are equal, and their reprs tell them apart
+    @cache
+    def tuned_source(nu_repr: str, nu: float, protocol: Protocol
+                     ) -> tuple[float, list[float], float, float]:
+        """The tuned alpha, its squares, p_multi_min and that check's Fock-sum oracle."""
+        tuned = mcs_state(nu, protocol)
+        kept = math.fsum(squares(tuned)[: protocol.attack_photons])
+        return tuned.alpha, squares(tuned), p_multi_min(nu, protocol), max(1.0 - kept, 0.0)
+
+    @cache
+    def tuned_checks(nu_repr: str, eta_repr: str, nu: float, eta: float) -> list[OracleReport]:
+        checks = []
+        for protocol in Protocol:
+            tuned_alpha, tuned_squares, multi, multi_oracle = tuned_source(nu_repr, nu, protocol)
+            checks.append(OracleReport(
+                f"p_multi_min[{protocol.value}]", tuned_alpha, nu, eta, FOCK_SUM, fock_n_max,
+                multi, multi_oracle))
+            checks.append(OracleReport(
+                f"p_signal_mcs[{protocol.value}]", tuned_alpha, nu, eta, FOCK_SUM, fock_n_max,
+                p_signal_mcs(nu, eta, protocol), 1.0 - _no_click_sum(tuned_squares, eta, powers)))
+        return checks
+
     # per state, the index of each quadrature check and the Fock-sum check of its point
     quadrature: dict[SqueezedCoherentState, list[tuple[int, OracleReport]]] = {}
     reports: list[OracleReport] = []
@@ -251,29 +267,11 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
         state = make_state(alpha, nu)
         closed = p_vacuum_lossy(state, eta)
         reports.append(OracleReport("p_vacuum_lossy", alpha, nu, eta, FOCK_SUM, fock_n_max, closed,
-                                    _no_click_sum(expand(state)[1], eta, powers)))
+                                    _no_click_sum(squares(state), eta, powers)))
         if 0.0 < eta < 1.0:
             quadrature.setdefault(state, []).append((len(reports), reports[-1]))
             reports.append(None)  # filled in once the state's efficiencies are integrated
-        key = (repr(nu), repr(eta))  # as the report fields do, tells 0.0, -0.0 and 0 apart
-        if key not in tuned_checks:
-            tuned_checks[key] = checks = []
-            for protocol in Protocol:
-                source = repr(nu), protocol
-                if source not in tuned_sources:
-                    tuned = mcs_state(nu, protocol)
-                    squares = expand(tuned)[1]
-                    kept = math.fsum(squares[: protocol.attack_photons])
-                    tuned_sources[source] = (tuned.alpha, squares, p_multi_min(nu, protocol),
-                                             max(1.0 - kept, 0.0))
-                tuned_alpha, squares, multi, multi_oracle = tuned_sources[source]
-                checks.append(OracleReport(
-                    f"p_multi_min[{protocol.value}]", tuned_alpha, nu, eta, FOCK_SUM, fock_n_max,
-                    multi, multi_oracle))
-                checks.append(OracleReport(
-                    f"p_signal_mcs[{protocol.value}]", tuned_alpha, nu, eta, FOCK_SUM, fock_n_max,
-                    p_signal_mcs(nu, eta, protocol), 1.0 - _no_click_sum(squares, eta, powers)))
-        reports.extend(tuned_checks[key])
+        reports.extend(tuned_checks(repr(nu), repr(eta), nu, eta))
     for state, points in quadrature.items():
         values = p0_via_quadrature(state, [r.eta for _, r in points], quad_nodes)
         for (index, r), value in zip(points, values):

@@ -121,13 +121,15 @@ class OptimumPoint:
 class DistanceSweep:
     """Optimal operating points at a sweep's secure distances, in columns.
 
-    ``index`` holds the secure distances' positions in the grid, ascending;
-    ``param_value``, ``breakdown`` (of arrays) and ``bracket`` (n x 2) what an
-    ``OptimumPoint`` holds, at each of them.  If the sweep ends insecure, ``cutoff_l``
-    is the cutoff that :func:`cutoff_distance` gives (``None`` if none is secure).
+    ``index`` holds the secure distances' positions in the grid, ascending, and
+    ``eta`` their total efficiencies, at which the search ran; ``param_value``,
+    ``breakdown`` (of arrays) and ``bracket`` (n x 2) what an ``OptimumPoint`` holds,
+    at each of them.  If the sweep ends insecure, ``cutoff_l`` is the cutoff that
+    :func:`cutoff_distance` gives (``None`` if none is secure).
     """
 
     index: np.ndarray
+    eta: np.ndarray
     param_value: np.ndarray
     breakdown: RateBreakdown
     bracket: np.ndarray
@@ -138,11 +140,11 @@ def _breakdown(scenario: Scenario, eta, param, families=None) -> RateBreakdown:
     """Rate breakdown elementwise over broadcast arrays of efficiency and parameter.
 
     ``families`` gives each row (leading axis) a ``_FAMILIES`` index in place of
-    ``scenario``'s family (kept for an empty array); ``param`` then has that axis or
-    is shared by all rows.  Rows may come in any order; each run of one family takes
-    one ``source`` call, over the shared cells or its rows.  Inputs are not validated.
+    ``scenario``'s family; ``param`` then has that axis or is shared by all rows.  Rows
+    may come in any order; each run of one family takes one ``source`` call, over the
+    shared cells or its rows.  Inputs are not validated.
     """
-    if families is None or not len(families):
+    if families is None:
         families = [_FAMILIES.index(scenario.source_family)]
     cuts = (np.flatnonzero(np.diff(families)) + 1).tolist() if len(families) > 1 else []
     if not cuts:
@@ -259,16 +261,16 @@ def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
 
 
 def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families=None) -> np.ndarray:
-    """Whether ``optimize_param`` finds a positive unclamped rate at one distance or a list.
+    """Whether ``optimize_param`` finds a positive unclamped rate at each of ``distances``.
 
-    ``families`` gives a list's distances their ``_FAMILIES`` index, by default
+    ``families`` gives the distances their ``_FAMILIES`` index, by default
     ``scenario``'s.  As the refined optimum never falls below the best grid
     point, the answer is the sign of ``_best_cells``'s rate, as for a sweep row.
     """
-    etas = np.array([scenario.channel.eta_at(l) for l in np.ravel(distances).tolist()])
+    etas = np.array([scenario.channel.eta_at(l) for l in distances])
     if families is None:
         families = np.full(len(etas), _FAMILIES.index(scenario.source_family))
-    return (_best_cells(scenario, families, etas, grid)[1] > 0.0).reshape(np.shape(distances))
+    return _best_cells(scenario, families, etas, grid)[1] > 0.0
 
 
 def _take(b: RateBreakdown, cells) -> RateBreakdown:
@@ -363,10 +365,10 @@ def sweep_distance(
         return []
     scenario, n = scenarios[0], len(distances)
     codes = [_FAMILIES.index(s.source_family) for s in scenarios]
-    etas = np.array([scenario.channel.eta_at(l) for l in distances])
-    # scenario-major rows, so that most blocks hold one family and skip the per-family split
+    etas = np.tile([scenario.channel.eta_at(l) for l in distances], len(codes))
+    # scenario-major rows, so that each kernel call holds at most one run per scenario
     rows, param, breakdown, bracket = _optimize_rows(
-        scenario, np.repeat(codes, n), np.tile(etas, len(codes)), grid, rtol)
+        scenario, np.repeat(codes, n), etas, grid, rtol)
     secure = np.zeros(len(codes) * n, dtype=bool)
     secure[rows] = True
     # secure(l) is monotone, which the cutoff rounds assume: a scenario is secure up to
@@ -378,8 +380,8 @@ def sweep_distance(
             brackets[k] = distances[first - 1] if first else -math.inf, distances[first]
     cutoffs = _cutoffs(scenario, grid, codes, brackets, cutoff_resolution_km)
     ends = np.searchsorted(rows, n * np.arange(len(codes) + 1)).tolist()
-    return [DistanceSweep(rows[part] - k * n, param[part], _take(breakdown, part),
-                          bracket[part], cutoff)
+    return [DistanceSweep(rows[part] - k * n, etas[rows[part]], param[part],
+                          _take(breakdown, part), bracket[part], cutoff)
             for k, (part, cutoff) in enumerate(zip(map(slice, ends, ends[1:]), cutoffs))]
 
 

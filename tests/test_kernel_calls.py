@@ -23,7 +23,7 @@ from mcs_qkd import (
     optimize_param,
     sweep_distance,
 )
-from mcs_qkd import optimizer
+from mcs_qkd import cli, optimizer
 from mcs_qkd.cli import main
 
 KTH15 = {"loss_coeff_a": 0.2, "detector_eff": 0.18, "dark_prob_Pd": 2e-4, "baseline_error_c": 0.01}
@@ -193,3 +193,33 @@ def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsy
     assert counts[0] == counts[1]
     calls, cells = counts[0]
     assert calls <= 12 and cells <= 29_568
+
+
+def test_kth15_figure2_writes_the_efficiencies_the_sweep_searched(monkeypatch, tmp_path, capsys):
+    # figure2 prints sweep.eta and computes no efficiency of its own
+    calls, sweeps = [], []
+    eta_at = ChannelModel.eta_at
+
+    def counted(self, distance_l):
+        calls.append(distance_l)
+        return eta_at(self, distance_l)
+
+    def recorded(*args, **kwargs):
+        sweeps.extend(sweep_distance(*args, **kwargs))
+        return sweeps
+
+    monkeypatch.setattr(ChannelModel, "eta_at", counted)
+    monkeypatch.setattr(cli, "sweep_distance", recorded)
+    assert main(["figure2", "--out", str(tmp_path)]) == 0
+    # 101 for the sweep's distances and 60 for the cutoff rounds' probes
+    assert len(calls) == 161
+    rows = [line.split(",") for line in (tmp_path / "figure2.csv").read_text().splitlines()
+            if not line.startswith(("#", "family,"))]
+    channel = scenario(SourceFamily.COHERENT_BB84).channel
+    l_grid = np.arange(0.0, 101.0)
+    assert [sweep.eta.size for sweep in sweeps] == [25, 46, 79]  # 0 km up to each cutoff
+    for family, sweep in zip(SourceFamily, sweeps):
+        cells = [row[2] for row in rows if row[0] == family.value]
+        assert cells == ["%.17g" % eta for eta in sweep.eta.tolist()]
+        assert [eta.hex() for eta in sweep.eta.tolist()] == [
+            eta_at(channel, l).hex() for l in l_grid[sweep.index].tolist()]

@@ -141,9 +141,10 @@ def test_vacuum_without_dark_counts_is_marked_not_raised():
     assert b.p_s_bar[1] > 0.0 and math.isfinite(b.R_raw[1])
 
 
-#: Family codes of 0-40 rows: runs of 1-8 rows (one row each alternates) of drawn families.
+#: Family codes of 1-40 rows: runs of 1-8 rows (one row each alternates) of drawn families.
 ROW_FAMILIES = st.lists(st.tuples(st.sampled_from(range(len(_FAMILIES))), st.integers(1, 8)),
-                        max_size=12).map(lambda runs: [c for c, n in runs for _ in range(n)][:40])
+                        min_size=1, max_size=12
+                        ).map(lambda runs: [c for c, n in runs for _ in range(n)][:40])
 PARAMS_DRAWN = st.floats(1e-5, 4.0)
 
 
@@ -298,7 +299,7 @@ def test_grid_only_cutoff_predicate_agrees_with_the_optimum(family):
     grid, _ = _search()
     probes, cutoff = optimum_bisection(family)
     for distance, secure in probes.items():
-        assert _secure_at(s, distance, grid) == secure, distance
+        assert _secure_at(s, [distance], grid)[0] == secure, distance
     # every family's probes in one call, rows enough for the two-level pass
     rows = [(code, distance, secure) for code, other in enumerate(SourceFamily)
             for distance, secure in optimum_bisection(other)[0].items()]

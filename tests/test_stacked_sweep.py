@@ -58,7 +58,7 @@ def exact(sweep):
     A list's ``repr`` spells every float out in full, where numpy's ``repr`` of an
     array rounds to 8 digits and elides long arrays.
     """
-    columns = [sweep.index, sweep.param_value, sweep.bracket,
+    columns = [sweep.index, sweep.eta, sweep.param_value, sweep.bracket,
                *(getattr(sweep.breakdown, f.name) for f in dataclasses.fields(sweep.breakdown))]
     return repr(([column.tolist() for column in columns], sweep.cutoff_l))
 
