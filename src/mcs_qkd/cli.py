@@ -514,7 +514,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

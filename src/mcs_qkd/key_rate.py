@@ -173,6 +173,8 @@ class TableF:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        # any iterable of pairs is kept as a tuple of tuples, so the table is a value
+        object.__setattr__(self, "knots", tuple(map(tuple, self.knots)))
         if not self.knots:
             raise ConfigurationError("f(e) table must contain at least one (e, f) knot")
         if not all(math.isfinite(e) and math.isfinite(f) and f > 0.0 for e, f in self.knots):

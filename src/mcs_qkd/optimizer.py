@@ -14,10 +14,8 @@ there, and its dip towards ``param_min`` stays below the samples by the
 peak.  Past the cutoff ``R_raw`` may peak at ``param_min`` instead; every
 point is then <= 0, and the row is insecure whichever peak the pass finds.
 So the pass gives the full grid's secure flag, the one predicate of the sweep
-rows and the cutoff search.  Grids of fewer than 50 points, the paper-literal
-sign (whose ``R_raw`` can peak twice within a stride) and searches small
-enough for one kernel call, such as ``optimize_param``'s one row, evaluate
-every grid point, as do rows whose ``eta * param_min`` is below ``_FAINT``.
+rows and the cutoff search.  ``_best_cells`` says which rows evaluate every
+grid point instead.
 
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
 source statistics (``photon_source``'s ``SourceFamily.source`` and
@@ -231,18 +229,18 @@ def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
                 grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index and rate of the best grid point for each row: a family and a total efficiency.
 
-    Grids of under two points per sample, the literal sign and a search whose full
-    grid fits one kernel call (a second call would cost more than it saves) take
-    every point in one pass.  Otherwise faint rows take every point, and the others
-    two levels: about ``_SAMPLES`` grid points a stride apart, the last point among
-    them, then the ``2 * stride - 1`` points around the best sample, shifted into the
-    grid.  That finds the full grid's best point when it lies within a stride of the
-    best sample (see the module notes).
+    A row takes every grid point if the grid has under two points per sample
+    (fewer than 50), under the paper-literal sign (whose ``R_raw`` can peak twice
+    within a stride), if the search's full grid fits one kernel call (a second call
+    would cost more than it saves), or if the row is faint (see ``_FAINT``).  The
+    others take two levels: about ``_SAMPLES`` grid points a stride apart, the last
+    point among them, then the ``2 * stride - 1`` points around the best sample,
+    shifted into the grid.  That finds the full grid's best point when it lies
+    within a stride of the best sample (see the module notes).
     """
     stride = len(grid) // _SAMPLES
-    if stride < 2 or scenario.paper_literal_sign or len(etas) * len(grid) <= _BLOCK_CELLS:
-        return _cells_max(scenario, families, etas, grid, np.arange(len(grid)))
-    full = etas * grid[0] < _FAINT
+    whole = stride < 2 or scenario.paper_literal_sign or len(etas) * len(grid) <= _BLOCK_CELLS
+    full = whole | (etas * grid[0] < _FAINT)
     best_i = np.empty(len(etas), dtype=np.intp)
     best_r = np.empty(len(etas))
     if full.any():
@@ -260,16 +258,14 @@ def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
     return best_i, best_r
 
 
-def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families=None) -> np.ndarray:
+def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families: np.ndarray) -> np.ndarray:
     """Whether ``optimize_param`` finds a positive unclamped rate at each of ``distances``.
 
-    ``families`` gives the distances their ``_FAMILIES`` index, by default
-    ``scenario``'s.  As the refined optimum never falls below the best grid
-    point, the answer is the sign of ``_best_cells``'s rate, as for a sweep row.
+    ``families`` gives the distances their ``_FAMILIES`` index.  As the refined
+    optimum never falls below the best grid point, the answer is the sign of
+    ``_best_cells``'s rate, as for a sweep row.
     """
     etas = np.array([scenario.channel.eta_at(l) for l in distances])
-    if families is None:
-        families = np.full(len(etas), _FAMILIES.index(scenario.source_family))
     return _best_cells(scenario, families, etas, grid)[1] > 0.0
 
 
@@ -452,10 +448,10 @@ def cutoff_distance(
         raise DomainError(f"l_max must be finite and > 0, got {l_max!r}")
     _check_resolution(resolution_km)
     grid, _ = _search(**search)
-    secure_at_zero, secure_at_max = _secure_at(scenario, [0.0, l_max], grid)
+    code = _FAMILIES.index(scenario.source_family)
+    secure_at_zero, secure_at_max = _secure_at(scenario, [0.0, l_max], grid, np.full(2, code))
     if not secure_at_zero:
         raise DegenerateInputError("scenario is insecure even at zero distance")
     if secure_at_max:
         return l_max
-    return _cutoffs(scenario, grid, [_FAMILIES.index(scenario.source_family)],
-                    [(0.0, l_max)], resolution_km)[0]
+    return _cutoffs(scenario, grid, [code], [(0.0, l_max)], resolution_km)[0]

@@ -149,6 +149,24 @@ class TestConfigHandling:
         assert (cfg.family, cfg.alpha2, cfg.nu) == ("mcs-bb84", 0.1, 0.25)
         assert dataclasses.replace(cfg, family=None, alpha2=None, nu=None) == cli.RunConfig()
 
+    @pytest.mark.parametrize("config, flags, message", [
+        ("paper_literal_sign = maybe", [],
+         "config key 'paper_literal_sign': expected a boolean, got 'maybe'"),
+        ("verify_alphas = ,", [],
+         "config key 'verify_alphas': expected a comma-separated list of numbers"),
+        ("dark_prob_Pd 2e-4", [], "{path}:1: expected 'key = value', got 'dark_prob_Pd 2e-4'"),
+        ("", ["--f-policy", "const:abc"],
+         "f_policy 'const:abc': could not convert string to float: 'abc'"),
+        ("", ["--f-policy", "const:0"], "f_policy 'const:0': f0 must be finite and > 0, got 0.0"),
+    ], ids=["bool", "list", "no-equals", "const-text", "const-zero"])
+    def test_bad_value_exits_2_with_its_message(self, tmp_path, capsys, config, flags, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{config}\n", encoding="utf-8")
+        code = main(["rate", "--config", str(path), "--family", "mcs-bb84", "--nu", "0.1", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {message.format(path=path)}\n")
+
     def test_unwritable_out_dir_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory", encoding="utf-8")
@@ -180,7 +198,8 @@ class TestFPolicy:
                      "--f-policy", f"table:{table}"])
         assert code == 2
 
-    @pytest.mark.parametrize("bad_row", ["0.1,nan", "0.1,-1.2", "0.1,0", "inf,1.2"])
+    @pytest.mark.parametrize("bad_row", ["0.1,nan", "0.1,-1.2", "0.1,0", "inf,1.2",
+                                         "0.1,1.2,7", "0.1,abc"])
     def test_bad_table_exits_2_with_one_line(self, tmp_path, capsys, bad_row):
         table = tmp_path / "f.csv"
         table.write_text(f"e,f\n0.0,1.05\n{bad_row}\n", encoding="utf-8")

@@ -6,8 +6,11 @@ of a search, and beyond a few thousand cells per call the number of cells too.
 The counts are deterministic.
 """
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,14 +29,16 @@ from mcs_qkd import (
 from mcs_qkd import cli, optimizer
 from mcs_qkd.cli import main
 
-KTH15 = {"loss_coeff_a": 0.2, "detector_eff": 0.18, "dark_prob_Pd": 2e-4, "baseline_error_c": 0.01}
+# the benchmark's workload module, loaded by path; its Op dataclass looks the module up
+# in sys.modules while it runs
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+KTH15 = workloads.KTH15
 #: The channel box that the benchmark's sweep workload draws from.
-BOX = {
-    "loss_coeff_a": (0.18, 0.25),
-    "detector_eff": (0.10, 0.25),
-    "dark_prob_Pd": (1e-4, 4e-4),
-    "baseline_error_c": (0.005, 0.015),
-}
+BOX = workloads.SWEEP_RANGES
 
 
 def scenario(family, distance_km=0.0, loss_coeff_a=0.2, detector_eff=0.18,

@@ -23,7 +23,6 @@ from mcs_qkd import (
     RateBreakdown,
     Scenario,
     SourceFamily,
-    TableF,
     cutoff_distance,
     make_state,
     mcs_state,
@@ -39,6 +38,7 @@ from mcs_qkd import (
 from mcs_qkd.optimizer import _BLOCK_CELLS, _FAMILIES, _breakdown, _search, _secure_at
 from test_kernel_calls import BOX
 from test_key_rate import bits_equal
+from test_two_level_grid import TABLE
 
 REL_TOL = 1e-11
 ABS_TOL = 1e-15
@@ -48,7 +48,7 @@ DISTANCES = np.arange(0.0, 151.0, 10.0)
 PARAMS = np.geomspace(1e-5, 4.0, 60)
 POLICIES = {
     "const": ConstantF(1.16),
-    "table": TableF(((0.0, 1.05), (0.03, 1.1), (0.08, 1.2), (0.2, 1.45), (0.5, 2.0))),
+    "table": TABLE,
 }
 KTH15_CUTOFFS_KM = {
     SourceFamily.COHERENT_BB84: 24.14,
@@ -298,8 +298,9 @@ def test_grid_only_cutoff_predicate_agrees_with_the_optimum(family):
     s = scenario(family)
     grid, _ = _search()
     probes, cutoff = optimum_bisection(family)
+    own = np.full(1, _FAMILIES.index(family))
     for distance, secure in probes.items():
-        assert _secure_at(s, [distance], grid)[0] == secure, distance
+        assert _secure_at(s, [distance], grid, own)[0] == secure, distance
     # every family's probes in one call, rows enough for the two-level pass
     rows = [(code, distance, secure) for code, other in enumerate(SourceFamily)
             for distance, secure in optimum_bisection(other)[0].items()]

@@ -26,16 +26,9 @@ from mcs_qkd import (
     sweep_distance,
     verify_closed_forms,
 )
+from test_kernel_calls import BOX, KTH15
+from test_two_level_grid import TABLE
 
-KTH15 = {"loss_coeff_a": 0.2, "detector_eff": 0.18, "dark_prob_Pd": 2e-4, "baseline_error_c": 0.01}
-#: The channel box that the benchmark's sweep workload draws from.
-BOX = {
-    "loss_coeff_a": (0.18, 0.25),
-    "detector_eff": (0.10, 0.25),
-    "dark_prob_Pd": (1e-4, 4e-4),
-    "baseline_error_c": (0.005, 0.015),
-}
-TABLE = TableF(((0.0, 1.05), (0.03, 1.1), (0.08, 1.2), (0.2, 1.45), (0.5, 2.0)))
 DISTANCES = [float(l) for l in range(101)]
 
 
@@ -113,6 +106,20 @@ def test_scenarios_that_differ_beyond_the_family_are_rejected(change):
     coherent, tuned, _ = family_scenarios(KTH15)
     with pytest.raises(DomainError, match="may differ only in source_family"):
         sweep_distance([coherent, dataclasses.replace(tuned, **change)], DISTANCES)
+
+
+def test_a_table_built_from_lists_or_a_generator_is_the_tuple_table():
+    knots = [list(knot) for knot in TABLE.knots]
+    listed, generated = TableF(knots), TableF(tuple(knot) for knot in TABLE.knots)
+    assert listed == generated == TABLE
+    assert hash(listed) == hash(generated) == hash(TABLE)
+    assert repr(listed) == repr(TABLE)
+    sweeps = [sweep_distance(family_scenarios(KTH15, policy), DISTANCES, grid_points=60)
+              for policy in (listed, TABLE)]
+    assert differing(*sweeps) == []
+    knots.append([0.9, 3.0])
+    knots[0][1] = 9.0
+    assert listed == TABLE
 
 
 def _job(channel):
