@@ -263,7 +263,10 @@ def verify_closed_forms(grid: Iterable[tuple[float, float, float]] | None = None
     # per state, the index of each quadrature check and the Fock-sum check of its point
     quadrature: dict[SqueezedCoherentState, list[tuple[int, OracleReport]]] = {}
     reports: list[OracleReport] = []
-    for alpha, nu, eta in DEFAULT_GRID if grid is None else grid:
+    for point in DEFAULT_GRID if grid is None else grid:
+        if len(point) != 3:
+            raise DomainError(f"grid point {point!r} is not an (alpha, nu, eta) triple")
+        alpha, nu, eta = point
         state = make_state(alpha, nu)
         closed = p_vacuum_lossy(state, eta)
         reports.append(OracleReport("p_vacuum_lossy", alpha, nu, eta, FOCK_SUM, fock_n_max, closed,

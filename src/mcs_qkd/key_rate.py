@@ -174,7 +174,11 @@ class TableF:
 
     def __post_init__(self) -> None:
         # any iterable of pairs is kept as a tuple of tuples, so the table is a value
-        object.__setattr__(self, "knots", tuple(map(tuple, self.knots)))
+        object.__setattr__(self, "knots",
+                           tuple(tuple(k) if np.iterable(k) else k for k in self.knots))
+        for knot in self.knots:
+            if not (isinstance(knot, tuple) and len(knot) == 2):
+                raise ConfigurationError(f"f(e) table knot {knot!r} is not an (e, f) pair")
         if not self.knots:
             raise ConfigurationError("f(e) table must contain at least one (e, f) knot")
         if not all(math.isfinite(e) and math.isfinite(f) and f > 0.0 for e, f in self.knots):

@@ -1,21 +1,21 @@
 """Source-parameter optimization, distance sweeps, and cutoff location.
 
 This module only searches; the source model, ``SourceFamily.source``, lives in
-``photon_source``.  For each source family the free parameter is the mean
-photon number ``|alpha|**2`` (plain coherent state) or the squeeze magnitude
-``nu`` (interference-tuned sources).  A coarse logarithmic grid brackets the
-best rate over that parameter and a section search polishes it (16 probes per
-step).  The coarse pass has two levels: about ``_SAMPLES`` grid points a
-stride apart, then the points around the best of them, ranked by the
+``photon_source``.  For each source family the free parameter is the mean photon
+number ``|alpha|**2`` (plain coherent state) or the squeeze magnitude ``nu``
+(interference-tuned sources).  A coarse logarithmic grid brackets the best rate
+over that parameter and a section search polishes it (16 probes per step).  Each
+step also evaluates the best grid point; the optimum is the best of the last
+step's 17 points.  The coarse pass has two levels: about ``_SAMPLES`` grid
+points a stride apart, then the points around the best of them, ranked by the
 unclamped rate ``R_raw``.  It finds the full grid's best point whenever that
-point lies within a stride of the best sample.  That held on every secure
-row checked, at 2 to 2,000 grid points: ``R_raw`` has one interior maximum
-there, and its dip towards ``param_min`` stays below the samples by the
-peak.  Past the cutoff ``R_raw`` may peak at ``param_min`` instead; every
-point is then <= 0, and the row is insecure whichever peak the pass finds.
-So the pass gives the full grid's secure flag, the one predicate of the sweep
-rows and the cutoff search.  ``_best_cells`` says which rows evaluate every
-grid point instead.
+point lies within a stride of the best sample.  That held on every secure row
+checked, at 2 to 2,000 grid points: ``R_raw`` has one interior maximum there,
+and its dip towards ``param_min`` stays below the samples by the peak.  Past the
+cutoff ``R_raw`` may peak at ``param_min`` instead; every point is then <= 0,
+and the row is insecure whichever peak the pass finds.  So the pass gives the
+full grid's secure flag, the one predicate of the sweep rows and the cutoff
+search.  ``_best_cells`` says which rows evaluate every grid point instead.
 
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
 source statistics (``photon_source``'s ``SourceFamily.source`` and
@@ -90,6 +90,7 @@ _MAX_GRID_POINTS = 100_000
 
 
 _FAMILIES = tuple(SourceFamily)  #: the families by the index the searches give each row
+_FIELDS = tuple(field.name for field in dataclasses.fields(RateBreakdown))
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,10 @@ def rate_at(scenario: Scenario, param) -> RateBreakdown:
     raised: their ``p_s_bar`` is 0, their ``e`` nan and their ``R`` 0.
     Parameters above 100 raise ``DomainError``.
     """
-    values = np.asarray(param, dtype=float)
+    try:
+        values = np.asarray(param, dtype=float)
+    except ValueError:
+        raise DomainError("param must be a number or a rectangular array of numbers") from None
     bad = values[~(np.isfinite(values) & (values >= 0.0))]
     if bad.size:
         require_finite_nonneg("param", float(bad[0]))
@@ -181,12 +185,16 @@ def rate_at(scenario: Scenario, param) -> RateBreakdown:
 
 
 def _search(
+    caller: str, /,
     param_min: float = DEFAULT_PARAM_MIN,
     param_max: float = DEFAULT_PARAM_MAX,
     grid_points: int = DEFAULT_GRID_POINTS,
     rtol: float = DEFAULT_RTOL,
+    **unknown,
 ) -> tuple[np.ndarray, float]:
-    """The coarse parameter grid and ``rtol``, after checking every search setting."""
+    """The coarse parameter grid and ``rtol``, after checking ``caller``'s search keywords."""
+    if unknown:
+        raise TypeError(f"{caller}() got an unexpected keyword argument {next(iter(unknown))!r}")
     if not 0.0 < param_min < param_max <= _PARAM_MAX:
         raise DomainError(f"need 0 < param_min < param_max <= {_PARAM_MAX:g}")
     if grid_points < 2:
@@ -271,42 +279,41 @@ def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families: np.nda
 
 def _take(b: RateBreakdown, cells) -> RateBreakdown:
     """The breakdown of arrays at ``cells``, an index into each field."""
-    return RateBreakdown(*(getattr(b, field.name)[cells] for field in dataclasses.fields(b)))
+    return RateBreakdown(*(getattr(b, name)[cells] for name in _FIELDS))
 
 
 def _optimize_rows(
     scenario: Scenario, families: np.ndarray, etas: np.ndarray, grid: np.ndarray, rtol: float
 ) -> tuple[np.ndarray, np.ndarray, RateBreakdown, np.ndarray]:
     """The secure rows (a family and a total efficiency each), ascending, and in columns
-    their refined optima, breakdowns and final brackets."""
+    their refined optima, breakdowns and final brackets; rows never active take the first call."""
     best_i, best_r = _best_cells(scenario, families, etas, grid)
     rows = np.flatnonzero(best_r > 0.0)
-    if not len(rows):  # no optimum to refine, so no kernel call
-        empty = np.empty(0)
-        breakdown = RateBreakdown(*[empty] * len(dataclasses.fields(RateBreakdown)))
-        return rows, empty, breakdown, np.empty((0, 2))
     families, eta, cell = families[rows], etas[rows, None], best_i[rows]
-    lo = grid[np.maximum(cell - 1, 0)]
-    hi = grid[np.minimum(cell + 1, len(grid) - 1)]
+    lo, hi = grid[np.clip((cell - 1, cell + 1), 0, len(grid) - 1)]
     width = hi - lo
     active = width > rtol * 0.5 * (lo + hi)
-    index = np.arange(len(rows))
-    while active.any():
-        # cells lo, the probes lo + (hi - lo) * j / 17 (j = 1..16), hi: active rows
-        # keep the two cells around their best probe, inactive rows their bracket
+    pending, index = np.ones(len(rows), dtype=bool), np.arange(len(rows))  # rows with no optimum
+    optima = np.empty((1 + len(_FIELDS), len(rows)))  # the param, then each breakdown field
+    while pending.any():
+        # cells lo, the probes lo + (hi - lo) * j / 17 (j = 1..16), hi: active rows keep the
+        # two cells around their best probe, inactive rows their bracket; a row's optimum is
+        # the best (first on ties) of its last active call's probes and coarse winner
         probes = lo[:, None] + (hi - lo)[:, None] * _PROBES / 17
+        points = np.concatenate((probes, grid[cell, None]), axis=1)
+        rates = _breakdown(scenario, eta, points, families)
+        best = np.argmax(rates.R[:, :-1], axis=1)
         cells = np.concatenate((lo[:, None], probes, hi[:, None]), axis=1)
-        best = np.argmax(_breakdown(scenario, eta, probes, families).R, axis=1)
-        lo = np.where(active, cells[index, best], lo)
-        hi = np.where(active, cells[index, best + 2], hi)
+        lo, hi = np.where(active, (cells[index, best], cells[index, best + 2]), (lo, hi))
         # a bracket down to adjacent floats stops shrinking before a tiny rtol is met
         active &= (hi - lo > rtol * 0.5 * (lo + hi)) & (hi - lo < width)
         width = hi - lo
-    # keep the coarse-grid winner if refinement somehow lost ground
-    candidates = np.stack((0.5 * (lo + hi), grid[cell]), axis=1)
-    final = _breakdown(scenario, eta, candidates, families)
-    pick = (index, (final.R[:, 1] > final.R[:, 0]).astype(np.intp))
-    return rows, candidates[pick], _take(final, pick), np.stack((lo, hi), axis=1)
+        done = index[pending & ~active]
+        if len(done):  # most calls end no row's search
+            pick = done, np.argmax(rates.R[done], axis=1)
+            optima[:, done] = [points[pick], *(getattr(rates, name)[pick] for name in _FIELDS)]
+        pending &= active
+    return rows, optima[0], RateBreakdown(*optima[1:]), np.stack((lo, hi), axis=1)
 
 
 def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
@@ -317,11 +324,11 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     points, and ``rtol`` (1e-5).  The grid locates the best cell, in one kernel
     call up to ``_BLOCK_CELLS`` points and in two levels beyond (see the module
     notes); the section search runs within that cell and its neighbours down to
-    relative width ``rtol``.  Returns ``None`` when no grid point is secure
-    (operation beyond cutoff), which is a result, not an error.  The returned
-    optimum never falls below the best coarse-grid point.
+    relative width ``rtol``.  The optimum is the best (by ``R``, first on ties) of
+    the last step's 16 probes and the best grid point, which each step evaluates
+    too.  ``None`` (no grid point secure, past the cutoff) is a result, not an error.
     """
-    grid, rtol = _search(**search)
+    grid, rtol = _search("optimize_param", **search)
     codes = np.array([_FAMILIES.index(scenario.source_family)])
     rows, param, breakdown, bracket = _optimize_rows(
         scenario, codes, np.array([scenario.channel.total_eta()]), grid, rtol)
@@ -354,7 +361,7 @@ def sweep_distance(
     distances = [float(l) for l in l_grid]
     if any(b < a for a, b in zip(distances, distances[1:])):
         raise DomainError("l_grid must be sorted ascending")
-    grid, rtol = _search(**search)
+    grid, rtol = _search("sweep_distance", **search)
     for distance in distances:
         require_finite_nonneg("distance_l", distance)
     if not scenarios:
@@ -447,7 +454,7 @@ def cutoff_distance(
     if not math.isfinite(l_max) or l_max <= 0.0:
         raise DomainError(f"l_max must be finite and > 0, got {l_max!r}")
     _check_resolution(resolution_km)
-    grid, _ = _search(**search)
+    grid, _ = _search("cutoff_distance", **search)
     code = _FAMILIES.index(scenario.source_family)
     secure_at_zero, secure_at_max = _secure_at(scenario, [0.0, l_max], grid, np.full(2, code))
     if not secure_at_zero:

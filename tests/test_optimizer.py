@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mcs_qkd import (
+    ConstantF,
     DegenerateInputError,
     DetectorModel,
     DomainError,
     Scenario,
     SourceFamily,
+    TableF,
     cutoff_distance,
     optimize_param,
     rate_at,
@@ -121,6 +125,42 @@ class TestOptimizeParam:
         lo, hi = tight.bracket
         assert np.nextafter(lo, np.inf) >= hi
         assert tight.breakdown.R >= optimize_param(scenario, **FAST_SEARCH).breakdown.R
+
+
+class TestOptimaAreEvaluatedPoints:
+    """Each optimum is a point the search evaluated: ``rate_at`` at its parameter gives
+    its breakdown again, field for field and bit for bit."""
+
+    @staticmethod
+    def assert_evaluated(scenario, param, breakdown):
+        again = rate_at(scenario, param)
+        for field in dataclasses.fields(again):
+            value, expected = getattr(breakdown, field.name), getattr(again, field.name)
+            assert float(value).hex() == expected.hex(), (scenario, param, field.name)
+
+    @pytest.mark.parametrize("paper_literal_sign", [False, True])
+    @pytest.mark.parametrize("f_policy", [ConstantF(1.16), TableF([(0.0, 1.05), (0.1, 1.3)])])
+    @pytest.mark.parametrize("dark_prob_Pd, distances", [
+        (2e-4, [2.5 * k for k in range(41)]),
+        # without dark counts the rows from about 350 km on are faint (optimizer._FAINT)
+        (0.0, [50.0 * k for k in range(13)]),
+    ])
+    def test_optimize_param_and_every_sweep_row(self, dark_prob_Pd, distances, f_policy,
+                                                paper_literal_sign, kth15_channel):
+        scenarios = [Scenario(family, kth15_channel, DetectorModel(dark_prob_Pd, 0.01),
+                              f_policy, paper_literal_sign) for family in SourceFamily]
+        sweeps = sweep_distance(scenarios, distances, **FAST_SEARCH)
+        assert sum(len(sweep.index) for sweep in sweeps) >= 3 * 8
+        for s, sweep in zip(scenarios, sweeps):
+            for k, (i, param) in enumerate(zip(sweep.index.tolist(), sweep.param_value.tolist())):
+                at = s.at_distance(distances[i])
+                self.assert_evaluated(at, param, sweep.breakdown.at(k))
+                point = optimize_param(at, **FAST_SEARCH)
+                assert point.param_value == param
+                self.assert_evaluated(at, param, point.breakdown)
+        if not dark_prob_Pd:  # a faint secure row
+            eta = kth15_channel.eta_at(distances[sweeps[2].index[-1]])
+            assert eta * 1e-5 < 1e-12
 
 
 class TestSweepDistance:

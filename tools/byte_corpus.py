@@ -5,8 +5,11 @@
 Each tree is a checkout with ``src/mcs_qkd``.  Every CLI case runs as
 ``python -m mcs_qkd ARGV`` in a fresh directory that holds only the case's
 input files, once per tree, with ``PYTHONPATH`` set to that tree's ``src``.
-A case matches when the exit code, stdout, stderr and the SHA-256 of every
+A case matches when the exit code, stdout, stderr and the bytes of every
 CSV and SVG file written under the directory are the same for both trees.
+Each CSV that differs is also reported column by column: the row counts of
+both trees, and per column how many cells differ and the worst relative
+difference between them (see ``column_diffs``).
 
 The corpus covers every command's normal runs, its configuration and I/O
 errors, argparse errors and ``--help``, plus every op of the benchmark's
@@ -22,7 +25,8 @@ only when every case matches.  A pure refactor should leave every case matching.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -313,8 +317,67 @@ def bench_cases(seed: int, scratch: Path) -> list:
     return cases
 
 
+def _relative(a: str, b: str) -> float:
+    """Relative difference of two CSV cells that differ as text."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf  # text, such as a family name or an empty cutoff_km cell
+    if x == y:
+        return 0.0  # one number written two ways, such as 0 and -0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def column_diffs(parent: str, change: str) -> dict:
+    """How two CSV texts differ: ``rows``, the row counts of each; ``head``, whether the
+    ``#`` note lines and the header are the same; and ``columns``, per column of the
+    parent's header, the number of cells that differ and their worst relative difference.
+
+    Rows are compared in order, up to the shorter text.  Cells equal as text do not
+    differ; cells that read as equal floats (signed zeros) differ by 0, and cells that
+    are not both finite numbers (text, empty cells, nan, inf) by inf.
+    """
+    notes, tables = [], []
+    for text in (parent, change):
+        lines = text.splitlines()
+        notes.append([line for line in lines if line.startswith("#")])
+        tables.append(list(csv.reader(line for line in lines if not line.startswith("#"))) or [[]])
+    (header, *rows), (other_header, *other_rows) = tables
+    columns = {name: (0, 0.0) for name in header}
+    for row, other in zip(rows, other_rows):
+        for name, a, b in zip(header, row, other):
+            if a != b:
+                count, worst = columns[name]
+                columns[name] = count + 1, max(worst, _relative(a, b))
+    return {"rows": (len(rows), len(other_rows)),
+            "head": notes[0] == notes[1] and header == other_header, "columns": columns}
+
+
+def column_report(parent: dict, change: dict) -> list[str]:
+    """Lines that say how the files of one case differ between the trees, CSV column by column."""
+    lines = []
+    for path in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(path), change.get(path)
+        if a == b:
+            continue
+        if a is None or b is None:
+            lines.append(f"{path}: written by one tree only")
+        elif not path.endswith(".csv"):
+            lines.append(f"{path}: differs")
+        else:
+            diffs = column_diffs(a.decode(), b.decode())
+            n, m = diffs["rows"]
+            rows = f"{n} rows" if n == m else f"{n} rows -> {m} rows"
+            lines.append(f"{path}: {rows}" + ("" if diffs["head"] else ", notes or header differ"))
+            lines += [f"    {name}: {count} cells differ, worst relative {worst:.3g}"
+                      for name, (count, worst) in diffs["columns"].items() if count]
+    return lines
+
+
 def run(tree: Path, argv, files) -> tuple:
-    """Exit code, stdout, stderr and {path: SHA-256} of the CSV and SVG files of one call."""
+    """Exit code, stdout, stderr and {path: bytes} of the CSV and SVG files of one call."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env.update(PYTHONPATH=str(tree / "src"), COLUMNS="80", OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1")
@@ -326,12 +389,12 @@ def run(tree: Path, argv, files) -> tuple:
         command = argv if argv[:1] == ("-c",) else ("-m", "mcs_qkd", *argv)
         done = subprocess.run([sys.executable, *command], cwd=work, env=env,
                               capture_output=True, text=True, timeout=TIMEOUT_S)
-        digests = {
-            str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
+        written = {
+            str(path.relative_to(work)): path.read_bytes()
             for path in sorted(work.rglob("*"))
             if path.suffix in {".csv", ".svg"} and path.is_file()
         }
-    return done.returncode, done.stdout, done.stderr, digests
+    return done.returncode, done.stdout, done.stderr, written
 
 
 def main(argv=None) -> int:
@@ -360,6 +423,8 @@ def main(argv=None) -> int:
                             print(f"    {a}  ->  {b.rpartition(': ')[2]}")
                 else:
                     print(f"DIFFERS {name}: {', '.join(what)} (argv: {' '.join(case_argv)})")
+                    for line in column_report(parent[3], change[3]):
+                        print(f"    {line}")
     print(f"{len(cases)} cases: {len(cases) - differ} identical, {differ} differ")
     return 1 if differ else 0
 
