@@ -186,9 +186,13 @@ def p0_via_quadrature(
     One efficiency gives a float; a sequence gives one value per entry, each
     bit for bit what its own call gives.  Only interior efficiencies are
     integrable: the Gaussian weight degenerates at eta = 0 and eta = 1, where
-    callers should use the Fock sum instead.
+    callers should use the Fock sum instead.  So should they where the integral
+    is infinite (a_v rounds to 0, or exp overflows), which raises ``DomainError``.
     """
-    etas = list(eta) if np.ndim(eta) else [eta]
+    try:  # a ragged or nested sequence fails np.ndim or float
+        etas = [float(value) for value in eta] if np.ndim(eta) else [float(eta)]
+    except (TypeError, ValueError):
+        raise DomainError(f"eta must be a number or a flat sequence, got {eta!r}") from None
     for value in etas:
         if not 0.0 < value < 1.0:
             raise DomainError(f"quadrature needs eta strictly inside (0, 1), got {value!r}; "
@@ -204,9 +208,16 @@ def p0_via_quadrature(
     # one math.log and one dot per row: numpy's SIMD log and a gemv may round differently
     constant = np.array([nu * alpha * alpha / mu - alpha * alpha - math.log(mu * math.pi * x)
                          for x in loss[:, 0]]).reshape(-1, 1)
-    in_u = (2.0 * alpha - nu * u) * u / mu - u * u / loss + t * t + constant
-    scale = np.sqrt(math.pi / (a_u[:, 0] * a_v[:, 0]))
-    totals = [min(float(w @ row) * float(s), 1.0) for row, s in zip(np.exp(in_u), scale)]
+    # past an overflow a total is NaN (kept, as where alpha**2 overflows) or inf (raised below)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        in_u = (2.0 * alpha - nu * u) * u / mu - u * u / loss + t * t + constant
+        scale = np.sqrt(math.pi / (a_u[:, 0] * a_v[:, 0]))
+        totals = [float(w @ row) * float(s) for row, s in zip(np.exp(in_u), scale)]
+    for value, total in zip(etas, totals):
+        if total == math.inf:
+            raise DomainError(f"quadrature of {state} at eta={value!r} is infinite; "
+                              "use the Fock-sum oracle")
+    totals = [min(total, 1.0) for total in totals]  # NaN stays NaN
     return totals if np.ndim(eta) else totals[0]
 
 

@@ -148,10 +148,11 @@ def tau_compression(e: float, rho: float) -> float:
 
     With u = e / rho:  log2(1 + 4u - 4u**2) for u < 1/2, capped at 1 beyond,
     where the argument would leave [1, 2] and the protocol is insecure anyway.
-    Callers must check rho first; a non-positive rho returns the cap rather
-    than raising.
+    ``e`` must lie in [0, 1].  Callers must check rho first; a non-positive
+    rho, or one so small that u overflows, returns the cap rather than raising.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    require_unit_interval("e", e)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return float(_compression(np.float64(e), np.float64(rho)))
 
 
@@ -194,6 +195,10 @@ _MOST_NEGATIVE = -np.finfo(float).max  #: rho's floor, where Ps_bar is 0 or Pm /
 
 def f_ec(e, policy: ConstantF | TableF = DEFAULT_F_POLICY):
     """Error-correction inefficiency factor at error rate ``e``, elementwise."""
+    try:
+        e = np.asarray(e, dtype=float)
+    except ValueError:
+        raise DomainError("e must be a number or a rectangular array of numbers") from None
     if isinstance(policy, ConstantF):
         return np.full(np.shape(e), policy.f0)
     if isinstance(policy, TableF):

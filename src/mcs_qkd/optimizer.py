@@ -4,35 +4,36 @@ This module only searches; the source model, ``SourceFamily.source``, lives in
 ``photon_source``.  For each source family the free parameter is the mean photon
 number ``|alpha|**2`` (plain coherent state) or the squeeze magnitude ``nu``
 (interference-tuned sources).  A coarse logarithmic grid brackets the best rate
-over that parameter and a section search polishes it (16 probes per step).  Each
-step also evaluates the best grid point; the optimum is the best of the last
-step's 17 points.  The coarse pass has two levels: about ``_SAMPLES`` grid
-points a stride apart, then the points around the best of them, ranked by the
-unclamped rate ``R_raw``.  It finds the full grid's best point whenever that
-point lies within a stride of the best sample.  That held on every secure row
-checked, at 2 to 2,000 grid points: ``R_raw`` has one interior maximum there,
-and its dip towards ``param_min`` stays below the samples by the peak.  Past the
-cutoff ``R_raw`` may peak at ``param_min`` instead; every point is then <= 0,
-and the row is insecure whichever peak the pass finds.  So the pass gives the
-full grid's secure flag, the one predicate of the sweep rows and the cutoff
-search.  ``_best_cells`` says which rows evaluate every grid point instead.
+over that parameter and a section search polishes it (16 probes per step); every
+step ranks its points by the unclamped rate ``R_raw``, the first of equal ones
+ahead.  The optimum is the best probe of the row's last step, or the best grid
+point where its ``R`` is higher (ties go to the probe).  The coarse pass has two
+levels: about ``_SAMPLES`` grid points a stride apart, then the points around
+the best of them.  It finds the full grid's best point whenever that point lies
+within a stride of the best sample.  That held on every secure row checked, at 2
+to 2,000 grid points: ``R_raw`` has one interior maximum there, and its dip
+towards ``param_min`` stays below the samples by the peak.  Past the cutoff
+``R_raw`` may peak at ``param_min`` instead; every point is then <= 0, and the
+row is insecure whichever peak the pass finds.  So the pass gives the full
+grid's secure flag, the one predicate of the sweep rows and the cutoff search.
+``_best_cells`` says which rows evaluate every grid point.
 
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
 source statistics (``photon_source``'s ``SourceFamily.source`` and
-``p_signal_formula``) and the rate formula elementwise over broadcast arrays
-of total efficiency and source parameter, with a source family per row; rows
-come in runs of one family, one source call each.  A sweep stacks one row per
-(family, distance), family by family, evaluates each level of their coarse
-pass in blocks of ``_BLOCK_CELLS`` cells and refines the secure rows
-together, one call per section step: each row takes the steps of a
-one-distance search, and ``optimize_param`` is the one-row case; the secure
-rows come out in columns, one array per field.  The cutoff is the last
-multiple ``j * resolution_km`` (j >= 0, rounded once) where the optimum is
-secure, so the range searched does not move it.  One loop, ``_cutoffs``,
-finds it for every family at once: each round cuts every span of multiples,
-from the last known secure to the first known insecure, into ``_CUTS``
-parts, and one ``_secure_at`` call evaluates the cut points that no bracket
-decides.  A span closes at adjacent multiples or adjacent floats.
+``p_signal_formula``) and the rate formula elementwise over broadcast arrays of
+total efficiency and source parameter, with a source family per row; rows come
+in runs of one family, one source call each.  Every step of the search is one
+row search, ``_row_best``, which calls the kernel in blocks of at most
+``_BLOCK_CELLS`` cells.  A sweep stacks one row per (family, distance), family
+by family, and refines the secure rows together, one row search per section
+step: each row takes the steps of a one-distance search, and ``optimize_param``
+is the one-row case; the secure rows come out in columns, one array per field.
+The cutoff is the last multiple ``j * resolution_km`` (j >= 0, rounded once)
+where the optimum is secure, so the range searched does not move it.  One loop,
+``_cutoffs``, finds it for every family at once: each round cuts every span of
+multiples, from the last known secure to the first known insecure, into
+``_CUTS`` parts, and one ``_secure_at`` call evaluates the cut points that no
+bracket decides.  A span closes at adjacent multiples or adjacent floats.
 """
 
 from __future__ import annotations
@@ -211,26 +212,25 @@ def _check_resolution(resolution_km: float) -> None:
         raise DomainError(f"cutoff resolution must be finite and > 0 km, got {resolution_km!r}")
 
 
-def _cells_max(scenario: Scenario, families: np.ndarray, etas: np.ndarray, grid: np.ndarray,
-               cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the first of ``cells`` with the largest ``R_raw``, and ``R`` there.
+def _row_best(scenario: Scenario, families, etas, params, names) -> tuple[np.ndarray, ...]:
+    """Per row, the column of the first of ``params`` with the largest ``R_raw`` (nan lowest),
+    then each of the breakdown fields ``names`` there.
 
-    A row is a family and a total efficiency; ``cells`` holds grid indices, shared by
-    every row (1-D) or one row each (2-D).  A nan ``R_raw`` (no detection events)
-    ranks below every number; its ``R`` is 0.
+    A row is a family and a total efficiency; ``params`` is shared by every row (1-D) or
+    holds one row each (2-D).  Each kernel call takes at most ``_BLOCK_CELLS`` cells.
     """
-    best_i = np.empty(len(etas), dtype=np.intp)
-    best_r = np.empty(len(etas))
-    block = max(1, _BLOCK_CELLS // cells.shape[-1])
+    n = params.shape[-1]
+    best, fields = np.empty(len(etas), dtype=np.intp), [np.empty(len(etas)) for _ in names]
+    block = max(1, _BLOCK_CELLS // n)
     for start in range(0, len(etas), block):
         rows = slice(start, start + block)
-        index = cells if cells.ndim == 1 else cells[rows]
-        rates = _breakdown(scenario, etas[rows, None], grid[index], families[rows])
-        k = np.argmax(np.where(np.isnan(rates.R_raw), -np.inf, rates.R_raw), axis=1)
-        at = np.arange(len(k))
-        best_i[rows] = np.broadcast_to(index, rates.R.shape)[at, k]
-        best_r[rows] = rates.R[at, k]
-    return best_i, best_r
+        rates = _breakdown(scenario, etas[rows, None], params[rows] if params.ndim == 2 else params,
+                           families[rows])
+        best[rows] = k = np.argmax(np.where(np.isnan(rates.R_raw), -np.inf, rates.R_raw), axis=1)
+        flat = k + n * np.arange(len(k))  # each row's best cell in the flat block
+        for field, name in zip(fields, names):
+            field[rows] = getattr(rates, name).take(flat)
+    return best, *fields
 
 
 def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
@@ -252,17 +252,17 @@ def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
     best_i = np.empty(len(etas), dtype=np.intp)
     best_r = np.empty(len(etas))
     if full.any():
-        best_i[full], best_r[full] = _cells_max(scenario, families[full], etas[full], grid,
-                                                np.arange(len(grid)))
+        best_i[full], best_r[full] = _row_best(scenario, families[full], etas[full], grid, ("R",))
     rows = ~full
     if rows.any():
         families, etas = families[rows], etas[rows]
         samples = np.append(np.arange(0, len(grid) - 1, stride), len(grid) - 1)
         width = 2 * stride - 1
-        start = np.clip(_cells_max(scenario, families, etas, grid, samples)[0] - (stride - 1),
-                        0, len(grid) - width)
-        best_i[rows], best_r[rows] = _cells_max(scenario, families, etas, grid,
-                                                start[:, None] + np.arange(width))
+        best = samples[_row_best(scenario, families, etas, grid[samples], ())[0]]
+        start = np.clip(best - (stride - 1), 0, len(grid) - width)
+        cell, best_r[rows] = _row_best(scenario, families, etas,
+                                       grid[start[:, None] + np.arange(width)], ("R",))
+        best_i[rows] = start + cell
     return best_i, best_r
 
 
@@ -277,19 +277,14 @@ def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families: np.nda
     return _best_cells(scenario, families, etas, grid)[1] > 0.0
 
 
-def _take(b: RateBreakdown, cells) -> RateBreakdown:
-    """The breakdown of arrays at ``cells``, an index into each field."""
-    return RateBreakdown(*(getattr(b, name)[cells] for name in _FIELDS))
-
-
 def _optimize_rows(
     scenario: Scenario, families: np.ndarray, etas: np.ndarray, grid: np.ndarray, rtol: float
-) -> tuple[np.ndarray, np.ndarray, RateBreakdown, np.ndarray]:
-    """The secure rows (a family and a total efficiency each), ascending, and in columns
-    their refined optima, breakdowns and final brackets; rows never active take the first call."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The secure rows (a family and a total efficiency each), ascending, their optima in
+    columns (the param, then each breakdown field) and their final brackets (n x 2)."""
     best_i, best_r = _best_cells(scenario, families, etas, grid)
     rows = np.flatnonzero(best_r > 0.0)
-    families, eta, cell = families[rows], etas[rows, None], best_i[rows]
+    families, eta, cell = families[rows], etas[rows], best_i[rows]
     lo, hi = grid[np.clip((cell - 1, cell + 1), 0, len(grid) - 1)]
     width = hi - lo
     active = width > rtol * 0.5 * (lo + hi)
@@ -298,22 +293,22 @@ def _optimize_rows(
     while pending.any():
         # cells lo, the probes lo + (hi - lo) * j / 17 (j = 1..16), hi: active rows keep the
         # two cells around their best probe, inactive rows their bracket; a row's optimum is
-        # the best (first on ties) of its last active call's probes and coarse winner
+        # the best probe of its last active call (of the first, if it never was active)
         probes = lo[:, None] + (hi - lo)[:, None] * _PROBES / 17
-        points = np.concatenate((probes, grid[cell, None]), axis=1)
-        rates = _breakdown(scenario, eta, points, families)
-        best = np.argmax(rates.R[:, :-1], axis=1)
+        best, *fields = _row_best(scenario, families, eta, probes, _FIELDS)
         cells = np.concatenate((lo[:, None], probes, hi[:, None]), axis=1)
         lo, hi = np.where(active, (cells[index, best], cells[index, best + 2]), (lo, hi))
         # a bracket down to adjacent floats stops shrinking before a tiny rtol is met
         active &= (hi - lo > rtol * 0.5 * (lo + hi)) & (hi - lo < width)
         width = hi - lo
-        done = index[pending & ~active]
-        if len(done):  # most calls end no row's search
-            pick = done, np.argmax(rates.R[done], axis=1)
-            optima[:, done] = [points[pick], *(getattr(rates, name)[pick] for name in _FIELDS)]
+        done = pending & ~active
+        optima[:, done] = [probes[index, best][done], *(field[done] for field in fields)]
         pending &= active
-    return rows, optima[0], RateBreakdown(*optima[1:]), np.stack((lo, hi), axis=1)
+    # the coarse winner is the optimum where its R beats the best probe's (ties go to the probe)
+    up = np.flatnonzero(best_r[rows] > optima[1 + _FIELDS.index("R")])
+    optima[:, up] = [grid[cell[up]], *_row_best(scenario, families[up], eta[up],
+                                                grid[cell[up], None], _FIELDS)[1:]]
+    return rows, optima, np.stack((lo, hi), axis=1)
 
 
 def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
@@ -324,17 +319,18 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     points, and ``rtol`` (1e-5).  The grid locates the best cell, in one kernel
     call up to ``_BLOCK_CELLS`` points and in two levels beyond (see the module
     notes); the section search runs within that cell and its neighbours down to
-    relative width ``rtol``.  The optimum is the best (by ``R``, first on ties) of
-    the last step's 16 probes and the best grid point, which each step evaluates
-    too.  ``None`` (no grid point secure, past the cutoff) is a result, not an error.
+    relative width ``rtol``.  Every step ranks its points by ``R_raw``.  The optimum
+    is the last step's best probe, or the best grid point where its ``R`` is higher.
+    ``None`` (no grid point secure, past the cutoff) is a result, not an error.
     """
     grid, rtol = _search("optimize_param", **search)
     codes = np.array([_FAMILIES.index(scenario.source_family)])
-    rows, param, breakdown, bracket = _optimize_rows(
+    rows, optima, bracket = _optimize_rows(
         scenario, codes, np.array([scenario.channel.total_eta()]), grid, rtol)
     if not len(rows):
         return None
-    return OptimumPoint(float(param[0]), breakdown.at(0), tuple(bracket[0].tolist()))
+    param, *fields = optima[:, 0].tolist()
+    return OptimumPoint(param, RateBreakdown(*fields), tuple(bracket[0].tolist()))
 
 
 def sweep_distance(
@@ -370,8 +366,7 @@ def sweep_distance(
     codes = [_FAMILIES.index(s.source_family) for s in scenarios]
     etas = np.tile([scenario.channel.eta_at(l) for l in distances], len(codes))
     # scenario-major rows, so that each kernel call holds at most one run per scenario
-    rows, param, breakdown, bracket = _optimize_rows(
-        scenario, np.repeat(codes, n), etas, grid, rtol)
+    rows, optima, bracket = _optimize_rows(scenario, np.repeat(codes, n), etas, grid, rtol)
     secure = np.zeros(len(codes) * n, dtype=bool)
     secure[rows] = True
     # secure(l) is monotone, which the cutoff rounds assume: a scenario is secure up to
@@ -383,8 +378,8 @@ def sweep_distance(
             brackets[k] = distances[first - 1] if first else -math.inf, distances[first]
     cutoffs = _cutoffs(scenario, grid, codes, brackets, cutoff_resolution_km)
     ends = np.searchsorted(rows, n * np.arange(len(codes) + 1)).tolist()
-    return [DistanceSweep(rows[part] - k * n, etas[rows[part]], param[part],
-                          _take(breakdown, part), bracket[part], cutoff)
+    return [DistanceSweep(rows[part] - k * n, etas[rows[part]], optima[0, part],
+                          RateBreakdown(*optima[1:, part]), bracket[part], cutoff)
             for k, (part, cutoff) in enumerate(zip(map(slice, ends, ends[1:]), cutoffs))]
 
 

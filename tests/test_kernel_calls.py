@@ -101,9 +101,17 @@ def test_kth15_sweep_budget(kernel_calls):
     distances = [float(l) for l in range(101)]
     sweeps = sweep_distance([scenario(family) for family in SourceFamily], distances)
     assert all(sweep.cutoff_l is not None for sweep in sweeps)
-    # 3 coarse calls, 5 probe calls of 150 rows x 17 points, 3 cutoff rounds
+    # 3 coarse calls, 5 probe calls of 150 rows x 16 probes, 3 cutoff rounds
     assert len(kernel_calls) == 11
-    assert sum(kernel_calls) == 30_018
+    assert sum(kernel_calls) == 29_268
+
+
+def test_no_kernel_call_of_a_fine_kth15_sweep_exceeds_the_block(kernel_calls):
+    # 594 secure rows x 16 probes would be 9,504 cells in one probe call
+    distances = [0.25 * k for k in range(601)]
+    sweeps = sweep_distance([scenario(family) for family in SourceFamily], distances)
+    assert sum(len(sweep.index) for sweep in sweeps) == 594
+    assert max(kernel_calls) <= optimizer._BLOCK_CELLS
 
 
 def test_sweep_from_past_a_cutoff(kernel_calls):
@@ -206,7 +214,7 @@ def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsy
         counts.append((len(kernel_calls) - start, sum(kernel_calls[start:])))
     assert counts[0] == counts[1]
     calls, cells = counts[0]
-    assert calls == 11 and cells == 30_018
+    assert calls == 11 and cells == 29_268
 
 
 def test_kth15_figure2_writes_the_efficiencies_the_sweep_searched(monkeypatch, tmp_path, capsys):

@@ -178,12 +178,18 @@ def test_mixed_family_call_equals_one_family_calls(data, codes, per_row, channel
 def scalar_search(s, param_max, grid_points, rtol=1e-5):
     """One-distance search as a scalar loop: best grid cell, then 16-probe steps.
 
-    The optimum is the best of the last step's 16 probes and the best grid point (the
-    first of them on ties); with a bracket too narrow for any step, of the first step's.
+    Each step keeps the two cells around its first probe with the largest ``R_raw`` (nan
+    lowest).  The optimum is the best of the last step's 16 probes and the best grid
+    point (the first of them on ties); with a bracket too narrow for any step, of the
+    first step's.
     """
 
     def rate(param):
         return rate_at(s, param).R
+
+    def rank(param):
+        r_raw = rate_at(s, param).R_raw
+        return -math.inf if math.isnan(r_raw) else r_raw
 
     grid = [float(p) for p in np.geomspace(1e-5, param_max, grid_points)]
     rates = [rate(p) for p in grid]
@@ -199,7 +205,7 @@ def scalar_search(s, param_max, grid_points, rtol=1e-5):
         cells = [lo, *(lo + (hi - lo) * j / 17 for j in range(1, 17)), hi]
         optimum = max([*cells[1:17], grid[best_i]], key=rate)
         if active:
-            best = max(range(1, 17), key=lambda j: rate(cells[j]))
+            best = max(range(1, 17), key=lambda j: rank(cells[j]))
             lo, hi = cells[best - 1], cells[best + 1]
             active = hi - lo > rtol * 0.5 * (lo + hi) and hi - lo < width  # or adjacent floats
             width = hi - lo
