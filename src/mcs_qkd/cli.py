@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -203,14 +203,17 @@ def _scenario(cfg: RunConfig, family: SourceFamily, distance_km: float, f_policy
                     f_policy=f_policy, paper_literal_sign=cfg.paper_literal_sign)
 
 
-def _csv_join(comments: Sequence[str], header: Sequence[str], lines: list[str]) -> str:
-    """Comment lines, the header, then the already formatted row ``lines``."""
-    return "\n".join([*(f"# {comment}" for comment in comments), ",".join(header), *lines]) + "\n"
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+def _write_csv(handle: TextIO, comments: Sequence[str], header: Sequence[str],
+               blocks: Iterable[list[str]]) -> None:
+    """Write the comment lines and the header to ``handle``, then each block of formatted
+    LF-terminated rows as it arrives, so that a lazy ``blocks`` never holds every row."""
+    handle.write("".join(f"# {comment}\n" for comment in comments) + ",".join(header) + "\n")
+    for text in map("".join, blocks):
         handle.write(text)
+
+
+def _open_text(path: Path) -> TextIO:
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -219,12 +222,14 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _write_figure(cfg: RunConfig, name: str, csv_text: str, curves, **chart) -> str:
-    """Write ``csv_text`` to ``name``.csv and ``name``.svg charting ``curves``; say so."""
+def _write_figure(cfg: RunConfig, name: str, comments, header, blocks, curves, **chart) -> str:
+    """Write ``_write_csv``'s CSV to ``name``.csv and ``name``.svg charting ``curves``; say so."""
     out = _out_dir(cfg)
     csv_path, svg_path = out / f"{name}.csv", out / f"{name}.svg"
-    _write_text(csv_path, csv_text)
-    _write_text(svg_path, render_line_chart(curves, **chart))
+    with _open_text(csv_path) as handle:
+        _write_csv(handle, comments, header, blocks)
+    with _open_text(svg_path) as handle:
+        handle.write(render_line_chart(curves, **chart))
     return f"wrote {csv_path} and {svg_path}"
 
 
@@ -260,8 +265,8 @@ def _breakdown_values(b: RateBreakdown, header: Sequence[str]) -> list:
 def _family_lines(family: SourceFamily, lead: Sequence[str], columns: Sequence[np.ndarray],
                   tail: str = "") -> list[str]:
     """``family``'s CSV rows: its name, each formatted ``lead`` cell, the row's values of the
-    float ``columns`` in 17 digits, then ``tail`` (no ``%``); one ``%``-format for them all."""
-    row_format = f"{family.value},%s" + ",%.17g" * len(columns) + tail
+    float ``columns`` in 17 digits, ``tail`` (no ``%``) and LF; one ``%``-format for them all."""
+    row_format = f"{family.value},%s" + ",%.17g" * len(columns) + tail + "\n"
     return [row_format % row for row in zip(lead, *(column.tolist() for column in columns))]
 
 
@@ -294,7 +299,7 @@ def cmd_rate(cfg: RunConfig, args: argparse.Namespace) -> int:
         lead = ["%.17g,%.17g,%.17g" % (distance, eta, param) for param in params]
         lines.extend(_family_lines(family, lead, _breakdown_values(b, RATE_HEADER)))
     comments = (_sign_note(cfg), f"f_policy = {cfg.f_policy}")
-    sys.stdout.write(_csv_join(comments, RATE_HEADER, lines))
+    _write_csv(sys.stdout, comments, RATE_HEADER, [lines])
     return EXIT_OK
 
 
@@ -305,25 +310,27 @@ def cmd_figure1(cfg: RunConfig, _args: argparse.Namespace) -> int:
     if cfg.fig1_points > _MAX_POINTS or not math.isfinite(cfg.fig1_param_max):
         raise ConfigurationError(f"need fig1_points <= {_MAX_POINTS} and a finite fig1_param_max")
     f_policy = parse_f_policy(cfg.f_policy)
-    params = cfg.fig1_param_max * np.arange(cfg.fig1_points) / (cfg.fig1_points - 1)
+    with np.errstate(over="ignore"):  # an overflowing scan reads inf, which rate_at rejects
+        params = cfg.fig1_param_max * np.arange(cfg.fig1_points) / (cfg.fig1_points - 1)
     eta = _scenario(cfg, SourceFamily.COHERENT_BB84, distance, f_policy).channel.total_eta()
     if eta == 0.0:  # its dB value for the CSV header would be -inf
         raise ConfigurationError(f"total efficiency underflows to 0 at l = {distance:g} km")
-    # the param cells are shared by the three families, so each is formatted once
-    param_cells = np.array(["%.17g" % p for p in params.tolist()], dtype=object)
-    lines, curves = [], []
+    columns, curves = [], []  # every rate_at call ends before a file opens
     for family in SourceFamily:
         b = rate_at(_scenario(cfg, family, distance, f_policy), params)
         # a vacuum source with zero dark counts has no detection events: no row
         detected = b.p_s_bar > 0.0
-        lines.extend(_family_lines(family, param_cells[detected].tolist(),
-                                   [c[detected] for c in _breakdown_values(b, FIGURE1_HEADER)]))
+        columns.append((detected, [c[detected] for c in _breakdown_values(b, FIGURE1_HEADER)]))
         curves.append((_family_label(family), np.column_stack((params, b.R))[detected]))
+    # the param cells are shared by the three families, so each is formatted once
+    param_cells = np.array(["%.17g" % p for p in params.tolist()], dtype=object)
+    blocks = (_family_lines(family, param_cells[detected].tolist(), family_columns)
+              for family, (detected, family_columns) in zip(SourceFamily, columns))
     eta_db = 10.0 * math.log10(eta)
     comments = ("distance_km = %.17g" % distance, "eta_db = %.17g" % eta_db,
                 _sign_note(cfg), f"f_policy = {cfg.f_policy}")
     wrote = _write_figure(
-        cfg, "figure1", _csv_join(comments, FIGURE1_HEADER, lines), curves,
+        cfg, "figure1", comments, FIGURE1_HEADER, blocks, curves,
         title=f"Secure rate vs source parameter at l = {distance:g} km",
         x_label="source parameter (mean photon number alpha2 or squeeze nu)",
         y_label="secure rate per slot",
@@ -349,25 +356,27 @@ def cmd_figure2(cfg: RunConfig, _args: argparse.Namespace) -> int:
     settings = dict(param_min=cfg.param_min, param_max=cfg.param_max, grid_points=cfg.grid_points,
                     rtol=cfg.golden_rtol, cutoff_resolution_km=cfg.cutoff_resolution_km)
     scenarios = [_scenario(cfg, family, 0.0, f_policy) for family in SourceFamily]
-    # the l cells are shared by the three families, so each is formatted once
-    l_cells = np.array(["%.17g" % l for l in l_grid.tolist()], dtype=object)
-    lines, curves, notes = [], [], []
-    for family, sweep in zip(SourceFamily, sweep_distance(scenarios, l_grid, **settings)):
-        cutoff = sweep.cutoff_l
-        columns = (sweep.eta, sweep.param_value,
-                   *_breakdown_values(sweep.breakdown, FIGURE2_HEADER))
-        lines.extend(_family_lines(family, l_cells[sweep.index].tolist(), columns,
-                                   "," + ("" if cutoff is None else "%.17g" % cutoff)))
+    sweeps = sweep_distance(scenarios, l_grid, **settings)  # it ends before a file opens
+    curves, notes = [], []
+    for family, sweep in zip(SourceFamily, sweeps):
         curves.append((_family_label(family),
                        np.column_stack((l_grid[sweep.index], sweep.breakdown.R))))
+        cutoff = sweep.cutoff_l
         found = f"none within {l_max:g} km" if cutoff is None else f"{cutoff:.2f} km"
         if not len(sweep.index):  # the grid starts at 0 km, so the family is insecure from 0 km on
             found = "insecure at every distance"
         notes.append(f"cutoff[{family.value}]: {found}")
+    # the l cells are shared by the three families, so each is formatted once
+    l_cells = np.array(["%.17g" % l for l in l_grid.tolist()], dtype=object)
+    blocks = (_family_lines(family, l_cells[sweep.index].tolist(),
+                            (sweep.eta, sweep.param_value,
+                             *_breakdown_values(sweep.breakdown, FIGURE2_HEADER)),
+                            "," + ("" if sweep.cutoff_l is None else "%.17g" % sweep.cutoff_l))
+              for family, sweep in zip(SourceFamily, sweeps))
     comments = ("l_max_km = %.17g" % l_max, "l_step_km = %.17g" % l_step,
                 _sign_note(cfg), f"f_policy = {cfg.f_policy}")
     notes.append(_write_figure(
-        cfg, "figure2", _csv_join(comments, FIGURE2_HEADER, lines), curves,
+        cfg, "figure2", comments, FIGURE2_HEADER, blocks, curves,
         title="Optimal secure rate vs transmission distance",
         x_label="distance (km)",
         y_label="optimal secure rate per slot",
@@ -390,15 +399,15 @@ def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
             return "%.17g" % value
         return cells.get(value) or cells.setdefault(value, "%.17g" % value)
 
-    lines = {key: "%s,%s,%s,%s,%s,%d,%s,%s,%s,%s" % (
+    lines = {key: "%s,%s,%s,%s,%s,%d,%s,%s,%s,%s\n" % (
                  r.formula, cell(r.alpha), cell(r.nu), cell(r.eta), r.method, r.resolution,
                  cell(r.closed_form_value), cell(r.oracle_value), cell(r.abs_diff),
                  "true" if r.within_tolerance else "false")
              for key, r in distinct.items()}
     comments = (_sign_note(cfg), f"fock_n_max = {n_max}", f"quad_nodes = {nodes}")
     out = _out_dir(cfg)
-    _write_text(out / "verify.csv",
-                _csv_join(comments, VERIFY_HEADER, [lines[id(r)] for r in reports]))
+    with _open_text(out / "verify.csv") as handle:
+        _write_csv(handle, comments, VERIFY_HEADER, [[lines[id(r)] for r in reports]])
     for (formula, method), diff in max_abs_diff_by_formula(distinct.values()).items():
         print(f"{formula} [{method}]: max |closed - oracle| = {diff:.3e}")
     failures = [r for r in reports if not r.within_tolerance]

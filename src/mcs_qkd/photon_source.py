@@ -144,6 +144,8 @@ class SqueezedCoherentState:
     def __post_init__(self) -> None:
         require_finite_nonneg("alpha", self.alpha)
         require_finite_nonneg("nu", self.nu)
+        if not math.isfinite(1.0 + self.nu * self.nu):
+            raise DomainError(f"mu = sqrt(1 + nu**2) overflows at nu={self.nu!r}")
 
     @property
     def mu(self) -> float:
@@ -154,7 +156,8 @@ class SqueezedCoherentState:
 def make_state(alpha: float, nu: float) -> SqueezedCoherentState:
     """Build a source state from displacement ``alpha`` and squeeze ``nu``.
 
-    Raises ``DomainError`` for negative or non-finite inputs.
+    Raises ``DomainError`` for negative or non-finite inputs, and for a ``nu`` whose
+    ``mu = sqrt(1 + nu**2)`` overflows (above about 1.34e154).
     """
     return SqueezedCoherentState(float(alpha), float(nu))
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -288,6 +289,21 @@ class TestFigure1:
         lit_max = max(float(r["R"]) for r in lit_rows)
         assert lit_max > base_max  # the additive sign credits errors with rate
 
+    def test_traced_memory_is_bounded_by_the_csv(self, tmp_path, capsys):
+        # the rows are formatted and written one family at a time; holding every family's
+        # rows and their joined copy at once peaked at 3.9 times the CSV
+        config = tmp_path / "scan.cfg"
+        config.write_text("fig1_points = 2000\n", encoding="utf-8")
+        argv = ["figure1", "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == 0  # a first run fills the caches that later runs share
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (tmp_path / "figure1.csv").stat().st_size
+
 
 class TestFigure2:
     def test_fast_run(self, tmp_path, capsys):
@@ -416,6 +432,12 @@ class TestVerifyCommand:
         assert proc.stderr.startswith("config error: ")
         assert proc.stderr.rstrip().endswith("raise fock_n_max")
         assert proc.stderr.count("\n") == 1
+
+    def test_a_squeeze_whose_mu_overflows_exits_2_naming_nu(self, tmp_path):
+        # the Fock sum cannot resolve such a state at any order, so the error names nu
+        proc = self.run_verify(tmp_path, "verify_alphas = 0.3\nverify_nus = 1e200\n")
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: mu = sqrt(1 + nu**2) overflows at nu=1e+200\n"
 
     def test_fock_order_above_its_bound_exits_2(self, tmp_path):
         # alpha = 40 underflows the leading amplitude, so an unbounded order would run to the end
@@ -620,6 +642,26 @@ def cli_runs(draw):
     if draw(st.booleans()):
         flags += ["--f-policy", draw(_SMALL["f_policy"])]
     return command, entries, flags
+
+
+@pytest.mark.parametrize("argv, config_text", [
+    (["figure1"], "fig1_param_max = 150\n"),
+    (["figure1"], "fig1_param_max = 1.7976931348623157e308\n"),  # the scan overflows to inf
+    (["figure2"], FAST_FIGURE2 + "param_max = 150\n"),
+    (["verify"], "verify_alphas = 0.3\nverify_nus = 3\n"),  # unresolved at Fock order 128
+    # no detection events at the second distance, after rows for the first
+    (["rate", "--family", "mcs-bb84", "--nu", "0.1", "--l", "5", "--l", "1000"],
+     "dark_prob_Pd = 0\n"),
+], ids=["figure1-param-above-100", "figure1-overflowing-scan", "figure2-param-above-100",
+        "verify-truncated", "rate-no-detection-at-1000-km"])
+def test_a_failing_command_writes_nothing(tmp_path, capsys, argv, config_text):
+    # every step that can raise ends before a file opens: no CSV, no out dir, no stdout rows
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 2
+    one_config_error(capsys)
+    assert not out.exists()
 
 
 class TestConfigFuzz:

@@ -4,6 +4,7 @@ and the package's own errors for values of the right type that the model cannot 
 import dataclasses
 import inspect
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 import mcs_qkd
 from mcs_qkd import errors
 from mcs_qkd import (
-    KTH15_DETECTOR, ChannelModel, ConfigurationError, DomainError, Protocol, SourceFamily, TableF,
-    adjusted_signal, cutoff_distance, f_ec, make_state, optimize_param, p0_via_fock,
-    p0_via_quadrature, p_signal_mcs, p_vacuum_lossy, rate_at, secure_rate, shannon_h,
-    sweep_distance, tau_compression, verify_closed_forms,
+    KTH15_DETECTOR, ChannelModel, ConfigurationError, DomainError, Protocol, SourceFamily,
+    SqueezedCoherentState, TableF, adjusted_signal, cutoff_distance, f_ec, make_state,
+    optimize_param, p0_via_fock, p0_via_quadrature, p_signal_mcs, p_vacuum_lossy, rate_at,
+    secure_rate, shannon_h, sweep_distance, tau_compression, verify_closed_forms,
 )
 
 #: Call site -> (the name its message uses, a call that passes ``value`` there).
@@ -123,10 +124,22 @@ def test_an_infinite_quadrature(alpha, nu, eta):
                               "use the Fock-sum oracle")
 
 
-@pytest.mark.parametrize("alpha, nu", [(0.0, 7e306), (8e307, 0.0)])
-def test_an_overflowing_quadrature_gives_nan(alpha, nu):
-    # nu * Re(beta), or 2 * alpha * Re(beta), overflows: NaN, as where alpha**2 overflows
-    assert math.isnan(p0_via_quadrature(make_state(alpha, nu), 0.5, 33))
+def test_an_overflowing_quadrature_gives_nan():
+    # 2 * alpha * Re(beta) overflows: NaN, as where alpha**2 overflows
+    assert math.isnan(p0_via_quadrature(make_state(8e307, 0.0), 0.5, 33))
+
+
+@pytest.mark.parametrize("nu", [1.35e154, 1e200, 7e306])
+@pytest.mark.parametrize("build", [make_state, SqueezedCoherentState])
+def test_a_squeeze_whose_mu_overflows(build, nu):
+    # 1 + nu**2 overflows above about 1.34e154; such a state made p_signal nan and p_multi 1.0
+    with pytest.raises(DomainError) as err:
+        build(0.3, nu)
+    assert str(err.value) == f"mu = sqrt(1 + nu**2) overflows at nu={nu!r}"
+
+
+def test_the_largest_squeezes_keep_a_finite_mu():
+    assert make_state(0.3, 1.34e154).mu == 1.34e154
 
 
 def test_a_ragged_error_rate_array():
@@ -162,8 +175,9 @@ def ragged(values):
 
 #: A valid value: finite and non-negative, up to the largest float.
 FINITE = st.floats(0.0, allow_infinity=False)
-STATES = st.builds(mcs_qkd.SqueezedCoherentState, st.floats(0.0, 3.0) | FINITE,
-                   st.floats(0.0, 2.0) | FINITE)
+#: A valid squeeze: one whose 1 + nu**2 is finite, up to sqrt of the largest float.
+SQUEEZES = st.floats(0.0, 2.0) | st.floats(0.0, math.sqrt(sys.float_info.max))
+STATES = st.builds(mcs_qkd.SqueezedCoherentState, st.floats(0.0, 3.0) | FINITE, SQUEEZES)
 PROTOCOLS = st.sampled_from(mcs_qkd.Protocol)
 DETECTORS = st.builds(mcs_qkd.DetectorModel, st.floats(0.0, 1.0, exclude_max=True),
                       st.floats(0.0, 0.02))

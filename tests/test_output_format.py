@@ -4,7 +4,9 @@
 family, a preformatted lead cell, the float columns in ``%.17g`` and a literal
 tail.  ``rate`` formats each row's ``l``, ``eta`` and ``param`` together,
 figure1 its shared ``param`` cells once for all three families, and figure2
-its shared ``l`` and ``eta`` cells, with the cutoff cell as the tail.  The
+its shared ``l`` and ``eta`` cells, with the cutoff cell as the tail.  One
+writer takes the comment lines, the header and then the rows block by block,
+and several blocks must write the bytes of one block holding all their rows.  The
 renderer places every point with numpy and formats each distinct coordinate
 once.  The references are the per-cell CSV join below, the per-point renderer
 in ``svgplot_reference``, one ``rate_at`` per distance or family and, for
@@ -74,12 +76,20 @@ def test_17_digit_cell_format_matches_the_per_cell_join(value):
     assert "%.17g" % value == format(value, ".17g") == reference_fmt(value)
 
 
+def csv_text(comments, header, blocks) -> str:
+    """What ``cli._write_csv`` writes for ``blocks`` of formatted rows."""
+    buffer = io.StringIO()
+    cli._write_csv(buffer, comments, header, blocks)
+    return buffer.getvalue()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20),
                 max_size=3))
-def test_csv_join_of_no_lines_is_comments_and_header(comments):
+def test_csv_of_no_rows_is_comments_and_header(comments):
     for header in (RATE_HEADER, FIGURE1_HEADER, FIGURE2_HEADER, VERIFY_HEADER):
-        assert cli._csv_join(comments, header, []) == reference_csv(comments, header, [])
+        for blocks in ([], [[]]):
+            assert csv_text(comments, header, blocks) == reference_csv(comments, header, [])
 
 
 @pytest.mark.parametrize("cutoff", ["", 45.8, math.nan], ids=["no cutoff", "cutoff", "nan"])
@@ -91,7 +101,25 @@ def test_family_lines_write_every_edge_float_like_the_per_cell_join(cutoff):
                               "," + reference_fmt(cutoff))
     rows = [("mcs-bb84", *([value] * (len(FIGURE2_HEADER) - 2)), reference_fmt(cutoff))
             for value in EDGE_FLOATS]
-    assert cli._csv_join([], FIGURE2_HEADER, lines) == reference_csv([], FIGURE2_HEADER, rows)
+    assert csv_text([], FIGURE2_HEADER, [lines]) == reference_csv([], FIGURE2_HEADER, rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(EDGE_FLOATS), max_size=4), max_size=4))
+def test_several_blocks_write_the_bytes_of_one_block_holding_their_rows(block_values):
+    # figure1's layout, one family per block; an empty block is a family without rows
+    families = itertools.cycle(SourceFamily)
+    blocks = [cli._family_lines(next(families), [reference_fmt(v) for v in values],
+                                [np.array(values, dtype=float)] * (len(FIGURE1_HEADER) - 2))
+              for values in block_values]
+    one_block = [line for lines in blocks for line in lines]
+    families = itertools.cycle(SourceFamily)
+    rows = [(family.value, *([value] * (len(FIGURE1_HEADER) - 1)))
+            for family, values in zip(families, block_values) for value in values]
+    comments = ["distance_km = 5"]
+    assert (csv_text(comments, FIGURE1_HEADER, iter(blocks))
+            == csv_text(comments, FIGURE1_HEADER, [one_block])
+            == reference_csv(comments, FIGURE1_HEADER, rows))
 
 
 @given(FLOATS, FLOATS)

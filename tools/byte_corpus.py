@@ -262,7 +262,8 @@ CASES = [
 
 
 #: Squeezes of the library cases: 0, the least subnormal, 1e-8 to 100, and two values past
-#: the CLI's parameter bound, where alpha**2 of one or both tuned sources overflows.
+#: the CLI's parameter bound, where alpha**2 of one or both tuned sources overflows (at
+#: 1e200 1 + nu**2 overflows too, so make_state raises).
 LIBRARY_NUS = (0.0, 5e-324, 1e-8, 1e-4, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e154, 1e200)
 LIBRARY_SCRIPT = """
 import sys
@@ -289,12 +290,13 @@ for p in Protocol:
         show(f"p_signal(mcs_state({nu!r}, {p.value}), {eta!r})",
              lambda: p_signal(mcs_state(nu, p), eta))
 for alpha in (0.0, 0.3, 2.0):
-    state = make_state(alpha, nu)
+    state = f"make_state({alpha!r}, {nu!r})"
     for p in Protocol:
-        show(f"p_multi({state}, {p.value})", lambda: p_multi(state, p))
+        show(f"p_multi({state}, {p.value})", lambda: p_multi(make_state(alpha, nu), p))
     for eta in etas:
-        show(f"p_vacuum_lossy({state}, {eta!r})", lambda: p_vacuum_lossy(state, eta))
-        show(f"p_signal({state}, {eta!r})", lambda: p_signal(state, eta))
+        show(f"p_vacuum_lossy({state}, {eta!r})",
+             lambda: p_vacuum_lossy(make_state(alpha, nu), eta))
+        show(f"p_signal({state}, {eta!r})", lambda: p_signal(make_state(alpha, nu), eta))
 """
 LIBRARY_CASES = [(f"library scalars at nu = {nu!r}", ("-c", LIBRARY_SCRIPT, repr(nu)), {})
                  for nu in LIBRARY_NUS]
