@@ -40,7 +40,7 @@ from .key_rate import (
 )
 from .optimizer import (
     DEFAULT_CUTOFF_RESOLUTION_KM, DEFAULT_GRID_POINTS, DEFAULT_PARAM_MAX, DEFAULT_PARAM_MIN,
-    DEFAULT_RTOL, Scenario, rate_at, sweep_distance,
+    DEFAULT_RTOL, PARAM_LIMIT, Scenario, rate_at, sweep_distance,
 )
 from .photon_source import SourceFamily
 from .svgplot import render_line_chart
@@ -309,9 +309,11 @@ def cmd_figure1(cfg: RunConfig, _args: argparse.Namespace) -> int:
         raise ConfigurationError("need fig1_points >= 2 and fig1_param_max > 0")
     if cfg.fig1_points > _MAX_POINTS or not math.isfinite(cfg.fig1_param_max):
         raise ConfigurationError(f"need fig1_points <= {_MAX_POINTS} and a finite fig1_param_max")
+    if cfg.fig1_param_max > PARAM_LIMIT:
+        raise ConfigurationError(f"fig1_param_max must be <= {PARAM_LIMIT:g}, "
+                                 f"got {cfg.fig1_param_max!r}")
     f_policy = parse_f_policy(cfg.f_policy)
-    with np.errstate(over="ignore"):  # an overflowing scan reads inf, which rate_at rejects
-        params = cfg.fig1_param_max * np.arange(cfg.fig1_points) / (cfg.fig1_points - 1)
+    params = cfg.fig1_param_max * np.arange(cfg.fig1_points) / (cfg.fig1_points - 1)
     eta = _scenario(cfg, SourceFamily.COHERENT_BB84, distance, f_policy).channel.total_eta()
     if eta == 0.0:  # its dB value for the CSV header would be -inf
         raise ConfigurationError(f"total efficiency underflows to 0 at l = {distance:g} km")

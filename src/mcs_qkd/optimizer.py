@@ -55,8 +55,8 @@ from .key_rate import (
 # importable from this module, where bench/spans.py wraps them for tracing.
 from .photon_source import SourceFamily, p_multi, p_multi_min, p_signal, p_signal_formula
 
-__all__ = ["DistanceSweep", "OptimumPoint", "Scenario", "cutoff_distance", "optimize_param",
-           "rate_at", "sweep_distance"]
+__all__ = ["DistanceSweep", "OptimumPoint", "PARAM_LIMIT", "Scenario", "cutoff_distance",
+           "optimize_param", "rate_at", "sweep_distance"]
 
 #: Defaults of the search keywords of ``optimize_param`` and of the cutoff resolution.
 DEFAULT_PARAM_MIN = 1e-5
@@ -72,7 +72,7 @@ _PROBES = np.arange(1.0, 17.0)
 _CUTS = 16
 
 #: Largest source parameter; far above it ``nu * nu`` and ``alpha2`` overflow.
-_PARAM_MAX = 100.0
+PARAM_LIMIT = 100.0
 
 #: Cells per kernel call of a sweep's coarse grid (24 rows of 200), below a cache cliff.
 _BLOCK_CELLS = 4800
@@ -178,9 +178,9 @@ def rate_at(scenario: Scenario, param) -> RateBreakdown:
     bad = values[~(np.isfinite(values) & (values >= 0.0))]
     if bad.size:
         require_finite_nonneg("param", float(bad[0]))
-    bad = values[values > _PARAM_MAX]
+    bad = values[values > PARAM_LIMIT]
     if bad.size:
-        raise DomainError(f"param must be <= {_PARAM_MAX:g}, got {float(bad[0])!r}")
+        raise DomainError(f"param must be <= {PARAM_LIMIT:g}, got {float(bad[0])!r}")
     breakdown = _breakdown(scenario, scenario.channel.total_eta(), values)
     return breakdown.at(()) if values.ndim == 0 else breakdown
 
@@ -196,8 +196,8 @@ def _search(
     """The coarse parameter grid and ``rtol``, after checking ``caller``'s search keywords."""
     if unknown:
         raise TypeError(f"{caller}() got an unexpected keyword argument {next(iter(unknown))!r}")
-    if not 0.0 < param_min < param_max <= _PARAM_MAX:
-        raise DomainError(f"need 0 < param_min < param_max <= {_PARAM_MAX:g}")
+    if not 0.0 < param_min < param_max <= PARAM_LIMIT:
+        raise DomainError(f"need 0 < param_min < param_max <= {PARAM_LIMIT:g}")
     if grid_points < 2:
         raise DomainError("grid_points must be >= 2")
     if grid_points > _MAX_GRID_POINTS:

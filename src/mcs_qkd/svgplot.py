@@ -1,8 +1,8 @@
 """Polyline SVG charts with byte-stable output, written without a plotting library.
 
-Figures are written as standalone 800x600 SVG documents.  Points are placed
-with numpy, and coordinates are formatted with two fixed decimals (each
-distinct value once) and tick labels with ``%g``, so a fixed input always
+Figures are written as standalone 800x600 SVG documents.  Each curve's points
+are placed with numpy and its coordinates formatted with two fixed decimals
+in one ``%``-format, and tick labels with ``%g``, so a fixed input always
 renders to identical bytes.
 """
 
@@ -128,17 +128,11 @@ def render_line_chart(
         f'transform="rotate(-90 20 {MARGIN_TOP + plot_h / 2:.0f})">{y_label}</text>'
     )
 
-    # every coordinate placed at once, and each distinct one (by bit pattern) formatted once
-    placed = np.column_stack((px(kept[:, 0]), py(kept[:, 1])))
-    distinct, which = np.unique(placed.view(np.int64), return_inverse=True)
-    texts = np.array(["%.2f" % c for c in distinct.view(np.float64).tolist()], dtype=object)
-    cells = texts[which.reshape(-1)].tolist()
-    end = 0
     for i, (label, pts) in enumerate(plotted):
         color = PALETTE[i % len(PALETTE)]
-        start, end = end, end + 2 * len(pts)
-        if len(pts):
-            coords = " ".join(map(",".join, zip(cells[start:end:2], cells[start + 1:end:2])))
+        if len(pts):  # px and py are elementwise: each coordinate has its per-point bits
+            placed = np.column_stack((px(pts[:, 0]), py(pts[:, 1])))
+            coords = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(placed.ravel().tolist())
             lines.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
             )

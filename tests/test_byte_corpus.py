@@ -1,12 +1,14 @@
-"""The column mode of ``tools/byte_corpus.py``: how two CSV texts differ, column by column."""
+"""``tools/byte_corpus.py``: its column mode, which says how two CSV texts differ column by
+column, and the environment it gives the change tree's runs."""
 
 import importlib.util
 import math
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # the tool is a script, not a package module, so it is loaded by path
-_spec = importlib.util.spec_from_file_location(
-    "byte_corpus", Path(__file__).resolve().parents[1] / "tools" / "byte_corpus.py")
+_spec = importlib.util.spec_from_file_location("byte_corpus", ROOT / "tools" / "byte_corpus.py")
 byte_corpus = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(byte_corpus)
 
@@ -64,3 +66,21 @@ def test_report_names_each_file_and_moved_column():
     change = {"figure2.csv": PARENT.replace("0.25", "0.5").encode(), "figure2.svg": b"<svg />"}
     assert byte_corpus.column_report(parent, change) == [
         "figure2.csv: 3 rows", "    param: 1 cells differ, worst relative 0.5", "figure2.svg: differs"]
+
+
+PROBE = ("-c", "import os; print(os.environ.get('CORPUS_PROBE'))")
+
+
+def test_an_extra_variable_reaches_the_child_process():
+    code, out, err, written = byte_corpus.run(ROOT, PROBE, {}, {"CORPUS_PROBE": "AVX2 only"})
+    assert (code, out, err, written) == (0, "AVX2 only\n", "", {})
+    assert byte_corpus.run(ROOT, PROBE, {})[1] == "None\n"
+
+
+def test_change_env_sets_the_variable_for_the_change_tree_only(monkeypatch, capsys):
+    monkeypatch.setattr(byte_corpus, "CASES", [("probe", PROBE, {})])
+    monkeypatch.setattr(byte_corpus, "LIBRARY_CASES", [])
+    monkeypatch.setattr(byte_corpus, "bench_cases", lambda seed, scratch: [])
+    assert byte_corpus.main([str(ROOT), str(ROOT)]) == 0
+    assert byte_corpus.main([str(ROOT), str(ROOT), "--change-env", "CORPUS_PROBE=x=1"]) == 1
+    assert "    None  ->  x=1\n" in capsys.readouterr().out

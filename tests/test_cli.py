@@ -562,12 +562,13 @@ class TestRangeAndSizeLimits:
         one_config_error(capsys)
 
     @pytest.mark.parametrize("entry", ["fig1_points = 100001", "fig1_param_max = inf",
-                                       "fig1_param_max = nan"])
+                                       "fig1_param_max = nan", "fig1_param_max = 150",
+                                       "fig1_param_max = 1.7976931348623157e308"])
     def test_figure1_rejects(self, tmp_path, capsys, entry):
         config = tmp_path / "bad.cfg"
         config.write_text(entry + "\n", encoding="utf-8")
         assert main(["figure1", "--config", str(config), "--out", str(tmp_path)]) == 2
-        one_config_error(capsys)
+        assert entry.split(" = ")[0] in one_config_error(capsys)
 
     def test_figure1_rejects_a_distance_where_the_efficiency_underflows(self, tmp_path, capsys):
         assert main(["figure1", "--l", "20000", "--out", str(tmp_path)]) == 2
@@ -646,7 +647,7 @@ def cli_runs(draw):
 
 @pytest.mark.parametrize("argv, config_text", [
     (["figure1"], "fig1_param_max = 150\n"),
-    (["figure1"], "fig1_param_max = 1.7976931348623157e308\n"),  # the scan overflows to inf
+    (["figure1"], "fig1_param_max = 1.7976931348623157e308\n"),  # its scan would overflow
     (["figure2"], FAST_FIGURE2 + "param_max = 150\n"),
     (["verify"], "verify_alphas = 0.3\nverify_nus = 3\n"),  # unresolved at Fock order 128
     # no detection events at the second distance, after rows for the first

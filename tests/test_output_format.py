@@ -4,14 +4,15 @@
 family, a preformatted lead cell, the float columns in ``%.17g`` and a literal
 tail.  ``rate`` formats each row's ``l``, ``eta`` and ``param`` together,
 figure1 its shared ``param`` cells once for all three families, and figure2
-its shared ``l`` and ``eta`` cells, with the cutoff cell as the tail.  One
-writer takes the comment lines, the header and then the rows block by block,
-and several blocks must write the bytes of one block holding all their rows.  The
-renderer places every point with numpy and formats each distinct coordinate
-once.  The references are the per-cell CSV join below, the per-point renderer
-in ``svgplot_reference``, one ``rate_at`` per distance or family and, for
-figure2, one ``optimize_param`` per row; every drawn cell, rate table, chart,
-figure1 and figure2 must come out byte for byte the same.
+its shared ``l`` cells, with ``eta`` as a float column of each row and the
+cutoff cell as the tail.  One writer takes the comment lines, the header and
+then the rows block by block, and several blocks must write the bytes of one
+block holding all their rows.  The renderer places each curve's points with
+numpy and formats all of its coordinates in one ``%``-format.  The references
+are the per-cell CSV join below, the per-point renderer in ``svgplot_reference``,
+one ``rate_at`` per distance or family and, for figure2, one ``optimize_param``
+per row; every drawn cell, rate table, chart, figure1 and figure2 must come out
+byte for byte the same.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +230,23 @@ def test_renderer_matches_the_per_point_reference(curves, log_y, as_array):
     assert first_difference(render_outcome(svgplot.render_line_chart, handed, log_y),
                             render_outcome(svgplot_reference.render_line_chart, labelled,
                                            log_y)) is None
+
+
+def test_renderer_memory_is_bounded_by_the_svg():
+    # figure1's chart: three curves of 2,000 points; each curve's text is made on its own
+    params = np.linspace(0.0, 0.6, 2000)
+    rates = np.random.default_rng(29).uniform(0.0, 1e-3, (3, 2000))
+    curves = [(f"curve {i}", np.column_stack((params, r))) for i, r in enumerate(rates)]
+    chart = dict(title="t", x_label="x", y_label="y")
+    svgplot.render_line_chart(curves, **chart)  # a first render fills numpy's lazy caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        svg = svgplot.render_line_chart(curves, **chart)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(svg)
 
 
 F_TABLE_KNOTS = ((0.0, 1.05), (0.05, 1.2), (0.1, 1.3))

@@ -1,6 +1,6 @@
 """Byte-identity corpus: run the same CLI calls against two source trees and compare them.
 
-    python3 tools/byte_corpus.py PARENT_TREE CHANGE_TREE [--seed N]
+    python3 tools/byte_corpus.py PARENT_TREE CHANGE_TREE [--seed N] [--change-env NAME=VALUE]
 
 Each tree is a checkout with ``src/mcs_qkd``.  Every CLI case runs as
 ``python -m mcs_qkd ARGV`` in a fresh directory that holds only the case's
@@ -10,6 +10,13 @@ CSV and SVG file written under the directory are the same for both trees.
 Each CSV that differs is also reported column by column: the row counts of
 both trees, and per column how many cells differ and the worst relative
 difference between them (see ``column_diffs``).
+
+Each ``--change-env`` sets one more environment variable for the change
+tree's runs only.  Given one tree twice, it shows how far the outputs move
+with the environment alone, such as numpy's SIMD dispatch level:
+
+    python3 tools/byte_corpus.py TREE TREE \\
+        --change-env "NPY_DISABLE_CPU_FEATURES=AVX512_ICL AVX512_SPR X86_V4"
 
 The corpus covers every command's normal runs, its configuration and I/O
 errors, argparse errors and ``--help``, plus every op of the benchmark's
@@ -136,6 +143,10 @@ CASES = [
     _case("figure1 one point", "figure1 --config c.cfg", cfg="fig1_points = 1\n"),
     _case("figure1 zero range", "figure1 --config c.cfg", cfg="fig1_param_max = 0\n"),
     _case("figure1 infinite range", "figure1 --config c.cfg", cfg="fig1_param_max = inf\n"),
+    _case("figure1 range above the parameter bound", "figure1 --config c.cfg",
+          cfg="fig1_param_max = 150\n"),
+    _case("figure1 range whose scan would overflow", "figure1 --config c.cfg",
+          cfg="fig1_param_max = 1.7976931348623157e308\n"),
     _case("figure1 output path is a file", "figure1 --out blocked", blocked="a file\n"),
     _case("figure1 negative distance", "figure1 --l -5"),
     _case("figure1 distance underflows", "figure1 --l 20000"),
@@ -378,11 +389,12 @@ def column_report(parent: dict, change: dict) -> list[str]:
     return lines
 
 
-def run(tree: Path, argv, files) -> tuple:
-    """Exit code, stdout, stderr and {path: bytes} of the CSV and SVG files of one call."""
+def run(tree: Path, argv, files, extra_env=None) -> tuple:
+    """Exit code, stdout, stderr and {path: bytes} of the CSV and SVG files of one call,
+    made with the variables of ``extra_env`` added to its environment."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env.update(PYTHONPATH=str(tree / "src"), COLUMNS="80", OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1", **(extra_env or {}))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, text in files.items():
@@ -404,7 +416,12 @@ def main(argv=None) -> int:
     parser.add_argument("parent_tree", type=Path)
     parser.add_argument("change_tree", type=Path)
     parser.add_argument("--seed", type=int, default=0, help="seed of the benchmark pools (0)")
+    parser.add_argument("--change-env", action="append", default=[], metavar="NAME=VALUE",
+                        help="an environment variable for the change tree's runs only")
     args = parser.parse_args(argv)
+    if any("=" not in item for item in args.change_env):
+        parser.error("--change-env takes NAME=VALUE")
+    change_env = dict(item.split("=", 1) for item in args.change_env)
     trees = (args.parent_tree.resolve(), args.change_tree.resolve())
     for tree in trees:
         if not (tree / "src" / "mcs_qkd" / "__init__.py").is_file():
@@ -413,7 +430,8 @@ def main(argv=None) -> int:
         cases = CASES + LIBRARY_CASES + bench_cases(args.seed, Path(scratch))
         differ = 0
         for name, case_argv, files in cases:
-            parent, change = (run(tree, case_argv, files) for tree in trees)
+            parent = run(trees[0], case_argv, files)
+            change = run(trees[1], case_argv, files, change_env)
             if parent != change:
                 differ += 1
                 parts = ("exit code", "stdout", "stderr", "files")
