@@ -17,31 +17,26 @@ from hypothesis import settings
 # same commit draws the same inputs on every machine: pytest --hypothesis-profile=ci
 settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
 
-from mcs_qkd import ChannelModel, ConstantF, DetectorModel, Scenario, SourceFamily
+from mcs_qkd import ConstantF, Scenario, SourceFamily
+from reference import scenario
 
 
 @pytest.fixture
-def kth15_detector():
-    return DetectorModel(dark_prob_Pd=2e-4, baseline_error_c=0.01)
-
-
-@pytest.fixture
-def kth15_channel():
-    return ChannelModel(loss_coeff_a=0.2, distance_l=5.0, receiver_loss_L=1.0, detector_eff=0.18)
-
-
-@pytest.fixture
-def kth15_scenario(kth15_channel, kth15_detector):
+def kth15_scenario():
     """Factory for KTH15 scenarios at a chosen family and distance."""
 
     def make(family: SourceFamily, distance_km: float = 5.0, f0: float = 1.16,
              paper_literal_sign: bool = False) -> Scenario:
-        return Scenario(
-            source_family=family,
-            channel=kth15_channel.at_distance(distance_km),
-            detector=kth15_detector,
-            f_policy=ConstantF(f0),
-            paper_literal_sign=paper_literal_sign,
-        )
+        return scenario(family, distance_km, ConstantF(f0), paper_literal_sign)
 
     return make
+
+
+@pytest.fixture
+def kth15_channel(kth15_scenario):
+    return kth15_scenario(SourceFamily.COHERENT_BB84).channel
+
+
+@pytest.fixture
+def kth15_detector(kth15_scenario):
+    return kth15_scenario(SourceFamily.COHERENT_BB84).detector

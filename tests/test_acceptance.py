@@ -9,13 +9,12 @@ import math
 import numpy as np
 
 from mcs_qkd import (
-    ChannelModel,
     ConstantF,
     DetectorModel,
     FOCK_SUM,
+    KTH15_DETECTOR,
     Protocol,
     QUADRATURE,
-    Scenario,
     SourceFamily,
     cutoff_distance,
     fock_coefficients,
@@ -30,6 +29,7 @@ from mcs_qkd import (
     secure_rate,
     verify_closed_forms,
 )
+from reference import scenario
 
 NU_GRID = np.linspace(0.0, 1.0, 50)
 
@@ -42,17 +42,8 @@ def check(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def kth15(family: SourceFamily, distance_km: float, f0: float = 1.16) -> Scenario:
-    return Scenario(
-        source_family=family,
-        channel=ChannelModel(0.2, distance_km, 1.0, 0.18),
-        detector=DetectorModel(2e-4, 0.01),
-        f_policy=ConstantF(f0),
-    )
-
-
 def optimal_rate(family: SourceFamily, distance_km: float, f0: float = 1.16) -> float:
-    point = optimize_param(kth15(family, distance_km, f0))
+    point = optimize_param(scenario(family, distance_km, ConstantF(f0)))
     return 0.0 if point is None else point.breakdown.R
 
 
@@ -127,13 +118,13 @@ def test_criterion_3_closed_form_minima():
 
 
 def test_criterion_4_figure1_qualitative():
-    eta_db = 10.0 * math.log10(kth15(SourceFamily.COHERENT_BB84, 5.0).channel.total_eta())
+    eta_db = 10.0 * math.log10(scenario(SourceFamily.COHERENT_BB84, 5.0).channel.total_eta())
     params = np.linspace(0.0, 0.6, 201)
     maxima = {}
     interior = True
     for family in SourceFamily:
-        scenario = kth15(family, 5.0)
-        rates = [rate_at(scenario, float(p)).R for p in params]
+        s = scenario(family, 5.0)
+        rates = [rate_at(s, float(p)).R for p in params]
         best = int(np.argmax(rates))
         interior = interior and 0 < best < len(params) - 1 and rates[best] > 0.0
         maxima[family] = rates[best]
@@ -160,7 +151,7 @@ def test_criterion_5_figure2_quantitative():
         r_c = optimal_rate(SourceFamily.MCS_SARG04, 0.0, f0)
         gaps[f0] = (10.0 * math.log10(r_b / r_a), 10.0 * math.log10(r_c / r_b))
         cutoffs[f0] = tuple(
-            cutoff_distance(kth15(family, 0.0, f0), 200.0)
+            cutoff_distance(scenario(family, 0.0, ConstantF(f0)), 200.0)
             for family in (SourceFamily.COHERENT_BB84, SourceFamily.MCS_BB84,
                            SourceFamily.MCS_SARG04)
         )
@@ -185,7 +176,7 @@ def test_criterion_5_figure2_quantitative():
 
 
 def test_criterion_6_degenerate_limits():
-    detector = DetectorModel(2e-4, 0.01)
+    detector = KTH15_DETECTOR
 
     worst = 0.0
     for alpha2 in (0.05, 0.1, 0.5, 1.0, 4.0):

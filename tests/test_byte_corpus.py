@@ -1,16 +1,13 @@
-"""``tools/byte_corpus.py``: its column mode, which says how two CSV texts differ column by
-column, and the environment it gives the change tree's runs."""
+"""``tools/byte_corpus.py``: its column mode, which says how two CSV texts (files, or
+``rate``'s stdout) differ column by column, and the environment it gives the change tree's
+runs."""
 
-import importlib.util
 import math
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from reference import ROOT, load
 
 # the tool is a script, not a package module, so it is loaded by path
-_spec = importlib.util.spec_from_file_location("byte_corpus", ROOT / "tools" / "byte_corpus.py")
-byte_corpus = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(byte_corpus)
+byte_corpus = load(ROOT / "tools" / "byte_corpus.py", "byte_corpus")
 
 PARENT = """\
 # sign = corrected
@@ -84,3 +81,25 @@ def test_change_env_sets_the_variable_for_the_change_tree_only(monkeypatch, caps
     assert byte_corpus.main([str(ROOT), str(ROOT)]) == 0
     assert byte_corpus.main([str(ROOT), str(ROOT), "--change-env", "CORPUS_PROBE=x=1"]) == 1
     assert "    None  ->  x=1\n" in capsys.readouterr().out
+
+
+def test_a_csv_on_stdout_is_reported_column_by_column(monkeypatch, capsys, tmp_path):
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for tree in trees:
+        (tree / "src" / "mcs_qkd").mkdir(parents=True)
+        (tree / "src" / "mcs_qkd" / "__init__.py").touch()
+    moved = PARENT.replace("0.25", "0.25000000000000006")
+    outputs = {("table",): (PARENT, moved), ("text",): ("verification passed\n", "failed\n")}
+    monkeypatch.setattr(byte_corpus, "CASES", [(argv[0], argv, {}) for argv in outputs])
+    monkeypatch.setattr(byte_corpus, "LIBRARY_CASES", [])
+    monkeypatch.setattr(byte_corpus, "bench_cases", lambda seed, scratch: [])
+    monkeypatch.setattr(byte_corpus, "run", lambda tree, argv, files, extra_env=None: (
+        0, outputs[argv][tree.name == "change"], "", {}))
+    assert byte_corpus.main([str(tree) for tree in trees]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DIFFERS table: stdout (argv: table)",
+        "    stdout: 3 rows",
+        "        param: 1 cells differ, worst relative 2.22e-16",
+        "DIFFERS text: stdout (argv: text)",
+        "2 cases: 0 identical, 2 differ",
+    ]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import mcs_qkd
 from mcs_qkd import errors
 from mcs_qkd import (
-    KTH15_DETECTOR, ChannelModel, ConfigurationError, DomainError, Protocol, SourceFamily,
+    KTH15_DETECTOR, ConfigurationError, DomainError, Protocol, SourceFamily,
     SqueezedCoherentState, TableF, adjusted_signal, cutoff_distance, f_ec, make_state,
     optimize_param, p0_via_fock, p0_via_quadrature, p_signal_mcs, p_vacuum_lossy, rate_at,
     secure_rate, shannon_h, sweep_distance, tau_compression, verify_closed_forms,
@@ -24,7 +24,8 @@ from mcs_qkd import (
 #: Call site -> (the name its message uses, a call that passes ``value`` there).
 CALL_SITES = {
     "make_state": ("alpha", lambda scenario, value: make_state(value, 0.3)),
-    "ChannelModel": ("loss_coeff_a", lambda scenario, value: ChannelModel(value, 5.0, 1.0, 0.18)),
+    "ChannelModel": ("loss_coeff_a", lambda scenario, value: dataclasses.replace(
+        scenario.channel, loss_coeff_a=value)),
     "sweep_distance": ("distance_l", lambda scenario, value: sweep_distance([scenario], [value])),
     "rate_at": ("param", lambda scenario, value: rate_at(scenario, np.array([0.1, value]))),
 }

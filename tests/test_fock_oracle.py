@@ -1,5 +1,4 @@
 import math
-import random
 from collections import Counter
 from itertools import product
 
@@ -28,15 +27,7 @@ from mcs_qkd import (
     p_vacuum_lossy,
     verify_closed_forms,
 )
-
-
-def _seeded_grid(seed: int = 2024) -> list[tuple[float, float, float]]:
-    """8 x 6 x 6 points with distinct, non-zero alphas and nus."""
-    rng = random.Random(seed)
-    alphas = sorted(rng.uniform(0.05, 2.0) for _ in range(8))
-    nus = sorted(rng.uniform(0.05, 0.8) for _ in range(6))
-    etas = sorted(rng.uniform(0.05, 0.95) for _ in range(6))
-    return list(product(alphas, nus, etas))
+from reference import seeded_grid
 
 
 def _per_point_reports(grid) -> list[OracleReport]:
@@ -188,7 +179,7 @@ class TestQuadratureOracle:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    @pytest.mark.parametrize("grid", [DEFAULT_GRID, _seeded_grid()], ids=["default", "seeded"])
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, seeded_grid()], ids=["default", "seeded"])
     def test_real_arithmetic_matches_complex_log_overlap(self, grid):
         for alpha, nu, eta in grid:
             if 0.0 < eta < 1.0:
@@ -261,7 +252,7 @@ class TestVerifyClosedForms:
         assert ("p_vacuum_lossy", FOCK_SUM) in {(r.formula, r.method) for r in failed}
         assert {r.formula for r in failed} == {"p_vacuum_lossy"}
 
-    @pytest.mark.parametrize("grid", [DEFAULT_GRID, _seeded_grid()], ids=["default", "seeded"])
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, seeded_grid()], ids=["default", "seeded"])
     def test_matches_per_point_oracles(self, grid):
         reports = verify_closed_forms(grid)
         reference = _per_point_oracles(grid)
@@ -289,7 +280,7 @@ class TestVerifyClosedForms:
         monkeypatch.setattr(fock_oracle, "fock_coefficients", counting)
         for name in ("p_signal_mcs", "p_multi_min", "mcs_state"):
             count(name)
-        verify_closed_forms(_seeded_grid())
+        verify_closed_forms(seeded_grid())
         # 8 alphas x 6 nus raw states, plus 6 nus x 2 protocols tuned states
         assert len(calls) == len(set(calls)) == 60
         # the tuned source and its p_multi_min check depend on nu alone: 6 nus x 2 protocols;
@@ -297,7 +288,7 @@ class TestVerifyClosedForms:
         assert counts["mcs_state"] == counts["p_multi_min"] == 12
         assert counts["p_signal_mcs"] == 72
         first = dict(counts)
-        verify_closed_forms(_seeded_grid())
+        verify_closed_forms(seeded_grid())
         assert len(calls) == 120  # nothing is kept between calls
         assert counts == {name: 2 * n for name, n in first.items()}
 

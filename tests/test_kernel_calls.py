@@ -6,12 +6,9 @@ of a search, and beyond a few thousand cells per call the number of cells too.
 The counts are deterministic.
 """
 
-import importlib.util
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +17,6 @@ from hypothesis import strategies as st
 
 from mcs_qkd import (
     ChannelModel,
-    DetectorModel,
-    Scenario,
     SourceFamily,
     cutoff_distance,
     optimize_param,
@@ -29,26 +24,7 @@ from mcs_qkd import (
 )
 from mcs_qkd import cli, optimizer
 from mcs_qkd.cli import main
-
-# the benchmark's workload module, loaded by path; its Op dataclass looks the module up
-# in sys.modules while it runs
-_spec = importlib.util.spec_from_file_location(
-    "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
-
-KTH15 = workloads.KTH15
-#: The channel box that the benchmark's sweep workload draws from.
-BOX = workloads.SWEEP_RANGES
-
-
-def scenario(family, distance_km=0.0, loss_coeff_a=0.2, detector_eff=0.18,
-             dark_prob_Pd=2e-4, baseline_error_c=0.01):
-    return Scenario(
-        source_family=family,
-        channel=ChannelModel(loss_coeff_a, distance_km, 1.0, detector_eff),
-        detector=DetectorModel(dark_prob_Pd, baseline_error_c),
-    )
+from reference import BOX, KTH15, scenario
 
 
 @pytest.fixture

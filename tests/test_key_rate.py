@@ -12,6 +12,9 @@ from mcs_qkd import (
     DegenerateInputError,
     DetectorModel,
     DomainError,
+    KTH15_CHANNEL,
+    KTH15_DETECTOR,
+    SourceFamily,
     TableF,
     adjusted_signal,
     error_rate,
@@ -21,6 +24,7 @@ from mcs_qkd import (
     tau_compression,
 )
 from mcs_qkd.key_rate import rate_formula
+from reference import KTH15, bits_equal, scenario
 
 
 class TestChannel:
@@ -58,6 +62,18 @@ class TestChannel:
             ChannelModel(0.2, 5.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             ChannelModel(0.2, 5.0, 1.0, 1.2)
+
+
+def test_the_package_the_benchmark_and_the_tests_hold_one_kth15_set():
+    # the one place in the tests that types the KTH15 numbers; every other test reads them
+    assert KTH15_CHANNEL == ChannelModel(0.2, 5.0, 1.0, 0.18)
+    assert KTH15_DETECTOR == DetectorModel(2e-4, 0.01)
+    assert KTH15 == {"loss_coeff_a": KTH15_CHANNEL.loss_coeff_a,
+                     "detector_eff": KTH15_CHANNEL.detector_eff,
+                     "dark_prob_Pd": KTH15_DETECTOR.dark_prob_Pd,
+                     "baseline_error_c": KTH15_DETECTOR.baseline_error_c}
+    kth15 = scenario(SourceFamily.COHERENT_BB84, KTH15_CHANNEL.distance_l)
+    assert (kth15.channel, kth15.detector) == (KTH15_CHANNEL, KTH15_DETECTOR)
 
 
 class TestDetectorModel:
@@ -100,7 +116,7 @@ class TestErrorRate:
 
     @given(p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
     def test_non_increasing_in_signal(self, p1, p2):
-        det = DetectorModel(dark_prob_Pd=2e-4, baseline_error_c=0.01)
+        det = KTH15_DETECTOR
         if p2 < p1:
             p1, p2 = p2, p1
         assert error_rate(p2, det) <= error_rate(p1, det) + 1e-15
@@ -269,18 +285,13 @@ def two_branch_r_raw(b, paper_literal_sign):
 CELL_VALUES = [0.0, 5e-324, 1e-300, 1e-6, 0.01, 0.3, 1.0]
 
 
-def bits_equal(a, b):
-    """Equal bit for bit: nan where nan, and the same sign bits (so -0.0 is not 0.0)."""
-    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @pytest.mark.parametrize("form", ["array", "0-d", "float"])
 @pytest.mark.parametrize("literal", [False, True], ids=["corrected", "literal"])
 @pytest.mark.parametrize("policy", [ConstantF(1.16), TableF(((0.0, 1.05), (0.1, 1.3)))],
                          ids=["const", "table"])
-@pytest.mark.parametrize("dark", [0.0, 2e-4])
+@pytest.mark.parametrize("dark", [0.0, KTH15["dark_prob_Pd"]])
 def test_one_branch_r_raw_equals_the_two_branch_form(dark, policy, literal, form):
-    det = DetectorModel(dark_prob_Pd=dark, baseline_error_c=0.01)
+    det = DetectorModel(dark_prob_Pd=dark, baseline_error_c=KTH15["baseline_error_c"])
     p_s, p_m = np.meshgrid(CELL_VALUES, CELL_VALUES)
     if form == "array":
         calls = [(p_s, p_m)]

@@ -1,5 +1,5 @@
-"""Module boundaries: no module imports another's private (underscore) name, and each public
-name of the package has one module that lists it."""
+"""Module boundaries: no module imports another's private (underscore) name, each public
+name of the package has one module that lists it, and no test module imports another."""
 
 import ast
 import importlib
@@ -18,6 +18,17 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+def _test_module_imports(path: Path) -> list[str]:
+    """Every ``test_*`` module that ``path`` imports, or imports a name from."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [node.module] if node.module else [alias.name for alias in node.names]
+    return [name for name in found if name.split(".")[0].startswith("test_")]
+
+
 def test_no_module_imports_a_private_name():
     modules = sorted(Path(mcs_qkd.__file__).parent.glob("*.py"))
     assert len(modules) >= 8  # an empty glob would pass the check below vacuously
@@ -34,3 +45,11 @@ def test_each_public_name_is_listed_by_one_module():
         owners = [module for module in modules if name in getattr(module, "__all__", ())]
         assert len(owners) == 1, (name, [module.__name__ for module in owners])
         assert getattr(mcs_qkd, name) is getattr(owners[0], name)
+
+
+def test_no_test_module_imports_another():
+    # shared inputs live in tests/reference.py, so each test module runs on its own
+    modules = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(modules) >= 18
+    offenders = {path.name: names for path in modules if (names := _test_module_imports(path))}
+    assert offenders == {}

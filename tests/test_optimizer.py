@@ -16,6 +16,7 @@ from mcs_qkd import (
     rate_at,
     sweep_distance,
 )
+from reference import KTH15
 
 FAST_SEARCH = {"grid_points": 80}
 
@@ -141,14 +142,15 @@ class TestOptimaAreEvaluatedPoints:
     @pytest.mark.parametrize("paper_literal_sign", [False, True])
     @pytest.mark.parametrize("f_policy", [ConstantF(1.16), TableF([(0.0, 1.05), (0.1, 1.3)])])
     @pytest.mark.parametrize("dark_prob_Pd, distances", [
-        (2e-4, [2.5 * k for k in range(41)]),
+        (KTH15["dark_prob_Pd"], [2.5 * k for k in range(41)]),
         # without dark counts the rows from about 350 km on are faint (optimizer._FAINT)
         (0.0, [50.0 * k for k in range(13)]),
     ])
     def test_optimize_param_and_every_sweep_row(self, dark_prob_Pd, distances, f_policy,
                                                 paper_literal_sign, kth15_channel):
-        scenarios = [Scenario(family, kth15_channel, DetectorModel(dark_prob_Pd, 0.01),
-                              f_policy, paper_literal_sign) for family in SourceFamily]
+        detector = DetectorModel(dark_prob_Pd, KTH15["baseline_error_c"])
+        scenarios = [Scenario(family, kth15_channel, detector, f_policy, paper_literal_sign)
+                     for family in SourceFamily]
         sweeps = sweep_distance(scenarios, distances, **FAST_SEARCH)
         assert sum(len(sweep.index) for sweep in sweeps) >= 3 * 8
         for s, sweep in zip(scenarios, sweeps):

@@ -9,10 +9,10 @@ cutoff cell as the tail.  One writer takes the comment lines, the header and
 then the rows block by block, and several blocks must write the bytes of one
 block holding all their rows.  The renderer places each curve's points with
 numpy and formats all of its coordinates in one ``%``-format.  The references
-are the per-cell CSV join below, the per-point renderer in ``svgplot_reference``,
-one ``rate_at`` per distance or family and, for figure2, one ``optimize_param``
-per row; every drawn cell, rate table, chart, figure1 and figure2 must come out
-byte for byte the same.
+are the per-cell CSV join in ``reference``, the per-point renderer in
+``svgplot_reference``, one ``rate_at`` per distance or family and, for figure2,
+one ``optimize_param`` per row; every drawn cell, rate table, chart, figure1 and
+figure2 must come out byte for byte the same.
 """
 
 import contextlib
@@ -32,28 +32,12 @@ from hypothesis import strategies as st
 
 import svgplot_reference
 from mcs_qkd import (
-    KTH15_CHANNEL, KTH15_DETECTOR, ChannelModel, ConstantF, DegenerateInputError, DetectorModel,
+    KTH15_CHANNEL, KTH15_DETECTOR, ConstantF, DegenerateInputError, DetectorModel,
     DomainError, Scenario, SourceFamily, TableF, cli, cutoff_distance, optimize_param, rate_at,
     svgplot,
 )
 from mcs_qkd.cli import FIGURE1_HEADER, FIGURE2_HEADER, RATE_HEADER, VERIFY_HEADER
-from test_kernel_calls import BOX
-
-
-def reference_fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def reference_csv(comments, header, rows) -> str:
-    lines = [f"# {comment}" for comment in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(reference_fmt(value) for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
+from reference import BOX, reference_csv, reference_fmt, scenario
 
 MAX_FLOAT = 1.7976931348623157e308
 MIN_NORMAL = 2.2250738585072014e-308
@@ -374,23 +358,20 @@ def test_figure2_matches_one_optimize_param_per_row_and_the_reference_renderer(
     # one optimize_param per (family, distance), and the family's cutoff_distance over
     # the swept range when that range ends insecure and starts secure
     distances = reference_distances(l_max, l_step)
-    detector = DetectorModel(channel["dark_prob_Pd"], channel["baseline_error_c"])
     f_policy = TableF(F_TABLE_KNOTS) if table else ConstantF(1.16)
     rows, curves = [], []
     for family in SourceFamily:
-        scenario = Scenario(family, ChannelModel(channel["loss_coeff_a"], 0.0, 1.0,
-                                                 channel["detector_eff"]),
-                            detector, f_policy, literal)
-        optima = [(l, optimize_param(scenario.at_distance(l), grid_points=grid_points))
+        s = scenario(family, 0.0, f_policy, literal, **channel)
+        optima = [(l, optimize_param(s.at_distance(l), grid_points=grid_points))
                   for l in distances]
         cutoff = None
         if optima[-1][1] is None:
             try:
-                cutoff = cutoff_distance(scenario, distances[-1], grid_points=grid_points)
+                cutoff = cutoff_distance(s, distances[-1], grid_points=grid_points)
             except DegenerateInputError:  # insecure from 0 km on
                 pass
         secure = [(l, optimum) for l, optimum in optima if optimum is not None]
-        rows += [(family.value, l, scenario.channel.eta_at(l), optimum.param_value,
+        rows += [(family.value, l, s.channel.eta_at(l), optimum.param_value,
                   *(getattr(optimum.breakdown, name) for name in FIGURE2_HEADER[4:-1]),
                   "" if cutoff is None else reference_fmt(cutoff)) for l, optimum in secure]
         curves.append((f"{family.value} ({family.param_name})",

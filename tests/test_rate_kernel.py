@@ -16,12 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcs_qkd import (
-    ChannelModel,
     ConstantF,
-    DetectorModel,
     Protocol,
     RateBreakdown,
-    Scenario,
     SourceFamily,
     cutoff_distance,
     make_state,
@@ -36,9 +33,7 @@ from mcs_qkd import (
     sweep_distance,
 )
 from mcs_qkd.optimizer import _BLOCK_CELLS, _FAMILIES, _breakdown, _search, _secure_at
-from test_kernel_calls import BOX
-from test_key_rate import bits_equal
-from test_two_level_grid import TABLE
+from reference import BOX, TABLE, bits_equal, scenario
 
 REL_TOL = 1e-11
 ABS_TOL = 1e-15
@@ -55,16 +50,6 @@ KTH15_CUTOFFS_KM = {
     SourceFamily.MCS_BB84: 45.800000000000004,
     SourceFamily.MCS_SARG04: 78.0,
 }
-
-
-def scenario(family, distance_km=0.0, f_policy=ConstantF(1.16), literal=False):
-    return Scenario(
-        source_family=family,
-        channel=ChannelModel(0.2, distance_km, 1.0, 0.18),
-        detector=DetectorModel(2e-4, 0.01),
-        f_policy=f_policy,
-        paper_literal_sign=literal,
-    )
 
 
 def scalar_sources(family, eta, param):
@@ -87,7 +72,7 @@ def worst_excess(actual: RateBreakdown, expected: RateBreakdown) -> dict[str, fl
 
 @pytest.mark.parametrize("family", list(SourceFamily))
 def test_kernel_matches_scalar_composition(family):
-    etas = np.array([ChannelModel(0.2, l, 1.0, 0.18).total_eta() for l in DISTANCES])
+    etas = np.array([scenario(family, l).channel.total_eta() for l in DISTANCES])
     sources = {
         (i, j): scalar_sources(family, float(eta), float(param))
         for i, eta in enumerate(etas)
@@ -133,9 +118,7 @@ def test_rate_at_array_matches_scalar_calls():
 
 
 def test_vacuum_without_dark_counts_is_marked_not_raised():
-    silent = dataclasses.replace(
-        scenario(SourceFamily.MCS_BB84), detector=DetectorModel(0.0, 0.01)
-    )
+    silent = scenario(SourceFamily.MCS_BB84, dark_prob_Pd=0.0)
     b = rate_at(silent, np.array([0.0, 0.2]))
     assert b.p_s_bar[0] == 0.0 and math.isnan(b.e[0]) and b.R[0] == 0.0
     assert b.p_s_bar[1] > 0.0 and math.isfinite(b.R_raw[1])
@@ -155,10 +138,7 @@ PARAMS_DRAWN = st.floats(1e-5, 4.0)
 def test_mixed_family_call_equals_one_family_calls(data, codes, per_row, channel, policy,
                                                    literal):
     # each row of a call whose families come in any order, bit for bit as that row alone
-    s = Scenario(SourceFamily.COHERENT_BB84,
-                 ChannelModel(channel["loss_coeff_a"], 0.0, 1.0, channel["detector_eff"]),
-                 DetectorModel(channel["dark_prob_Pd"], channel["baseline_error_c"]),
-                 policy, literal)
+    s = scenario(SourceFamily.COHERENT_BB84, 0.0, policy, literal, **channel)
     rows, cells = len(codes), data.draw(st.integers(1, 12))
     etas = np.array([s.channel.eta_at(l) for l in data.draw(
         st.lists(st.floats(0.0, 150.0), min_size=rows, max_size=rows))])[:, None]

@@ -16,33 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcs_qkd import (
-    ChannelModel,
     ConstantF,
-    DetectorModel,
     DomainError,
-    Scenario,
     SourceFamily,
     TableF,
     sweep_distance,
     verify_closed_forms,
 )
-from test_kernel_calls import BOX, KTH15
-from test_two_level_grid import TABLE
+from reference import BOX, KTH15, TABLE, scenario
 
 DISTANCES = [float(l) for l in range(101)]
-
-
-def family_scenarios(channel, f_policy=ConstantF(1.16), literal=False, families=SourceFamily):
-    return [
-        Scenario(
-            source_family=family,
-            channel=ChannelModel(channel["loss_coeff_a"], 0.0, 1.0, channel["detector_eff"]),
-            detector=DetectorModel(channel["dark_prob_Pd"], channel["baseline_error_c"]),
-            f_policy=f_policy,
-            paper_literal_sign=literal,
-        )
-        for family in families
-    ]
 
 
 def exact(sweep):
@@ -73,7 +56,8 @@ def differing(got, expected, key=exact):
 )
 def test_stacked_sweep_equals_the_one_family_sweeps(channel, table, literal, grid_points,
                                                      first_km, step_km):
-    stack = family_scenarios(channel, TABLE if table else ConstantF(1.16), literal)
+    policy = TABLE if table else ConstantF(1.16)
+    stack = [scenario(family, 0.0, policy, literal, **channel) for family in SourceFamily]
     distances = [first_km + step_km * k for k in range(int((100.0 - first_km) / step_km) + 1)]
     together = sweep_distance(stack, distances, grid_points=grid_points)
     alone = [sweep_distance([s], distances, grid_points=grid_points)[0] for s in stack]
@@ -82,7 +66,7 @@ def test_stacked_sweep_equals_the_one_family_sweeps(channel, table, literal, gri
 
 def test_order_and_repeats_of_the_families_are_kept():
     families = [SourceFamily.MCS_SARG04, SourceFamily.COHERENT_BB84, SourceFamily.MCS_SARG04]
-    stack = family_scenarios(KTH15, families=families)
+    stack = [scenario(family) for family in families]
     together = sweep_distance(stack, DISTANCES, grid_points=60)
     assert differing(together, [sweep_distance([s], DISTANCES, grid_points=60)[0]
                                 for s in stack]) == []
@@ -90,20 +74,20 @@ def test_order_and_repeats_of_the_families_are_kept():
 
 
 def test_distance_of_the_channel_is_ignored():
-    coherent, tuned, _ = family_scenarios(KTH15)
+    coherent, tuned = scenario(SourceFamily.COHERENT_BB84), scenario(SourceFamily.MCS_BB84)
     moved = tuned.at_distance(30.0)
     assert differing(sweep_distance([coherent, moved], DISTANCES, grid_points=60),
                      sweep_distance([coherent, tuned], DISTANCES, grid_points=60)) == []
 
 
 @pytest.mark.parametrize("change", [
-    {"channel": ChannelModel(0.21, 0.0, 1.0, 0.18)},
-    {"detector": DetectorModel(3e-4, 0.01)},
+    {"channel": scenario(SourceFamily.MCS_BB84, loss_coeff_a=0.21).channel},
+    {"detector": scenario(SourceFamily.MCS_BB84, dark_prob_Pd=3e-4).detector},
     {"f_policy": ConstantF(1.2)},
     {"paper_literal_sign": True},
 ], ids=["channel", "detector", "f_policy", "sign"])
 def test_scenarios_that_differ_beyond_the_family_are_rejected(change):
-    coherent, tuned, _ = family_scenarios(KTH15)
+    coherent, tuned = scenario(SourceFamily.COHERENT_BB84), scenario(SourceFamily.MCS_BB84)
     with pytest.raises(DomainError, match="may differ only in source_family"):
         sweep_distance([coherent, dataclasses.replace(tuned, **change)], DISTANCES)
 
@@ -114,7 +98,8 @@ def test_a_table_built_from_lists_or_a_generator_is_the_tuple_table():
     assert listed == generated == TABLE
     assert hash(listed) == hash(generated) == hash(TABLE)
     assert repr(listed) == repr(TABLE)
-    sweeps = [sweep_distance(family_scenarios(KTH15, policy), DISTANCES, grid_points=60)
+    sweeps = [sweep_distance([scenario(family, 0.0, policy) for family in SourceFamily],
+                             DISTANCES, grid_points=60)
               for policy in (listed, TABLE)]
     assert differing(*sweeps) == []
     knots.append([0.9, 3.0])
@@ -123,7 +108,8 @@ def test_a_table_built_from_lists_or_a_generator_is_the_tuple_table():
 
 
 def _job(channel):
-    return ([exact(sweep) for sweep in sweep_distance(family_scenarios(channel), DISTANCES)],
+    stack = [scenario(family, **channel) for family in SourceFamily]
+    return ([exact(sweep) for sweep in sweep_distance(stack, DISTANCES)],
             repr(verify_closed_forms()))
 
 

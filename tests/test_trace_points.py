@@ -1,16 +1,12 @@
 """The functions the benchmark traces exist under the names it looks them up by."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from reference import ROOT, load
 
 
 def test_every_trace_target_resolves():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load(ROOT / "bench" / "spans.py", "bench_spans")
     assert spans.TARGETS
     missing = [
         f"{module}.{attr}"

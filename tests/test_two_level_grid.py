@@ -12,10 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcs_qkd import ChannelModel, ConstantF, DetectorModel, Scenario, SourceFamily, TableF
+from mcs_qkd import ChannelModel, ConstantF, DetectorModel, Scenario, SourceFamily
 from mcs_qkd import optimizer
+from reference import TABLE, scenario
 
-TABLE = TableF(((0.0, 1.05), (0.03, 1.1), (0.08, 1.2), (0.2, 1.45), (0.5, 2.0)))
 DARK_COUNTS = st.floats(-6.0, np.log10(3e-3)).map(lambda x: 10.0 ** x)
 
 
@@ -113,39 +113,36 @@ def test_cutoff_predicate_equals_the_full_grid_near_each_cutoff(box):
 
 
 def test_kth15_sweep_rows_equal_the_full_grid():
-    scenario = Scenario(SourceFamily.COHERENT_BB84, ChannelModel(0.2, 0.0, 1.0, 0.18),
-                        DetectorModel(2e-4, 0.01))
+    s = scenario(SourceFamily.COHERENT_BB84)
     for points in (49, 50, 51, 200, 2000):
         grid = np.geomspace(1e-5, 4.0, points)
-        secure = assert_full_grid_cells(scenario, [0.25 * k for k in range(401)], grid)
+        secure = assert_full_grid_cells(s, [0.25 * k for k in range(401)], grid)
         assert 0 < secure.sum() < len(secure)
 
 
 def test_best_cell_at_the_top_edge_of_the_grid():
     # param_max lies below every optimum, so each secure row peaks at the last grid
     # point; at 201 points (stride 8) the samples from 0 on stop a stride short of it
-    scenario = Scenario(SourceFamily.COHERENT_BB84, ChannelModel(0.2, 0.0, 1.0, 0.18),
-                        DetectorModel(2e-4, 0.01))
+    s = scenario(SourceFamily.COHERENT_BB84)
     grid = np.geomspace(1e-5, 0.01, 201)
     distances = [float(l) for l in range(0, 30, 3)]
-    secure = assert_full_grid_cells(scenario, distances, grid)
+    secure = assert_full_grid_cells(s, distances, grid)
     families = np.repeat(np.arange(len(SourceFamily)), len(distances))
-    etas = np.tile([scenario.channel.eta_at(l) for l in distances], len(SourceFamily))
-    cell, _ = optimizer._best_cells(scenario, families, etas, grid)
+    etas = np.tile([s.channel.eta_at(l) for l in distances], len(SourceFamily))
+    cell, _ = optimizer._best_cells(s, families, etas, grid)
     assert secure.sum() >= 10 and (cell[secure] == 200).all()
 
 
 def test_faint_rows_without_dark_counts_equal_the_full_grid():
     # with no dark counts the rows stay secure far out, where 1 - p0 keeps a few
     # digits and R_raw is ragged; such rows take every grid point
-    scenario = Scenario(SourceFamily.COHERENT_BB84, ChannelModel(0.2, 0.0, 1.0, 0.18),
-                        DetectorModel(0.0, 0.01))
+    s = scenario(SourceFamily.COHERENT_BB84, dark_prob_Pd=0.0)
     grid = np.geomspace(1e-5, 4.0, 200)
     distances = [2.0 * k for k in range(501)]
     families = np.repeat(np.arange(len(SourceFamily)), len(distances))
-    etas = np.tile([scenario.channel.eta_at(l) for l in distances], len(SourceFamily))
+    etas = np.tile([s.channel.eta_at(l) for l in distances], len(SourceFamily))
     assert (etas * grid[0] < optimizer._FAINT).any() and (etas * grid[0] >= optimizer._FAINT).any()
-    assert_full_grid_cells(scenario, distances, grid)
+    assert_full_grid_cells(s, distances, grid)
 
 
 def test_literal_sign_keeps_the_full_grid():

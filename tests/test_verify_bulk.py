@@ -6,7 +6,6 @@ they replace; that code is kept here as the reference.
 
 import math
 import os
-import random
 import subprocess
 import sys
 import warnings
@@ -36,7 +35,7 @@ from mcs_qkd.cli import main
 from mcs_qkd.fock_oracle import (
     DEFAULT_ALPHAS, DEFAULT_ETAS, DEFAULT_FOCK_N_MAX, DEFAULT_NUS, DEFAULT_QUAD_NODES,
 )
-from test_output_format import reference_csv
+from reference import reference_csv, seeded_axes, seeded_grid
 
 CAP = fock_oracle._MAX_QUAD_NODES
 
@@ -57,18 +56,6 @@ def _generator_sum(amplitudes, eta):
     """The Fock sum as it was written before squares and powers were cached."""
     loss = 1.0 - eta
     return min(1.0, math.fsum(c * c * loss**n for n, c in enumerate(amplitudes)))
-
-
-def _seeded_axes(seed=2024):
-    """8 alphas, 6 nus and 6 etas, distinct and non-zero, as the benchmark draws them."""
-    rng = random.Random(seed)
-    return tuple(tuple(sorted(rng.uniform(lo, hi) for _ in range(count)))
-                 for count, lo, hi in ((8, 0.05, 2.0), (6, 0.05, 0.8), (6, 0.05, 0.95)))
-
-
-def _seeded_grid(seed=2024):
-    """The 8 x 6 x 6 points of ``_seeded_axes(seed)``."""
-    return list(product(*_seeded_axes(seed)))
 
 
 _INTERIOR = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -258,7 +245,7 @@ def quadrature_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("grid, states", [(DEFAULT_GRID, 12), (_seeded_grid(), 48)],
+@pytest.mark.parametrize("grid, states", [(DEFAULT_GRID, 12), (seeded_grid(), 48)],
                          ids=["default", "oracle"])
 def test_one_quadrature_call_per_distinct_state(grid, states, quadrature_calls):
     reports = verify_closed_forms(grid)
@@ -304,7 +291,7 @@ class TestNodeCap:
 #: Each grid's axes and the cells its rows must reach.
 _CSV_GRIDS = {
     "signed-zeros": (((0.5, 1.0), (-0.0, 0.0), (0.0, -0.0, 0.5)), (",-0,", ",0,0,")),
-    "seeded": (_seeded_axes(), ()),
+    "seeded": (seeded_axes(), ()),
     # 0.5 as alpha, nu and eta of one row, and an abs_diff that is exactly 0
     "shared-values": (((0.5,), (0.5,), (0.0, 0.5, 1.0)), (",0.5,0.5,0.5,", ",0,true")),
 }

@@ -7,9 +7,9 @@ Each tree is a checkout with ``src/mcs_qkd``.  Every CLI case runs as
 input files, once per tree, with ``PYTHONPATH`` set to that tree's ``src``.
 A case matches when the exit code, stdout, stderr and the bytes of every
 CSV and SVG file written under the directory are the same for both trees.
-Each CSV that differs is also reported column by column: the row counts of
-both trees, and per column how many cells differ and the worst relative
-difference between them (see ``column_diffs``).
+Each CSV that differs, a file or ``rate``'s stdout, is also reported column by
+column: the row counts of both trees, and per column how many cells differ and
+the worst relative difference between them (see ``column_diffs``).
 
 Each ``--change-env`` sets one more environment variable for the change
 tree's runs only.  Given one tree twice, it shows how far the outputs move
@@ -368,6 +368,16 @@ def column_diffs(parent: str, change: str) -> dict:
             "head": notes[0] == notes[1] and header == other_header, "columns": columns}
 
 
+def _table_report(name: str, parent: str, change: str) -> list[str]:
+    """The row counts of two CSV texts under ``name``, then each column that differs."""
+    diffs = column_diffs(parent, change)
+    n, m = diffs["rows"]
+    rows = f"{n} rows" if n == m else f"{n} rows -> {m} rows"
+    return [f"{name}: {rows}" + ("" if diffs["head"] else ", notes or header differ"),
+            *(f"    {column}: {count} cells differ, worst relative {worst:.3g}"
+              for column, (count, worst) in diffs["columns"].items() if count)]
+
+
 def column_report(parent: dict, change: dict) -> list[str]:
     """Lines that say how the files of one case differ between the trees, CSV column by column."""
     lines = []
@@ -380,13 +390,19 @@ def column_report(parent: dict, change: dict) -> list[str]:
         elif not path.endswith(".csv"):
             lines.append(f"{path}: differs")
         else:
-            diffs = column_diffs(a.decode(), b.decode())
-            n, m = diffs["rows"]
-            rows = f"{n} rows" if n == m else f"{n} rows -> {m} rows"
-            lines.append(f"{path}: {rows}" + ("" if diffs["head"] else ", notes or header differ"))
-            lines += [f"    {name}: {count} cells differ, worst relative {worst:.3g}"
-                      for name, (count, worst) in diffs["columns"].items() if count]
+            lines += _table_report(path, a.decode(), b.decode())
     return lines
+
+
+def case_report(parent: tuple, change: tuple) -> list[str]:
+    """Lines that say how the outputs of one CLI case differ between the trees: a stdout
+    that is a CSV (``rate``'s, which starts with ``# `` note lines) column by column,
+    then the files (``column_report``)."""
+    (_, out, _, files), (_, other_out, _, other_files) = parent, change
+    lines = []
+    if out != other_out and out.startswith("# ") and other_out.startswith("# "):
+        lines = _table_report("stdout", out, other_out)
+    return lines + column_report(files, other_files)
 
 
 def run(tree: Path, argv, files, extra_env=None) -> tuple:
@@ -443,7 +459,7 @@ def main(argv=None) -> int:
                             print(f"    {a}  ->  {b.rpartition(': ')[2]}")
                 else:
                     print(f"DIFFERS {name}: {', '.join(what)} (argv: {' '.join(case_argv)})")
-                    for line in column_report(parent[3], change[3]):
+                    for line in case_report(parent, change):
                         print(f"    {line}")
     print(f"{len(cases)} cases: {len(cases) - differ} identical, {differ} differ")
     return 1 if differ else 0
