@@ -14,7 +14,7 @@ from .key_rate import *
 from .optimizer import *
 from .photon_source import *
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # each module's __all__ is the one list of its public names
 __all__ = [*errors.__all__, *fock_oracle.__all__, *key_rate.__all__, *optimizer.__all__,

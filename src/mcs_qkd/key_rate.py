@@ -17,8 +17,8 @@ dark counts are indistinguishable from signal at the receiver, so they dilute
 the single-photon fraction exactly like any other detection event.
 
 The formula is written once, elementwise over numpy arrays, in
-``rate_formula``; ``secure_rate`` and the scalar helpers validate one point
-and evaluate it, or one of its pieces, there.
+``rate_formula``; ``secure_rate`` validates one point and evaluates it there,
+returning every piece of the formula as a field.
 
 All functions are pure; the record types are immutable and thread-safe.
 """
@@ -42,12 +42,8 @@ __all__ = [
     "KTH15_DETECTOR",
     "RateBreakdown",
     "TableF",
-    "adjusted_signal",
-    "error_rate",
     "f_ec",
     "secure_rate",
-    "shannon_h",
-    "tau_compression",
 ]
 
 
@@ -104,56 +100,17 @@ KTH15_CHANNEL = ChannelModel(loss_coeff_a=0.2, distance_l=5.0, receiver_loss_L=1
 KTH15_DETECTOR = DetectorModel(dark_prob_Pd=2e-4, baseline_error_c=0.01)
 
 
-def _dark_adjusted(p_s, dark_prob):
-    return p_s + dark_prob - p_s * dark_prob
-
-
-def adjusted_signal(p_s: float, det: DetectorModel) -> float:
-    """Detection probability including dark counts (union of independent events)."""
-    require_unit_interval("p_s", p_s)
-    return _dark_adjusted(p_s, det.dark_prob_Pd)
-
-
-def error_rate(p_s: float, det: DetectorModel) -> float:
-    """Observed error fraction: baseline errors on signal plus random dark counts.
-
-        e = (c * Ps + Pd/2) / Ps_bar
-
-    clamped to [0, 1/2].  Raises ``DegenerateInputError`` when Ps_bar is zero
-    (no detection events, error rate undefined).
-    """
-    return secure_rate(p_s, 0.0, det).e
-
-
 def _entropy(e):
+    # binary entropy, with the continuity convention h(0) = h(1) = 0
     h = -e * np.log2(e) - (1.0 - e) * np.log2(1.0 - e)
     return np.where((e <= 0.0) | (e >= 1.0), 0.0, h)
 
 
-def shannon_h(e: float) -> float:
-    """Binary Shannon entropy with the continuity convention h(0) = h(1) = 0."""
-    require_unit_interval("e", e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_entropy(np.float64(e)))
-
-
 def _compression(e, rho):
+    # capped at 1 from u = e / rho >= 1/2 on, where the log's argument would leave [1, 2]
     u = e / rho
     tau = np.log2(1.0 + 4.0 * u - 4.0 * u * u)
     return np.where((rho > 0.0) & (u < 0.5), tau, 1.0)
-
-
-def tau_compression(e: float, rho: float) -> float:
-    """Privacy-amplification compression fraction.
-
-    With u = e / rho:  log2(1 + 4u - 4u**2) for u < 1/2, capped at 1 beyond,
-    where the argument would leave [1, 2] and the protocol is insecure anyway.
-    ``e`` must lie in [0, 1].  Callers must check rho first; a non-positive
-    rho, or one so small that u overflows, returns the cap rather than raising.
-    """
-    require_unit_interval("e", e)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return float(_compression(np.float64(e), np.float64(rho)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +215,7 @@ def rate_formula(
     and R_raw are nan and its R is 0.
     """
     p_s, p_m = np.broadcast_arrays(p_s, p_m)
-    p_bar = _dark_adjusted(p_s, det.dark_prob_Pd)
+    p_bar = p_s + det.dark_prob_Pd - p_s * det.dark_prob_Pd
     sign = 1.0 if paper_literal_sign else -1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = (det.baseline_error_c * p_s + det.dark_prob_Pd / 2.0) / p_bar

@@ -243,8 +243,6 @@ def test_criterion_7_monotonicity_randomized():
         f"{draws} draws, {violations} violations",
     )
 
-    from mcs_qkd import error_rate
-
     violations = 0
     for _ in range(draws):
         det = DetectorModel(
@@ -253,7 +251,7 @@ def test_criterion_7_monotonicity_randomized():
         )
         p1 = float(rng.uniform(0.0, 1.0))
         p2 = float(rng.uniform(p1, 1.0))
-        if error_rate(p2, det) > error_rate(p1, det) + 1e-15:
+        if secure_rate(p2, 0.0, det).e > secure_rate(p1, 0.0, det).e + 1e-15:
             violations += 1
     check(
         "7c error rate non-increasing in signal",

@@ -16,9 +16,9 @@ import mcs_qkd
 from mcs_qkd import errors
 from mcs_qkd import (
     KTH15_DETECTOR, ConfigurationError, DomainError, Protocol, SourceFamily,
-    SqueezedCoherentState, TableF, adjusted_signal, cutoff_distance, f_ec, make_state,
-    optimize_param, p0_via_fock, p0_via_quadrature, p_signal_mcs, p_vacuum_lossy, rate_at,
-    secure_rate, shannon_h, sweep_distance, tau_compression, verify_closed_forms,
+    SqueezedCoherentState, TableF, cutoff_distance, f_ec, make_state, optimize_param,
+    p0_via_fock, p0_via_quadrature, p_signal_mcs, p_vacuum_lossy, rate_at, secure_rate,
+    sweep_distance, verify_closed_forms,
 )
 
 #: Call site -> (the name its message uses, a call that passes ``value`` there).
@@ -47,9 +47,7 @@ UNIT_INTERVAL_SITES = {
     "p_signal_mcs": ("eta", lambda value: p_signal_mcs(0.3, value, Protocol.BB84)),
     "p0_via_fock": ("eta", lambda value: p0_via_fock(make_state(0.5, 0.3), value)),
     "secure_rate": ("p_s", lambda value: secure_rate(value, 0.01, KTH15_DETECTOR)),
-    "adjusted_signal": ("p_s", lambda value: adjusted_signal(value, KTH15_DETECTOR)),
-    "shannon_h": ("e", shannon_h),
-    "tau_compression": ("e", lambda value: tau_compression(value, 0.5)),
+    "secure_rate_p_m": ("p_m", lambda value: secure_rate(0.01, value, KTH15_DETECTOR)),
 }
 
 
@@ -97,13 +95,6 @@ def test_a_ragged_parameter_array(kth15_scenario):
     with pytest.raises(DomainError) as err:
         rate_at(kth15_scenario(SourceFamily.MCS_BB84), [[0.1], [0.2, 0.3]])
     assert str(err.value) == "param must be a number or a rectangular array of numbers"
-
-
-@pytest.mark.parametrize("rho", [5e-324, 1e-310])
-@pytest.mark.parametrize("e", [0.3, 1.0])
-def test_a_tiny_rho_gives_the_compression_cap(e, rho):
-    # e / rho overflows; numpy warned of it
-    assert tau_compression(e, rho) == 1.0
 
 
 @pytest.mark.parametrize("eta", [[0.5, [0.2]], [[0.5]], [[]]],
@@ -225,13 +216,9 @@ CALLS = {
         st.none() | st.lists(st.lists(near(0.0, 1.0), max_size=4).map(tuple), max_size=3),
         fock_n_max=st.integers(-2, 400), quad_nodes=st.integers(0, 300)),
     "max_abs_diff_by_formula": call(st.lists(REPORTS, max_size=4)),
-    "adjusted_signal": call(ANY, DETECTORS),
-    "error_rate": call(ANY, DETECTORS),
     "f_ec": call(ragged(ANY), POLICIES),
     "secure_rate": call(near(0.0, 1.0), near(0.0, 1.0), DETECTORS, POLICIES,
                         paper_literal_sign=st.booleans()),
-    "shannon_h": call(ANY),
-    "tau_compression": call(ANY, ANY),
     "rate_at": call(SCENARIOS, ragged(near(0.0, 4.0))),
     "optimize_param": call(SCENARIOS, **SEARCH),
     "cutoff_distance": call(SCENARIOS, near(0.0, 200.0), resolution_km=near(1e-3, 10.0), **SEARCH),

@@ -16,12 +16,8 @@ from mcs_qkd import (
     KTH15_DETECTOR,
     SourceFamily,
     TableF,
-    adjusted_signal,
-    error_rate,
     f_ec,
     secure_rate,
-    shannon_h,
-    tau_compression,
 )
 from mcs_qkd.key_rate import rate_formula
 from reference import KTH15, bits_equal, scenario
@@ -84,85 +80,6 @@ class TestDetectorModel:
     def test_rejects_baseline_above_two_percent(self):
         with pytest.raises(DomainError):
             DetectorModel(dark_prob_Pd=1e-4, baseline_error_c=0.03)
-
-
-class TestAdjustedSignal:
-    def test_dark_only(self, kth15_detector):
-        assert adjusted_signal(0.0, kth15_detector) == 2e-4
-
-    def test_saturated(self, kth15_detector):
-        assert adjusted_signal(1.0, kth15_detector) == 1.0
-
-    def test_union_of_independent_events(self, kth15_detector):
-        assert adjusted_signal(0.01, kth15_detector) == pytest.approx(0.010198, abs=1e-15)
-
-
-class TestErrorRate:
-    def test_all_dark_counts_are_random(self, kth15_detector):
-        assert error_rate(0.0, kth15_detector) == 0.5
-
-    def test_signal_dominated_limit(self, kth15_detector):
-        assert error_rate(1.0, kth15_detector) == pytest.approx(0.01, abs=1e-4)
-
-    def test_mixed_case(self, kth15_detector):
-        expected = (0.01 * 0.01 + 1e-4) / 0.010198
-        assert error_rate(0.01, kth15_detector) == pytest.approx(expected, abs=1e-15)
-        assert expected == pytest.approx(0.0196, abs=1e-4)
-
-    def test_degenerate_when_no_events(self):
-        silent = DetectorModel(dark_prob_Pd=0.0, baseline_error_c=0.01)
-        with pytest.raises(DegenerateInputError):
-            error_rate(0.0, silent)
-
-    @given(p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
-    def test_non_increasing_in_signal(self, p1, p2):
-        det = KTH15_DETECTOR
-        if p2 < p1:
-            p1, p2 = p2, p1
-        assert error_rate(p2, det) <= error_rate(p1, det) + 1e-15
-
-
-class TestShannonEntropy:
-    def test_limits(self):
-        assert shannon_h(0.0) == 0.0
-        assert shannon_h(1.0) == 0.0
-
-    def test_maximum(self):
-        assert shannon_h(0.5) == 1.0
-
-    def test_small_error(self):
-        expected = -0.01 * math.log2(0.01) - 0.99 * math.log2(0.99)
-        assert shannon_h(0.01) == pytest.approx(expected, abs=1e-15)
-        assert expected == pytest.approx(0.0808, abs=1e-4)
-
-    @given(e=st.floats(0.0, 1.0))
-    def test_symmetry(self, e):
-        assert shannon_h(e) == pytest.approx(shannon_h(1.0 - e), abs=1e-12)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            shannon_h(1.5)
-
-
-class TestCompression:
-    def test_no_errors_no_compression(self):
-        assert tau_compression(0.0, 0.9) == 0.0
-
-    def test_cap_at_half(self):
-        assert tau_compression(0.45, 0.9) == 1.0
-
-    def test_quarter_point(self):
-        assert tau_compression(0.225, 0.9) == pytest.approx(math.log2(1.75), abs=1e-15)
-
-    def test_non_positive_rho_returns_cap(self):
-        assert tau_compression(0.01, 0.0) == 1.0
-        assert tau_compression(0.01, -0.5) == 1.0
-
-    def test_non_decreasing_below_cap(self):
-        rho = 0.8
-        es = [rho / 2 * i / 50 for i in range(51)]
-        values = [tau_compression(e, rho) for e in es]
-        assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
 class TestErrorCorrectionPolicy:
@@ -245,7 +162,7 @@ class TestSecureRate:
         det = DetectorModel(dark_prob_Pd=dark, baseline_error_c=c)
         if p_s == 0.0 and dark == 0.0:
             return
-        p_bar = adjusted_signal(p_s, det)
+        p_bar = secure_rate(p_s, 0.0, det).p_s_bar
         p_m = min(1.0, p_bar * (1.0 + surplus))
         breakdown = secure_rate(p_s, p_m, det)
         assert breakdown.R == 0.0
@@ -261,6 +178,40 @@ class TestSecureRate:
         det = DetectorModel(dark_prob_Pd=0.0, baseline_error_c=0.0)
         with pytest.raises(DegenerateInputError):
             secure_rate(0.0, 0.0, det)
+
+    @pytest.mark.parametrize("p_s, p_m, det, field, want", [
+        (0.0, 0.0, KTH15_DETECTOR, "p_s_bar", 2e-4),
+        (1.0, 0.0, KTH15_DETECTOR, "p_s_bar", 1.0),
+        (0.01, 0.0, KTH15_DETECTOR, "p_s_bar", pytest.approx(0.010198, abs=1e-15)),
+        (1.0, 0.0, KTH15_DETECTOR, "e", pytest.approx(0.0101, abs=1e-15)),
+        (0.01, 0.0, KTH15_DETECTOR, "e", pytest.approx((0.01 * 0.01 + 1e-4) / 0.010198, abs=1e-15)),
+        (0.5, 0.0, DetectorModel(0.0, 0.01), "e", 0.01),
+        (0.5, 0.0, DetectorModel(0.0, 0.01), "h",
+         pytest.approx(-0.01 * math.log2(0.01) - 0.99 * math.log2(0.99), abs=1e-15)),
+        (0.5, 0.46, DetectorModel(0.0, 0.02), "tau", pytest.approx(math.log2(1.75), abs=1e-15)),
+        (0.5, 0.49, DetectorModel(0.0, 0.02), "tau", 1.0),
+        (0.5, 0.5, DetectorModel(0.0, 0.02), "tau", 1.0),
+        (0.5, 0.7, DetectorModel(0.0, 0.02), "tau", 1.0),
+    ], ids=["dark-only-signal", "saturated-signal", "union-of-independent-events",
+            "signal-dominated-error", "mixed-error", "error-is-c-without-dark-counts",
+            "small-error-entropy", "quarter-point-compression", "compression-cap-at-rho-2e",
+            "compression-cap-at-pm-equal-ps-bar", "compression-cap-at-pm-above-ps-bar"])
+    def test_each_piece_at_a_known_point(self, p_s, p_m, det, field, want):
+        assert getattr(secure_rate(p_s, p_m, det), field) == want
+
+    @given(p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
+    def test_error_rate_non_increasing_in_signal(self, p1, p2):
+        if p2 < p1:
+            p1, p2 = p2, p1
+        det = KTH15_DETECTOR
+        assert secure_rate(p2, 0.0, det).e <= secure_rate(p1, 0.0, det).e + 1e-15
+
+    def test_compression_non_decreasing_in_error_below_the_cap(self):
+        # without dark counts e is c; p_m = 0.48 holds rho near 0.04, so e runs up to rho / 2
+        pieces = [secure_rate(0.5, 0.48, DetectorModel(0.0, 0.02 * i / 50)) for i in range(51)]
+        assert len({b.rho for b in pieces}) == 1
+        taus = [b.tau for b in pieces]
+        assert taus[-1] == 1.0 and all(b >= a - 1e-15 for a, b in zip(taus, taus[1:]))
 
     def test_rho_saturates_where_pm_over_ps_bar_leaves_the_float_range(self):
         # Pm / Ps_bar = 2e323: rho is the most negative float, not -inf, and no warning
