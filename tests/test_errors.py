@@ -1,5 +1,6 @@
 """The shared input checks (finite and non-negative, and [0, 1]) at each place an input enters,
-and the package's own errors for values of the right type that the model cannot take."""
+each bounded field's own interval, and the package's own errors for values of the right type
+that the model cannot take."""
 
 import dataclasses
 import inspect
@@ -15,17 +16,23 @@ from hypothesis import strategies as st
 import mcs_qkd
 from mcs_qkd import errors
 from mcs_qkd import (
-    KTH15_DETECTOR, ConfigurationError, DomainError, Protocol, SourceFamily,
-    SqueezedCoherentState, TableF, cutoff_distance, f_ec, make_state, optimize_param,
-    p0_via_fock, p0_via_quadrature, p_signal_mcs, p_vacuum_lossy, rate_at, secure_rate,
-    sweep_distance, verify_closed_forms,
+    KTH15_DETECTOR, ChannelModel, ConfigurationError, DetectorModel, DomainError, Protocol,
+    SourceFamily, SqueezedCoherentState, TableF, cutoff_distance, f_ec, make_state, mcs_state,
+    optimize_param, p0_via_fock, p0_via_quadrature, p_signal, p_signal_mcs, p_vacuum_lossy,
+    rate_at, secure_rate, sweep_distance, verify_closed_forms,
 )
 
 #: Call site -> (the name its message uses, a call that passes ``value`` there).
 CALL_SITES = {
     "make_state": ("alpha", lambda scenario, value: make_state(value, 0.3)),
+    "make_state_nu": ("nu", lambda scenario, value: make_state(0.5, value)),
+    "mcs_state": ("nu", lambda scenario, value: mcs_state(value, Protocol.BB84)),
     "ChannelModel": ("loss_coeff_a", lambda scenario, value: dataclasses.replace(
         scenario.channel, loss_coeff_a=value)),
+    "ChannelModel_distance_l": ("distance_l", lambda scenario, value: dataclasses.replace(
+        scenario.channel, distance_l=value)),
+    "ChannelModel_receiver_loss_L": ("receiver_loss_L", lambda scenario, value: dataclasses.replace(
+        scenario.channel, receiver_loss_L=value)),
     "sweep_distance": ("distance_l", lambda scenario, value: sweep_distance([scenario], [value])),
     "rate_at": ("param", lambda scenario, value: rate_at(scenario, np.array([0.1, value]))),
 }
@@ -44,6 +51,7 @@ def test_every_call_site_gives_the_same_message(site, value, shown, kth15_scenar
 #: Call site -> (the name its message uses, a call that passes ``value`` there).
 UNIT_INTERVAL_SITES = {
     "p_vacuum_lossy": ("eta", lambda value: p_vacuum_lossy(make_state(0.5, 0.3), value)),
+    "p_signal": ("eta", lambda value: p_signal(make_state(0.5, 0.3), value)),
     "p_signal_mcs": ("eta", lambda value: p_signal_mcs(0.3, value, Protocol.BB84)),
     "p0_via_fock": ("eta", lambda value: p0_via_fock(make_state(0.5, 0.3), value)),
     "secure_rate": ("p_s", lambda value: secure_rate(value, 0.01, KTH15_DETECTOR)),
@@ -60,6 +68,27 @@ def test_every_probability_site_gives_the_same_message(site, value, shown):
     with pytest.raises(DomainError) as err:
         call(value)
     assert str(err.value) == f"{name} must lie in [0, 1], got {shown}"
+
+
+#: A field whose interval is not [0, 1] -> (the interval its message shows, the record it checks).
+BOUNDED_FIELDS = {
+    "detector_eff": ("(0, 1]", lambda value: ChannelModel(0.2, 5.0, 1.0, value)),
+    "dark_prob_Pd": ("[0, 1)", lambda value: DetectorModel(value, 0.01)),
+    "baseline_error_c": ("[0, 0.02]", lambda value: DetectorModel(2e-4, value)),
+}
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("detector_eff", 0.0, "0.0"), ("detector_eff", math.nan, "nan"),
+    ("dark_prob_Pd", 1.0, "1.0"), ("dark_prob_Pd", -math.inf, "-inf"),
+    ("baseline_error_c", 0.03, "0.03"), ("baseline_error_c", -0.001, "-0.001"),
+], ids=["detector_eff-zero", "detector_eff-nan", "dark_prob_Pd-one", "dark_prob_Pd-minus-inf",
+        "baseline_error_c-above-two-percent", "baseline_error_c-negative"])
+def test_a_bounded_field_names_its_interval(field, value, shown):
+    interval, build = BOUNDED_FIELDS[field]
+    with pytest.raises(DomainError) as err:
+        build(value)
+    assert str(err.value) == f"{field} must lie in {interval}, got {shown}"
 
 
 @pytest.mark.parametrize("knots, shown", [([(0.0,)], "(0.0,)"), ([(0.0, 1.1, 2.0)], "(0.0, 1.1, 2.0)"),

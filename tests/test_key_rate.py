@@ -82,6 +82,85 @@ class TestDetectorModel:
             DetectorModel(dark_prob_Pd=1e-4, baseline_error_c=0.03)
 
 
+class TestAdjustedSignal:
+    def test_dark_only(self, kth15_detector):
+        assert secure_rate(0.0, 0.0, kth15_detector).p_s_bar == 2e-4
+
+    def test_saturated(self, kth15_detector):
+        assert secure_rate(1.0, 0.0, kth15_detector).p_s_bar == 1.0
+
+    def test_union_of_independent_events(self, kth15_detector):
+        p_s_bar = secure_rate(0.01, 0.0, kth15_detector).p_s_bar
+        assert p_s_bar == pytest.approx(0.010198, abs=1e-15)
+
+
+class TestErrorRate:
+    def test_all_dark_counts_are_random(self, kth15_detector):
+        assert secure_rate(0.0, 0.0, kth15_detector).e == 0.5
+
+    def test_signal_dominated_limit(self, kth15_detector):
+        assert secure_rate(1.0, 0.0, kth15_detector).e == pytest.approx(0.0101, abs=1e-15)
+        # without dark counts every event is signal, and e is the baseline c
+        assert secure_rate(0.5, 0.0, DetectorModel(0.0, 0.01)).e == 0.01
+
+    def test_mixed_case(self, kth15_detector):
+        expected = (0.01 * 0.01 + 1e-4) / 0.010198
+        assert secure_rate(0.01, 0.0, kth15_detector).e == pytest.approx(expected, abs=1e-15)
+        assert expected == pytest.approx(0.0196, abs=1e-4)
+
+    @given(p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
+    def test_non_increasing_in_signal(self, p1, p2):
+        det = KTH15_DETECTOR
+        if p2 < p1:
+            p1, p2 = p2, p1
+        assert secure_rate(p2, 0.0, det).e <= secure_rate(p1, 0.0, det).e + 1e-15
+
+
+class TestShannonEntropy:
+    def test_limits(self):
+        # rate_formula clamps e to [0, 1/2], so h(0) is the one limit a rate reaches
+        assert secure_rate(0.5, 0.0, DetectorModel(0.0, 0.0)).h == 0.0
+
+    def test_maximum(self, kth15_detector):
+        assert secure_rate(0.0, 0.0, kth15_detector).h == 1.0
+
+    def test_small_error(self):
+        expected = -0.01 * math.log2(0.01) - 0.99 * math.log2(0.99)
+        breakdown = secure_rate(0.5, 0.0, DetectorModel(0.0, 0.01))
+        assert breakdown.h == pytest.approx(expected, abs=1e-15)
+        assert expected == pytest.approx(0.0808, abs=1e-4)
+
+
+class TestCompression:
+    # without dark counts, p_s = 0.5 and c = 2**-6 give e = 2**-6, and p_m sets
+    # rho = 1 - 2 * p_m; every value below is exact in binary
+    BINARY_C = DetectorModel(0.0, 2.0**-6)
+
+    def test_no_errors_no_compression(self):
+        assert secure_rate(0.5, 0.05, DetectorModel(0.0, 0.0)).tau == 0.0
+
+    def test_cap_at_half(self):
+        breakdown = secure_rate(0.5, 0.484375, self.BINARY_C)
+        assert breakdown.e / breakdown.rho == 0.5
+        assert breakdown.tau == 1.0
+
+    def test_quarter_point(self):
+        breakdown = secure_rate(0.5, 0.46875, self.BINARY_C)
+        assert breakdown.e / breakdown.rho == 0.25
+        assert breakdown.tau == pytest.approx(math.log2(1.75), abs=1e-15)
+
+    def test_non_positive_rho_returns_cap(self):
+        assert secure_rate(0.5, 0.5, self.BINARY_C).tau == 1.0
+        assert secure_rate(0.5, 0.75, self.BINARY_C).tau == 1.0
+
+    def test_non_decreasing_below_cap(self):
+        # p_m = 0.48 holds rho near 0.04 while c, and with it e, runs up to rho / 2
+        pieces = [secure_rate(0.5, 0.48, DetectorModel(0.0, 0.02 * i / 50)) for i in range(51)]
+        assert len({b.rho for b in pieces}) == 1
+        taus = [b.tau for b in pieces]
+        assert taus[-1] == 1.0 and all(b >= a - 1e-15 for a, b in zip(taus, taus[1:]))
+
+
 class TestErrorCorrectionPolicy:
     def test_constant_default(self):
         assert f_ec(0.3, ConstantF()) == 1.16
@@ -178,40 +257,6 @@ class TestSecureRate:
         det = DetectorModel(dark_prob_Pd=0.0, baseline_error_c=0.0)
         with pytest.raises(DegenerateInputError):
             secure_rate(0.0, 0.0, det)
-
-    @pytest.mark.parametrize("p_s, p_m, det, field, want", [
-        (0.0, 0.0, KTH15_DETECTOR, "p_s_bar", 2e-4),
-        (1.0, 0.0, KTH15_DETECTOR, "p_s_bar", 1.0),
-        (0.01, 0.0, KTH15_DETECTOR, "p_s_bar", pytest.approx(0.010198, abs=1e-15)),
-        (1.0, 0.0, KTH15_DETECTOR, "e", pytest.approx(0.0101, abs=1e-15)),
-        (0.01, 0.0, KTH15_DETECTOR, "e", pytest.approx((0.01 * 0.01 + 1e-4) / 0.010198, abs=1e-15)),
-        (0.5, 0.0, DetectorModel(0.0, 0.01), "e", 0.01),
-        (0.5, 0.0, DetectorModel(0.0, 0.01), "h",
-         pytest.approx(-0.01 * math.log2(0.01) - 0.99 * math.log2(0.99), abs=1e-15)),
-        (0.5, 0.46, DetectorModel(0.0, 0.02), "tau", pytest.approx(math.log2(1.75), abs=1e-15)),
-        (0.5, 0.49, DetectorModel(0.0, 0.02), "tau", 1.0),
-        (0.5, 0.5, DetectorModel(0.0, 0.02), "tau", 1.0),
-        (0.5, 0.7, DetectorModel(0.0, 0.02), "tau", 1.0),
-    ], ids=["dark-only-signal", "saturated-signal", "union-of-independent-events",
-            "signal-dominated-error", "mixed-error", "error-is-c-without-dark-counts",
-            "small-error-entropy", "quarter-point-compression", "compression-cap-at-rho-2e",
-            "compression-cap-at-pm-equal-ps-bar", "compression-cap-at-pm-above-ps-bar"])
-    def test_each_piece_at_a_known_point(self, p_s, p_m, det, field, want):
-        assert getattr(secure_rate(p_s, p_m, det), field) == want
-
-    @given(p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
-    def test_error_rate_non_increasing_in_signal(self, p1, p2):
-        if p2 < p1:
-            p1, p2 = p2, p1
-        det = KTH15_DETECTOR
-        assert secure_rate(p2, 0.0, det).e <= secure_rate(p1, 0.0, det).e + 1e-15
-
-    def test_compression_non_decreasing_in_error_below_the_cap(self):
-        # without dark counts e is c; p_m = 0.48 holds rho near 0.04, so e runs up to rho / 2
-        pieces = [secure_rate(0.5, 0.48, DetectorModel(0.0, 0.02 * i / 50)) for i in range(51)]
-        assert len({b.rho for b in pieces}) == 1
-        taus = [b.tau for b in pieces]
-        assert taus[-1] == 1.0 and all(b >= a - 1e-15 for a, b in zip(taus, taus[1:]))
 
     def test_rho_saturates_where_pm_over_ps_bar_leaves_the_float_range(self):
         # Pm / Ps_bar = 2e323: rho is the most negative float, not -inf, and no warning
