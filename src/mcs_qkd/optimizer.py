@@ -4,13 +4,15 @@ This module only searches; the source model, ``SourceFamily.source``, lives in
 ``photon_source``.  For each source family the free parameter is the mean photon
 number ``|alpha|**2`` (plain coherent state) or the squeeze magnitude ``nu``
 (interference-tuned sources).  A coarse logarithmic grid brackets the best rate
-over that parameter and a section search polishes it (16 probes per step); every
-step ranks its points by the unclamped rate ``R_raw``, the first of equal ones
-ahead.  The optimum is the best probe of the row's last step, or the best grid
-point where its ``R`` is higher (ties go to the probe).  The coarse pass has two
-levels: about ``_SAMPLES`` grid points a stride apart, then the points around
-the best of them.  It finds the full grid's best point whenever that point lies
-within a stride of the best sample.  That held on every secure row checked, at 2
+over that parameter and safeguarded Newton steps in ``log(param)`` polish it, 3
+cells per row and step (see ``_newton_steps``): the first is centred on the best
+grid point, so the optimum is never below the grid.  The optimum is the first
+point evaluated with the largest unclamped rate ``R_raw``.  Rows under the
+paper-literal sign, faint rows and rough rows keep a section search (16 probes
+per step; see ``_optimize_rows``).  The coarse pass has two levels: about
+``_SAMPLES`` grid points a stride apart, then the points around the best of
+them.  It finds the full grid's best point whenever that point lies within a
+stride of the best sample.  That held on every secure row checked, at 2
 to 2,000 grid points: ``R_raw`` has one interior maximum there, and its dip
 towards ``param_min`` stays below the samples by the peak.  Past the cutoff
 ``R_raw`` may peak at ``param_min`` instead; every point is then <= 0, and the
@@ -25,9 +27,9 @@ total efficiency and source parameter, with a source family per row; rows come
 in runs of one family, one source call each.  Every step of the search is one
 row search, ``_row_best``, which calls the kernel in blocks of at most
 ``_BLOCK_CELLS`` cells.  A sweep stacks one row per (family, distance), family
-by family, and refines the secure rows together, one row search per section
-step: each row takes the steps of a one-distance search, and ``optimize_param``
-is the one-row case; the secure rows come out in columns, one array per field.
+by family, and refines the secure rows together, one row search per step of
+the rows still stepping: each row takes the steps of a one-distance search, and
+``optimize_param`` is the one-row case; the secure rows come out in columns.
 The cutoff is the last multiple ``j * resolution_km`` (j >= 0, rounded once)
 where the optimum is secure, so the range searched does not move it.  One loop,
 ``_cutoffs``, finds it for every family at once: each round cuts every span of
@@ -65,8 +67,11 @@ DEFAULT_GRID_POINTS = 200
 DEFAULT_RTOL = 1e-5
 DEFAULT_CUTOFF_RESOLUTION_KM = 0.01
 
-#: Probes of a refinement step, which keeps 2 of the 17 cells between them.
+#: Probes of a section step, which keeps 2 of the 17 cells between them.
 _PROBES = np.arange(1.0, 17.0)
+
+#: A Newton step's stencil, as factors of its centre: ``exp(-h)``, 1 and ``exp(h)``, h = 1e-3.
+_STENCIL = np.exp([-1e-4, 0.0, 1e-4])
 
 #: Parts that a cutoff round cuts each span of multiples into.
 _CUTS = 16
@@ -85,6 +90,12 @@ _SAMPLES = 25
 #: ``param_min``; without dark counts such rows can stay secure until it keeps
 #: none, and the rounding makes ``R_raw`` ragged, with maxima the samples miss.
 _FAINT = 1e-12
+
+#: Rows whose detection probability at the coarse winner, about ``eta * param + Pd``,
+#: is below this take section steps, as faint rows do: without dark counts ``1 - p0``
+#: and the multi-photon probability there keep too few digits for the second
+#: differences of a Newton stencil, whose step then follows rounding noise.
+_ROUGH = 1e-6
 
 #: Largest coarse parameter grid a search may ask for.
 _MAX_GRID_POINTS = 100_000
@@ -110,7 +121,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class OptimumPoint:
-    """Refined maximum of the rate curve over the source parameter."""
+    """Refined maximum of the rate curve over the source parameter.
+
+    ``bracket`` holds the two params between which the last search step placed the
+    maximum: points whose slopes pointed inwards, knots of an f(e) table, or the best
+    grid point's neighbours (for a section search, the cells around its best probe).
+    """
 
     param_value: float
     breakdown: RateBreakdown
@@ -212,15 +228,18 @@ def _check_resolution(resolution_km: float) -> None:
         raise DomainError(f"cutoff resolution must be finite and > 0 km, got {resolution_km!r}")
 
 
-def _row_best(scenario: Scenario, families, etas, params, names) -> tuple[np.ndarray, ...]:
+def _row_best(scenario: Scenario, families, etas, params, names,
+              curves: Sequence[str] = ()) -> tuple[np.ndarray, ...]:
     """Per row, the column of the first of ``params`` with the largest ``R_raw`` (nan lowest),
-    then each of the breakdown fields ``names`` there.
+    then each of the breakdown fields ``curves`` at every column (rows x columns), then each
+    of the fields ``names`` at the best column.
 
     A row is a family and a total efficiency; ``params`` is shared by every row (1-D) or
     holds one row each (2-D).  Each kernel call takes at most ``_BLOCK_CELLS`` cells.
     """
     n = params.shape[-1]
     best, fields = np.empty(len(etas), dtype=np.intp), [np.empty(len(etas)) for _ in names]
+    wholes = [np.empty((len(etas), n)) for _ in curves]
     block = max(1, _BLOCK_CELLS // n)
     for start in range(0, len(etas), block):
         rows = slice(start, start + block)
@@ -230,7 +249,9 @@ def _row_best(scenario: Scenario, families, etas, params, names) -> tuple[np.nda
         flat = k + n * np.arange(len(k))  # each row's best cell in the flat block
         for field, name in zip(fields, names):
             field[rows] = getattr(rates, name).take(flat)
-    return best, *fields
+        for whole, name in zip(wholes, curves):
+            whole[rows] = getattr(rates, name)
+    return best, *wholes, *fields
 
 
 def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
@@ -281,15 +302,169 @@ def _optimize_rows(
     scenario: Scenario, families: np.ndarray, etas: np.ndarray, grid: np.ndarray, rtol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The secure rows (a family and a total efficiency each), ascending, their optima in
-    columns (the param, then each breakdown field) and their final brackets (n x 2)."""
+    columns (the param, then each breakdown field) and their final brackets (n x 2).
+
+    Rows under the paper-literal sign, whose ``R_raw`` peaks on its jump at ``rho = 0``,
+    faint rows (see ``_FAINT``) and rough rows (see ``_ROUGH``) take section steps; the
+    others take Newton steps.
+    """
     best_i, best_r = _best_cells(scenario, families, etas, grid)
     rows = np.flatnonzero(best_r > 0.0)
     families, eta, cell = families[rows], etas[rows], best_i[rows]
+    optima = np.empty((1 + len(_FIELDS), len(rows)))  # the param, then each breakdown field
+    bracket = np.empty((len(rows), 2))
+    section = scenario.paper_literal_sign | (eta * grid[0] < _FAINT) | (
+        eta * grid[cell] + scenario.detector.dark_prob_Pd < _ROUGH)
+    if section.any():
+        optima[:, section], bracket[section] = _section_steps(
+            scenario, families[section], eta[section], grid, cell[section],
+            best_r[rows[section]], rtol)
+    newton = ~section
+    if newton.any():
+        optima[:, newton], bracket[newton] = _newton_steps(
+            scenario, families[newton], eta[newton], grid, cell[newton], rtol)
+    return rows, optima, bracket
+
+
+def _newton_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, grid: np.ndarray,
+                  cell: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optima in columns and final brackets (n x 2) of rows that step together in log param.
+
+    Each step is one row search over a stencil of 3 cells per row, ``p * exp(-h)``, ``p``
+    and ``p * exp(h)`` (clipped to the grid), which gives ``d1`` and ``d2``, the first and
+    second derivatives of ``R_raw`` in ``x = log(param)``.  The first stencil is centred on
+    the coarse winner, whose neighbours bracket the search.  A step moves the bracket's end
+    on the side that ``d1`` points away from to ``p``, then takes the Newton step
+    ``-d1 / d2`` where ``d2 < 0``.
+
+    ``R_raw`` is smooth but for a kink where the error rate ``e``, which is smooth, crosses
+    a knot of a ``TableF``.  A Newton step back across the knot that the row's last step
+    crossed stops on the knot, where the quadratic through the stencil's ``e`` meets it.  A
+    stencil across a knot gives the slopes of the two pieces there, with the ``d2`` of the
+    row's last stencil not across a knot.  Where both rise towards the knot, the step goes
+    to it.  Otherwise they give ``d1``, which moves an end to the knot, and the step is a
+    Newton step from the knot on the piece that they rise towards.
+
+    A step must land inside the bracket, at most half as long as the row's step before
+    last; otherwise the row bisects, in ``x``, the part of the bracket that ``d1`` points
+    to.  So Newton steps halve every second step at least and bisections halve the
+    bracket, and every row stops: when the model's step (Newton or to a knot) or the step
+    taken is below ``rtol / 10`` in ``x``, when ``d1 == 0`` or when the new param rounds
+    to the old one.  The optimum is the first point evaluated with the largest ``R_raw``.
+    """
+    policy = scenario.f_policy
+    knots = np.array([e for e, _ in policy.knots] if isinstance(policy, TableF) else [])
+    lo, hi = grid[np.clip((cell - 1, cell + 1), 0, len(grid) - 1)]
+    optima = np.empty((1 + len(_FIELDS), len(cell)))
+    best = np.full(len(cell), -np.inf)  # the optimum's R_raw, nan ranking lowest
+    p = grid[cell]
+    last, prior = np.log(hi / lo), np.log(hi / lo)  # the lengths of each row's last two steps
+    came = np.full(len(cell), -1)  # the piece of f(e) of each row's last p (-1: none yet)
+    curved = np.full(len(cell), np.nan)  # d2 of each row's last stencil not across a knot
+    active = np.arange(len(cell))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while active.size:
+            q, a, b = p[active], lo[active], hi[active]
+            cells = np.minimum(np.maximum(q[:, None] * _STENCIL, grid[0]), grid[-1])
+            k, rates, errors, *fields = _row_best(scenario, families[active], eta[active], cells,
+                                                  _FIELDS, curves=("R_raw", "e"))
+            # the first stencil holds the coarse winner, whose R_raw is positive, so the
+            # best R_raw is never nan
+            raw = fields[_FIELDS.index("R_raw")]
+            up = np.flatnonzero(raw > best[active])
+            best[active[up]] = raw[up]
+            optima[:, active[up]] = [cells[up, k[up]], *(field[up] for field in fields)]
+            left, right = np.log(q / cells[:, 0]), np.log(cells[:, 2] / q)
+            down, rise, d1, d2 = _slopes(rates, left, right)
+            newton = -d1 / d2
+            at_knot, edge = np.zeros(len(q), dtype=bool), q  # edge: where d1 moves an end to
+            if len(knots):
+                *_, g1, g2 = _slopes(errors, left, right)
+                piece = np.searchsorted(knots, errors, side="right")  # each cell's piece of f(e)
+                across = piece[:, 0] != piece[:, 2]
+                # a step back across the knot that the last step crossed
+                ahead = errors[:, 1] + (g1 + g2 * newton / 2.0) * newton
+                rising = ahead > errors[:, 1]
+                back = (np.searchsorted(knots, ahead, side="right") != piece[:, 1]) & (
+                    came[active] >= 0) & (np.sign(came[active] - piece[:, 1])
+                                          == np.where(rising, 1, -1))
+                knot = knots[np.clip(piece[:, 1] - ~rising, 0, len(knots) - 1)]
+                newton = np.where(back, _root(g1, g2, knot - errors[:, 1]), newton)
+                came[active] = piece[:, 1]
+                # a stencil across a knot: the knot lies between the low cell and p (inner)
+                # or between p and the high cell.  p's piece is a quadratic through p with
+                # its chord's slope and the curvature c of the row's last stencil not
+                # across a knot; the other piece's slope at the knot comes from its cell
+                # and p's piece's value there
+                inner = piece[:, 0] != piece[:, 1]
+                knot = knots[np.minimum(np.where(inner, piece[:, :2].min(axis=1),
+                                                 piece[:, 1:].min(axis=1)), len(knots) - 1)]
+                to_knot = _root(g1, g2, knot - errors[:, 1])
+                c = np.where(np.isnan(curved[active]), 0.0, curved[active])
+                slope = np.where(inner, rise - c * right / 2.0, down + c * left / 2.0) + (
+                    c * to_knot)  # p's piece's slope at the knot
+                there = rates[:, 1] + (slope - c * to_knot / 2.0) * to_knot
+                other = np.where(inner, (there - rates[:, 0]) / (to_knot + left) + (
+                    c * (to_knot + left) / 2.0), (rates[:, 2] - there) / (right - to_knot) - (
+                    c * (right - to_knot) / 2.0))
+                below, above = np.where(inner, other, slope), np.where(inner, slope, other)
+                at_knot = across & (below > 0.0) & (above < 0.0)
+                d1 = np.where(across, np.where(at_knot, 0.0, below + above), d1)
+                edge = np.where(across, q * np.exp(to_knot), q)
+                curved[active] = d2 = np.where(across, curved[active], d2)
+                newton = np.where(at_knot, to_knot, np.where(
+                    across, to_knot - np.where(d1 < 0.0, below, above) / d2, newton))
+            a = np.where(d1 > 0.0, np.maximum(a, edge), a)
+            b = np.where(d1 < 0.0, np.minimum(b, edge), b)
+            target, modelled = q * np.exp(newton), at_knot | (d2 < 0.0)
+            fits = modelled & (a < target) & (target < b) & (np.abs(newton) <= 0.5 * prior[active])
+            step = np.where(fits, target, np.sqrt(q * np.where(d1 > 0.0, b, a)))
+            length = np.abs(np.log(step / q))
+            lo[active], hi[active] = a, b
+            go = ((np.abs(d1) > 0.0) | at_knot) & (length >= 0.1 * rtol) & (step != q)
+            go &= ~(modelled & (np.abs(newton) < 0.1 * rtol))  # the model's optimum is close
+            active = active[go]
+            p[active], prior[active], last[active] = step[go], last[active], length[go]
+    return optima, np.stack((lo, hi), axis=1)
+
+
+def _slopes(curve: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Of stencils' 3 values ``curve`` (rows x 3) at offsets ``-left``, 0 and ``right``: the
+    slopes of the low and the high side, then the first and second derivatives at the
+    centre of the quadratic through them.  A side clipped to the grid's edge has width 0:
+    the other side's slope is then the first derivative, and the second is 0."""
+    down = (curve[:, 1] - curve[:, 0]) / left
+    rise = (curve[:, 2] - curve[:, 1]) / right
+    first = np.where(left == 0.0, rise, np.where(
+        right == 0.0, down, (left * rise + right * down) / (left + right)))
+    second = np.where((left > 0.0) & (right > 0.0), 2.0 * (rise - down) / (left + right), 0.0)
+    return down, rise, first, second
+
+
+def _root(first, second, rise):
+    """Where the quadratic ``first * u + second * u**2 / 2`` reaches ``rise``: a linear guess,
+    then two Newton steps."""
+    u = rise / first
+    for _ in range(2):
+        u = u - ((first + second * u / 2.0) * u - rise) / (first + second * u)
+    return u
+
+
+def _section_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, grid: np.ndarray,
+                   cell: np.ndarray, coarse_r: np.ndarray, rtol: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Optima in columns and final brackets (n x 2) of rows that take 16-probe section steps
+    together, from the coarse winner ``cell`` (whose ``R`` is ``coarse_r``) and its neighbours.
+
+    Each step keeps the two cells around its best probe, down to relative width ``rtol``.
+    The optimum is the best probe of the row's last step, or the coarse winner where its
+    ``R`` is higher (ties go to the probe).
+    """
     lo, hi = grid[np.clip((cell - 1, cell + 1), 0, len(grid) - 1)]
     width = hi - lo
     active = width > rtol * 0.5 * (lo + hi)
-    pending, index = np.ones(len(rows), dtype=bool), np.arange(len(rows))  # rows with no optimum
-    optima = np.empty((1 + len(_FIELDS), len(rows)))  # the param, then each breakdown field
+    pending, index = np.ones(len(cell), dtype=bool), np.arange(len(cell))  # rows with no optimum
+    optima = np.empty((1 + len(_FIELDS), len(cell)))
     while pending.any():
         # cells lo, the probes lo + (hi - lo) * j / 17 (j = 1..16), hi: active rows keep the
         # two cells around their best probe, inactive rows their bracket; a row's optimum is
@@ -304,11 +479,10 @@ def _optimize_rows(
         done = pending & ~active
         optima[:, done] = [probes[index, best][done], *(field[done] for field in fields)]
         pending &= active
-    # the coarse winner is the optimum where its R beats the best probe's (ties go to the probe)
-    up = np.flatnonzero(best_r[rows] > optima[1 + _FIELDS.index("R")])
+    up = np.flatnonzero(coarse_r > optima[1 + _FIELDS.index("R")])
     optima[:, up] = [grid[cell[up]], *_row_best(scenario, families[up], eta[up],
                                                 grid[cell[up], None], _FIELDS)[1:]]
-    return rows, optima, np.stack((lo, hi), axis=1)
+    return optima, np.stack((lo, hi), axis=1)
 
 
 def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
@@ -318,9 +492,11 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     ``param_max`` (4), the ends of a logarithmic grid of ``grid_points`` (200)
     points, and ``rtol`` (1e-5).  The grid locates the best cell, in one kernel
     call up to ``_BLOCK_CELLS`` points and in two levels beyond (see the module
-    notes); the section search runs within that cell and its neighbours down to
-    relative width ``rtol``.  Every step ranks its points by ``R_raw``.  The optimum
-    is the last step's best probe, or the best grid point where its ``R`` is higher.
+    notes); Newton steps in ``log(param)``, bracketed by that cell's neighbours,
+    go on until a step is below ``rtol / 10`` (a section search to relative width
+    ``rtol`` under the paper-literal sign and on faint and rough rows).  The
+    optimum is the first point evaluated with the largest ``R_raw``, so never
+    below the grid.
     ``None`` (no grid point secure, past the cutoff) is a result, not an error.
     """
     grid, rtol = _search("optimize_param", **search)

@@ -8,6 +8,7 @@ test module.
 """
 
 import importlib.util
+import math
 import random
 import sys
 from itertools import product
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mcs_qkd import ChannelModel, ConstantF, DetectorModel, Scenario, TableF
+from mcs_qkd import ChannelModel, ConstantF, DetectorModel, Scenario, TableF, rate_at
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,6 +51,40 @@ def scenario(family, distance_km=0.0, f_policy=ConstantF(1.16), literal=False, *
         f_policy=f_policy,
         paper_literal_sign=literal,
     )
+
+
+def optimum_oracle(s, param_min=1e-5, param_max=4.0, points=20_001, width=1e-13):
+    """(param, R_raw) of the best unclamped rate of ``s`` over the source parameter.
+
+    A brute-force reference that shares no search code with ``optimizer``: ``rate_at``
+    over a ``points``-point logarithmic grid over ``[param_min, param_max]``, then a
+    scalar golden-section search in log param between the best grid point's neighbours,
+    down to ``width``.  The answer is the best point evaluated (nan ranks lowest), so it
+    is a value the rate reaches, also where its maximum is a kink or a jump.
+    """
+    def raw(param):
+        value = float(rate_at(s, param).R_raw)
+        return -math.inf if math.isnan(value) else value
+
+    grid = np.geomspace(param_min, param_max, points)
+    rates = rate_at(s, grid).R_raw
+    i = int(np.argmax(np.where(np.isnan(rates), -np.inf, rates)))
+    best = (float(grid[i]), raw(float(grid[i])))
+    lo, hi = math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, points - 1)])
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = raw(math.exp(c)), raw(math.exp(d))
+    while hi - lo > width:
+        best = max(best, (math.exp(c), fc), (math.exp(d), fd), key=lambda point: point[1])
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = raw(math.exp(c))
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = raw(math.exp(d))
+    return best
 
 
 def seeded_axes(seed=2024):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from mcs_qkd import (
     ChannelModel,
+    ConstantF,
     SourceFamily,
     cutoff_distance,
     optimize_param,
@@ -24,7 +25,7 @@ from mcs_qkd import (
 )
 from mcs_qkd import cli, optimizer
 from mcs_qkd.cli import main
-from reference import BOX, KTH15, scenario
+from reference import BOX, KTH15, TABLE, scenario
 
 
 @pytest.fixture
@@ -45,9 +46,9 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("distance_km", [10.0, 20.0])
 @pytest.mark.parametrize("family", list(SourceFamily))
 def test_optimize_param_budget(family, distance_km, kernel_calls):
-    # one coarse call, then five probe calls; the last of them gives the optimum
+    # one coarse call, then three Newton steps of a 3-cell stencil each
     assert optimize_param(scenario(family, distance_km)) is not None
-    assert len(kernel_calls) == 6
+    assert kernel_calls == [200, 3, 3, 3]
 
 
 @pytest.mark.parametrize("family", list(SourceFamily))
@@ -77,13 +78,57 @@ def test_kth15_sweep_budget(kernel_calls):
     distances = [float(l) for l in range(101)]
     sweeps = sweep_distance([scenario(family) for family in SourceFamily], distances)
     assert all(sweep.cutoff_l is not None for sweep in sweeps)
-    # 3 coarse calls, 5 probe calls of 150 rows x 16 probes, 3 cutoff rounds
-    assert len(kernel_calls) == 11
-    assert sum(kernel_calls) == 29_268
+    # 3 coarse calls, 4 Newton steps of up to 150 rows x 3 cells, 3 cutoff rounds
+    assert len(kernel_calls) == 10
+    assert sum(kernel_calls) == 18_750
+    assert kernel_calls[3:7] == [450, 450, 435, 147]
+
+
+#: A channel of the benchmark's sweep box (seed 5, op 22) where a row's stencil at 43 km
+#: gives d1 == 0 exactly, which must end its steps.
+FLAT_CHANNEL = {"loss_coeff_a": 0.18821758613315126, "detector_eff": 0.15650569569528044,
+                "dark_prob_Pd": 0.00019729678046921689, "baseline_error_c": 0.005703056526341586}
+
+
+@settings(max_examples=15, deadline=None)
+@given(channel=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in BOX.items()}),
+       table=st.booleans())
+@example(channel=FLAT_CHANNEL, table=False)
+# maxima on the knots of TABLE: Newton steps that ignore the knots take 7 calls here
+@example(channel={"loss_coeff_a": 0.1891862282509112, "detector_eff": 0.1409971629576487,
+                  "dark_prob_Pd": 0.00031704514242083956,
+                  "baseline_error_c": 0.011691894252637915}, table=True)
+def test_newton_steps_take_no_more_calls_than_the_section_steps(channel, table):
+    # over 0-100 km in 1 km steps the 16-probe section search took 5 probe calls (a
+    # sweep 11, at times 12, with the coarse pass and the cutoff rounds, which did not
+    # change); the Newton steps may take no more
+    calls, kernel, steps = [], optimizer._breakdown, optimizer._newton_steps
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    def newton(*args, **kwargs):
+        start = len(calls)
+        try:
+            return steps(*args, **kwargs)
+        finally:
+            newton_calls.append(len(calls) - start)
+
+    newton_calls = []
+    f_policy = TABLE if table else ConstantF(1.16)
+    optimizer._breakdown, optimizer._newton_steps = counted, newton
+    try:
+        sweep_distance([scenario(family, 0.0, f_policy, **channel) for family in SourceFamily],
+                       [float(l) for l in range(101)])
+    finally:
+        optimizer._breakdown, optimizer._newton_steps = kernel, steps
+    assert newton_calls and max(newton_calls) <= 5
+    assert len(calls) <= 12
 
 
 def test_no_kernel_call_of_a_fine_kth15_sweep_exceeds_the_block(kernel_calls):
-    # 594 secure rows x 16 probes would be 9,504 cells in one probe call
+    # 594 secure rows: the coarse pass's calls are blocked; a Newton step takes 3 cells a row
     distances = [0.25 * k for k in range(601)]
     sweeps = sweep_distance([scenario(family) for family in SourceFamily], distances)
     assert sum(len(sweep.index) for sweep in sweeps) == 594
@@ -190,7 +235,7 @@ def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsy
         counts.append((len(kernel_calls) - start, sum(kernel_calls[start:])))
     assert counts[0] == counts[1]
     calls, cells = counts[0]
-    assert calls == 11 and cells == 29_268
+    assert calls == 10 and cells == 18_750
 
 
 def test_kth15_figure2_writes_the_efficiencies_the_sweep_searched(monkeypatch, tmp_path, capsys):

@@ -16,7 +16,7 @@ from mcs_qkd import (
     rate_at,
     sweep_distance,
 )
-from reference import KTH15
+from reference import KTH15, TABLE, scenario
 
 FAST_SEARCH = {"grid_points": 80}
 
@@ -120,12 +120,14 @@ class TestOptimizeParam:
         with pytest.raises(DomainError, match="grid_points must be <= 100000"):
             optimize_param(kth15_scenario(SourceFamily.MCS_BB84), grid_points=100_001)
 
-    def test_tiny_rtol_stops_at_adjacent_floats(self, kth15_scenario):
-        scenario = kth15_scenario(SourceFamily.COHERENT_BB84)
-        tight = optimize_param(scenario, rtol=1e-300, **FAST_SEARCH)
-        lo, hi = tight.bracket
-        assert np.nextafter(lo, np.inf) >= hi
-        assert tight.breakdown.R >= optimize_param(scenario, **FAST_SEARCH).breakdown.R
+    def test_tiny_rtol_stops_at_adjacent_floats(self):
+        # no Newton step is below rtol / 10 = 1e-301: each search ends where its next
+        # param would round to its last (an adjacent float), at d1 == 0 or on a knot of f
+        for f_policy in (ConstantF(1.16), TABLE):
+            for family in SourceFamily:
+                s = scenario(family, 5.0, f_policy)
+                tight = optimize_param(s, rtol=1e-300, **FAST_SEARCH)
+                assert tight.breakdown.R >= optimize_param(s, **FAST_SEARCH).breakdown.R
 
 
 class TestOptimaAreEvaluatedPoints:
