@@ -7,12 +7,12 @@ number ``|alpha|**2`` (plain coherent state) or the squeeze magnitude ``nu``
 over that parameter and safeguarded Newton steps in ``log(param)`` polish it, 3
 cells per row and step (see ``_newton_steps``): the first is centred on the best
 grid point, so the optimum is never below the grid.  The optimum is the first
-point evaluated with the largest unclamped rate ``R_raw``.  Rows under the
-paper-literal sign, faint rows and rough rows keep a section search (16 probes
-per step; see ``_optimize_rows``).  The coarse pass has two levels: about
-``_SAMPLES`` grid points a stride apart, then the points around the best of
-them.  It finds the full grid's best point whenever that point lies within a
-stride of the best sample.  That held on every secure row checked, at 2
+point evaluated with the largest unclamped rate ``R_raw``.  Rows with an f(e)
+table, under the paper-literal sign, faint rows and rough rows keep a section
+search (16 probes per step; see ``_optimize_rows``).  The coarse pass has two
+levels: about ``_SAMPLES`` grid points a stride apart, then the points around
+the best of them.  It finds the full grid's best point whenever that point lies
+within a stride of the best sample.  That held on every secure row checked, at 2
 to 2,000 grid points: ``R_raw`` has one interior maximum there, and its dip
 towards ``param_min`` stays below the samples by the peak.  Past the cutoff
 ``R_raw`` may peak at ``param_min`` instead; every point is then <= 0, and the
@@ -70,7 +70,9 @@ DEFAULT_CUTOFF_RESOLUTION_KM = 0.01
 #: Probes of a section step, which keeps 2 of the 17 cells between them.
 _PROBES = np.arange(1.0, 17.0)
 
-#: A Newton step's stencil, as factors of its centre: ``exp(-h)``, 1 and ``exp(h)``, h = 1e-3.
+#: A Newton step's stencil, as factors of its centre: ``exp(-h)``, 1 and ``exp(h)``, h = 1e-4.
+#: At h = 1e-5 the second differences of ``R_raw`` carry about 1e-4 relative rounding
+#: noise, and sweeps took different steps at different numpy SIMD levels.
 _STENCIL = np.exp([-1e-4, 0.0, 1e-4])
 
 #: Parts that a cutoff round cuts each span of multiples into.
@@ -124,8 +126,8 @@ class OptimumPoint:
     """Refined maximum of the rate curve over the source parameter.
 
     ``bracket`` holds the two params between which the last search step placed the
-    maximum: points whose slopes pointed inwards, knots of an f(e) table, or the best
-    grid point's neighbours (for a section search, the cells around its best probe).
+    maximum: points whose slopes pointed inwards, or the best grid point's neighbours
+    (for a section search, the cells around its best probe).
     """
 
     param_value: float
@@ -304,17 +306,18 @@ def _optimize_rows(
     """The secure rows (a family and a total efficiency each), ascending, their optima in
     columns (the param, then each breakdown field) and their final brackets (n x 2).
 
-    Rows under the paper-literal sign, whose ``R_raw`` peaks on its jump at ``rho = 0``,
-    faint rows (see ``_FAINT``) and rough rows (see ``_ROUGH``) take section steps; the
-    others take Newton steps.
+    Rows with a ``TableF``, whose ``R_raw`` has a kink wherever ``e`` crosses a knot and
+    often peaks on one, rows under the paper-literal sign, whose ``R_raw`` peaks on its jump
+    at ``rho = 0``, faint rows (see ``_FAINT``) and rough rows (see ``_ROUGH``) take section
+    steps; the others take Newton steps.
     """
     best_i, best_r = _best_cells(scenario, families, etas, grid)
     rows = np.flatnonzero(best_r > 0.0)
     families, eta, cell = families[rows], etas[rows], best_i[rows]
     optima = np.empty((1 + len(_FIELDS), len(rows)))  # the param, then each breakdown field
     bracket = np.empty((len(rows), 2))
-    section = scenario.paper_literal_sign | (eta * grid[0] < _FAINT) | (
-        eta * grid[cell] + scenario.detector.dark_prob_Pd < _ROUGH)
+    section = isinstance(scenario.f_policy, TableF) | scenario.paper_literal_sign | (
+        eta * grid[0] < _FAINT) | (eta * grid[cell] + scenario.detector.dark_prob_Pd < _ROUGH)
     if section.any():
         optima[:, section], bracket[section] = _section_steps(
             scenario, families[section], eta[section], grid, cell[section],
@@ -337,117 +340,59 @@ def _newton_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, gri
     on the side that ``d1`` points away from to ``p``, then takes the Newton step
     ``-d1 / d2`` where ``d2 < 0``.
 
-    ``R_raw`` is smooth but for a kink where the error rate ``e``, which is smooth, crosses
-    a knot of a ``TableF``.  A Newton step back across the knot that the row's last step
-    crossed stops on the knot, where the quadratic through the stencil's ``e`` meets it.  A
-    stencil across a knot gives the slopes of the two pieces there, with the ``d2`` of the
-    row's last stencil not across a knot.  Where both rise towards the knot, the step goes
-    to it.  Otherwise they give ``d1``, which moves an end to the knot, and the step is a
-    Newton step from the knot on the piece that they rise towards.
-
     A step must land inside the bracket, at most half as long as the row's step before
     last; otherwise the row bisects, in ``x``, the part of the bracket that ``d1`` points
     to.  So Newton steps halve every second step at least and bisections halve the
-    bracket, and every row stops: when the model's step (Newton or to a knot) or the step
-    taken is below ``rtol / 10`` in ``x``, when ``d1 == 0`` or when the new param rounds
-    to the old one.  The optimum is the first point evaluated with the largest ``R_raw``.
+    bracket, and every row stops: when the Newton step or the step taken is below
+    ``rtol / 10`` in ``x``, when ``d1 == 0`` or when the new param rounds to the old one.
+    The optimum is the first point evaluated with the largest ``R_raw``.
     """
-    policy = scenario.f_policy
-    knots = np.array([e for e, _ in policy.knots] if isinstance(policy, TableF) else [])
     lo, hi = grid[np.clip((cell - 1, cell + 1), 0, len(grid) - 1)]
     optima = np.empty((1 + len(_FIELDS), len(cell)))
     best = np.full(len(cell), -np.inf)  # the optimum's R_raw, nan ranking lowest
     p = grid[cell]
     last, prior = np.log(hi / lo), np.log(hi / lo)  # the lengths of each row's last two steps
-    came = np.full(len(cell), -1)  # the piece of f(e) of each row's last p (-1: none yet)
-    curved = np.full(len(cell), np.nan)  # d2 of each row's last stencil not across a knot
     active = np.arange(len(cell))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while active.size:
             q, a, b = p[active], lo[active], hi[active]
             cells = np.minimum(np.maximum(q[:, None] * _STENCIL, grid[0]), grid[-1])
-            k, rates, errors, *fields = _row_best(scenario, families[active], eta[active], cells,
-                                                  _FIELDS, curves=("R_raw", "e"))
+            k, rates, *fields = _row_best(scenario, families[active], eta[active], cells,
+                                          _FIELDS, curves=("R_raw",))
             # the first stencil holds the coarse winner, whose R_raw is positive, so the
             # best R_raw is never nan
             raw = fields[_FIELDS.index("R_raw")]
             up = np.flatnonzero(raw > best[active])
             best[active[up]] = raw[up]
             optima[:, active[up]] = [cells[up, k[up]], *(field[up] for field in fields)]
-            left, right = np.log(q / cells[:, 0]), np.log(cells[:, 2] / q)
-            down, rise, d1, d2 = _slopes(rates, left, right)
+            d1, d2 = _slopes(rates, np.log(q / cells[:, 0]), np.log(cells[:, 2] / q))
             newton = -d1 / d2
-            at_knot, edge = np.zeros(len(q), dtype=bool), q  # edge: where d1 moves an end to
-            if len(knots):
-                *_, g1, g2 = _slopes(errors, left, right)
-                piece = np.searchsorted(knots, errors, side="right")  # each cell's piece of f(e)
-                across = piece[:, 0] != piece[:, 2]
-                # a step back across the knot that the last step crossed
-                ahead = errors[:, 1] + (g1 + g2 * newton / 2.0) * newton
-                rising = ahead > errors[:, 1]
-                back = (np.searchsorted(knots, ahead, side="right") != piece[:, 1]) & (
-                    came[active] >= 0) & (np.sign(came[active] - piece[:, 1])
-                                          == np.where(rising, 1, -1))
-                knot = knots[np.clip(piece[:, 1] - ~rising, 0, len(knots) - 1)]
-                newton = np.where(back, _root(g1, g2, knot - errors[:, 1]), newton)
-                came[active] = piece[:, 1]
-                # a stencil across a knot: the knot lies between the low cell and p (inner)
-                # or between p and the high cell.  p's piece is a quadratic through p with
-                # its chord's slope and the curvature c of the row's last stencil not
-                # across a knot; the other piece's slope at the knot comes from its cell
-                # and p's piece's value there
-                inner = piece[:, 0] != piece[:, 1]
-                knot = knots[np.minimum(np.where(inner, piece[:, :2].min(axis=1),
-                                                 piece[:, 1:].min(axis=1)), len(knots) - 1)]
-                to_knot = _root(g1, g2, knot - errors[:, 1])
-                c = np.where(np.isnan(curved[active]), 0.0, curved[active])
-                slope = np.where(inner, rise - c * right / 2.0, down + c * left / 2.0) + (
-                    c * to_knot)  # p's piece's slope at the knot
-                there = rates[:, 1] + (slope - c * to_knot / 2.0) * to_knot
-                other = np.where(inner, (there - rates[:, 0]) / (to_knot + left) + (
-                    c * (to_knot + left) / 2.0), (rates[:, 2] - there) / (right - to_knot) - (
-                    c * (right - to_knot) / 2.0))
-                below, above = np.where(inner, other, slope), np.where(inner, slope, other)
-                at_knot = across & (below > 0.0) & (above < 0.0)
-                d1 = np.where(across, np.where(at_knot, 0.0, below + above), d1)
-                edge = np.where(across, q * np.exp(to_knot), q)
-                curved[active] = d2 = np.where(across, curved[active], d2)
-                newton = np.where(at_knot, to_knot, np.where(
-                    across, to_knot - np.where(d1 < 0.0, below, above) / d2, newton))
-            a = np.where(d1 > 0.0, np.maximum(a, edge), a)
-            b = np.where(d1 < 0.0, np.minimum(b, edge), b)
-            target, modelled = q * np.exp(newton), at_knot | (d2 < 0.0)
+            a = np.where(d1 > 0.0, np.maximum(a, q), a)
+            b = np.where(d1 < 0.0, np.minimum(b, q), b)
+            target, modelled = q * np.exp(newton), d2 < 0.0
             fits = modelled & (a < target) & (target < b) & (np.abs(newton) <= 0.5 * prior[active])
             step = np.where(fits, target, np.sqrt(q * np.where(d1 > 0.0, b, a)))
             length = np.abs(np.log(step / q))
             lo[active], hi[active] = a, b
-            go = ((np.abs(d1) > 0.0) | at_knot) & (length >= 0.1 * rtol) & (step != q)
-            go &= ~(modelled & (np.abs(newton) < 0.1 * rtol))  # the model's optimum is close
+            go = (np.abs(d1) > 0.0) & (length >= 0.1 * rtol) & (step != q)
+            go &= ~(modelled & (np.abs(newton) < 0.1 * rtol))  # the Newton optimum is close
             active = active[go]
             p[active], prior[active], last[active] = step[go], last[active], length[go]
     return optima, np.stack((lo, hi), axis=1)
 
 
-def _slopes(curve: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Of stencils' 3 values ``curve`` (rows x 3) at offsets ``-left``, 0 and ``right``: the
-    slopes of the low and the high side, then the first and second derivatives at the
-    centre of the quadratic through them.  A side clipped to the grid's edge has width 0:
-    the other side's slope is then the first derivative, and the second is 0."""
+def _slopes(curve: np.ndarray, left: np.ndarray,
+            right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second derivatives at the centre of the quadratic through stencils' 3
+    values ``curve`` (rows x 3) at offsets ``-left``, 0 and ``right``.  A side clipped to the
+    grid's edge has width 0: the other side's slope is then the first derivative, and the
+    second is 0."""
     down = (curve[:, 1] - curve[:, 0]) / left
     rise = (curve[:, 2] - curve[:, 1]) / right
     first = np.where(left == 0.0, rise, np.where(
         right == 0.0, down, (left * rise + right * down) / (left + right)))
     second = np.where((left > 0.0) & (right > 0.0), 2.0 * (rise - down) / (left + right), 0.0)
-    return down, rise, first, second
-
-
-def _root(first, second, rise):
-    """Where the quadratic ``first * u + second * u**2 / 2`` reaches ``rise``: a linear guess,
-    then two Newton steps."""
-    u = rise / first
-    for _ in range(2):
-        u = u - ((first + second * u / 2.0) * u - rise) / (first + second * u)
-    return u
+    return first, second
 
 
 def _section_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, grid: np.ndarray,
@@ -494,7 +439,8 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     call up to ``_BLOCK_CELLS`` points and in two levels beyond (see the module
     notes); Newton steps in ``log(param)``, bracketed by that cell's neighbours,
     go on until a step is below ``rtol / 10`` (a section search to relative width
-    ``rtol`` under the paper-literal sign and on faint and rough rows).  The
+    ``rtol`` with an f(e) table, under the paper-literal sign and on faint and rough
+    rows).  The
     optimum is the first point evaluated with the largest ``R_raw``, so never
     below the grid.
     ``None`` (no grid point secure, past the cutoff) is a result, not an error.

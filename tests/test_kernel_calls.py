@@ -94,14 +94,15 @@ FLAT_CHANNEL = {"loss_coeff_a": 0.18821758613315126, "detector_eff": 0.156505695
 @given(channel=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in BOX.items()}),
        table=st.booleans())
 @example(channel=FLAT_CHANNEL, table=False)
-# maxima on the knots of TABLE: Newton steps that ignore the knots take 7 calls here
+# maxima on the knots of TABLE, where Newton steps took 7 calls: rows with a TableF take
+# the section steps
 @example(channel={"loss_coeff_a": 0.1891862282509112, "detector_eff": 0.1409971629576487,
                   "dark_prob_Pd": 0.00031704514242083956,
                   "baseline_error_c": 0.011691894252637915}, table=True)
 def test_newton_steps_take_no_more_calls_than_the_section_steps(channel, table):
     # over 0-100 km in 1 km steps the 16-probe section search took 5 probe calls (a
     # sweep 11, at times 12, with the coarse pass and the cutoff rounds, which did not
-    # change); the Newton steps may take no more
+    # change); the Newton steps may take no more.  A TableF keeps the section search
     calls, kernel, steps = [], optimizer._breakdown, optimizer._newton_steps
 
     def counted(*args, **kwargs):
@@ -123,7 +124,8 @@ def test_newton_steps_take_no_more_calls_than_the_section_steps(channel, table):
                        [float(l) for l in range(101)])
     finally:
         optimizer._breakdown, optimizer._newton_steps = kernel, steps
-    assert newton_calls and max(newton_calls) <= 5
+    assert bool(newton_calls) is not table
+    assert max(newton_calls, default=0) <= 5
     assert len(calls) <= 12
 
 

@@ -120,14 +120,18 @@ class TestOptimizeParam:
         with pytest.raises(DomainError, match="grid_points must be <= 100000"):
             optimize_param(kth15_scenario(SourceFamily.MCS_BB84), grid_points=100_001)
 
-    def test_tiny_rtol_stops_at_adjacent_floats(self):
+    def test_tiny_rtol_ends_no_worse_than_the_default(self):
         # no Newton step is below rtol / 10 = 1e-301: each search ends where its next
-        # param would round to its last (an adjacent float), at d1 == 0 or on a knot of f
+        # param would round to its last or at d1 == 0.  With an f(e) table the section
+        # search's bracket ends at adjacent floats
         for f_policy in (ConstantF(1.16), TABLE):
             for family in SourceFamily:
                 s = scenario(family, 5.0, f_policy)
                 tight = optimize_param(s, rtol=1e-300, **FAST_SEARCH)
                 assert tight.breakdown.R >= optimize_param(s, **FAST_SEARCH).breakdown.R
+                if f_policy is TABLE:
+                    lo, hi = tight.bracket
+                    assert np.nextafter(lo, np.inf) >= hi
 
 
 class TestOptimaAreEvaluatedPoints:

@@ -3,8 +3,8 @@
 ``reference.optimum_oracle`` evaluates ``rate_at`` on a 20,001-point logarithmic grid
 over the search range and polishes the best point by golden section.  Each optimum that
 ``sweep_distance`` or ``optimize_param`` returns must come within a bound per sign of the
-oracle's ``R_raw``.  The bounds were measured on the 16-probe section search that the
-Newton steps replaced, so they hold for it as well:
+oracle's ``R_raw``.  The bounds were measured on the 16-probe section search, which rows
+with an f(e) table or the paper-literal sign still take:
 
 - standard sign: at most 1e-10 of the oracle's rate plus 1e-12 below it.  The section
   search fell up to 3.7e-13 below it on rows whose maximum sits on a knot of ``TABLE``

@@ -5,7 +5,6 @@ the last bits, so every field may move by at most 1e-11 relative plus 1e-15
 absolute; search results (parameters, brackets, cutoffs) must not move at all.
 """
 
-import bisect
 import dataclasses
 import functools
 import math
@@ -35,7 +34,7 @@ from mcs_qkd import (
     sweep_distance,
 )
 from mcs_qkd.optimizer import (_BLOCK_CELLS, _FAINT, _FAMILIES, _ROUGH, _STENCIL, _breakdown,
-                               _root, _search, _secure_at, _slopes)
+                               _search, _secure_at, _slopes)
 from reference import BOX, TABLE, bits_equal, scenario
 
 REL_TOL = 1e-11
@@ -161,10 +160,10 @@ def test_mixed_family_call_equals_one_family_calls(data, codes, per_row, channel
 def scalar_search(s, param_max=4.0, grid_points=200, rtol=1e-5, param_min=1e-5):
     """One-distance search as a scalar loop: the best grid cell, then the steps of its row.
 
-    Rows under the paper-literal sign, faint rows and rows whose detection probability
-    at the best cell is below ``_ROUGH`` take ``scalar_section_steps``, the others
-    ``scalar_newton_steps``.  Returns the optimum's param and the final bracket, or
-    None where no grid point is secure.
+    Rows with a ``TableF``, under the paper-literal sign, faint rows and rows whose
+    detection probability at the best cell is below ``_ROUGH`` take
+    ``scalar_section_steps``, the others ``scalar_newton_steps``.  Returns the optimum's
+    param and the final bracket, or None where no grid point is secure.
     """
     grid = [float(p) for p in np.geomspace(param_min, param_max, grid_points)]
     rates = [rate_at(s, p).R for p in grid]
@@ -173,7 +172,8 @@ def scalar_search(s, param_max=4.0, grid_points=200, rtol=1e-5, param_min=1e-5):
         return None
     eta = s.channel.total_eta()
     rough = eta * grid[best_i] + s.detector.dark_prob_Pd < _ROUGH
-    section = s.paper_literal_sign or eta * grid[0] < _FAINT or rough
+    section = (isinstance(s.f_policy, TableF) or s.paper_literal_sign or eta * grid[0] < _FAINT
+               or rough)
     steps = scalar_section_steps if section else scalar_newton_steps
     return steps(s, grid, best_i, rtol)
 
@@ -215,23 +215,14 @@ def scalar_newton_steps(s, grid, best_i, rtol):
 
     Each step evaluates ``p`` and its two stencil cells (kept inside the grid), and the
     optimum is the first of them all with the largest ``R_raw`` (nan lowest).  The stencil
-    gives ``d1`` and ``d2`` of ``R_raw``, and ``g1`` and ``g2`` of ``e``, in log param.  With
-    a ``TableF``, a Newton step back across the knot of f(e) that the last step crossed
-    goes to the knot instead.  A stencil across a knot takes ``d2`` from the last stencil
-    that was not (``c``), and ``d1`` from the two pieces' slopes at the knot: p's piece as
-    a quadratic through ``p`` with its chord's slope and curvature ``c``, the other piece
-    from its cell and that piece's value at the knot.  It goes to the knot where both
-    slopes rise towards it, and else takes a Newton step from the knot on the piece they
-    rise towards.  ``d1`` moves an end of the bracket to ``p`` (to the knot, for a stencil
-    across one); a step must land inside the bracket within half the step before last, or
-    the row bisects towards the end ``d1`` points to.  The row stops at ``d1 == 0`` (not at
-    a knot), at a model step or a step below ``rtol / 10``, or at a step that rounds to ``p``.
+    gives ``d1`` and ``d2`` of ``R_raw`` in log param.  ``d1`` moves an end of the bracket
+    to ``p``; a step must land inside the bracket within half the step before last, or the
+    row bisects towards the end ``d1`` points to.  The row stops at ``d1 == 0``, at a
+    Newton step or a step below ``rtol / 10``, or at a step that rounds to ``p``.
     """
-    knots = [e for e, _ in s.f_policy.knots] if isinstance(s.f_policy, TableF) else []
     lo, hi = grid[max(best_i - 1, 0)], grid[min(best_i + 1, len(grid) - 1)]
     p, optimum, best = grid[best_i], None, -math.inf
     last = prior = float(np.log(hi / lo))
-    came, curved = -1, math.nan
     with np.errstate(all="ignore"):
         while True:
             cells = np.clip(p * _STENCIL, grid[0], grid[-1])
@@ -239,51 +230,18 @@ def scalar_newton_steps(s, grid, best_i, rtol):
             for cell, value in zip(cells.tolist(), rates.R_raw.tolist()):
                 if (-math.inf if math.isnan(value) else value) > best:
                     optimum, best = cell, value
-            left, right = np.log(p / cells[:1]), np.log(cells[2:] / p)
-            down, rise, d1, d2 = _slopes(rates.R_raw[None], left, right)
-            *_, g1, g2 = _slopes(rates.e[None], left, right)
-            newton, at_knot, edge, e = -d1 / d2, False, p, rates.e
-            if knots:
-                piece = [bisect.bisect_right(knots, value) for value in e.tolist()]
-                ahead = e[1] + (g1 + g2 * newton / 2.0) * newton
-                rising = bool(ahead[0] > e[1])
-                if (bisect.bisect_right(knots, ahead[0]) != piece[1] and came >= 0
-                        and came != piece[1] and (came > piece[1]) == rising):
-                    knot = knots[min(max(piece[1] - (not rising), 0), len(knots) - 1)]
-                    newton = _root(g1, g2, knot - e[1])
-                came = piece[1]
-                if piece[0] != piece[2]:
-                    inner = piece[0] != piece[1]
-                    knot = knots[min(min(piece[:2]) if inner else min(piece[1:]), len(knots) - 1)]
-                    to_knot = _root(g1, g2, knot - e[1])
-                    c = 0.0 if math.isnan(curved) else curved
-                    r = rates.R_raw
-                    slope = (rise - c * right / 2.0 if inner else down + c * left / 2.0) + (
-                        c * to_knot)
-                    there = r[1] + (slope - c * to_knot / 2.0) * to_knot
-                    if inner:
-                        below = (there - r[0]) / (to_knot + left) + c * (to_knot + left) / 2.0
-                        above = slope
-                    else:
-                        below = slope
-                        above = (r[2] - there) / (right - to_knot) - c * (right - to_knot) / 2.0
-                    at_knot = bool(below[0] > 0.0 > above[0])
-                    d1, d2 = (0.0 if at_knot else below + above), curved
-                    newton = to_knot if at_knot else to_knot - (below if d1 < 0.0 else above) / d2
-                    edge = p * np.exp(to_knot)
-                else:
-                    curved = float(d2[0])
-            d1, d2, newton, edge = (float(np.asarray(v).reshape(-1)[0])
-                                    for v in (d1, d2, newton, edge))
+            d1, d2 = (v[0] for v in _slopes(  # numpy scalars: d2 == 0 gives an infinite step
+                rates.R_raw[None], np.log(p / cells[:1]), np.log(cells[2:] / p)))
+            newton = -d1 / d2
             if d1 > 0.0:
-                lo = max(lo, edge)
+                lo = max(lo, p)
             if d1 < 0.0:
-                hi = min(hi, edge)
-            target, modelled = float(p * np.exp(newton)), at_knot or d2 < 0.0
+                hi = min(hi, p)
+            target, modelled = float(p * np.exp(newton)), d2 < 0.0
             fits = modelled and lo < target < hi and abs(newton) <= 0.5 * prior
             step = target if fits else float(np.sqrt(p * (hi if d1 > 0.0 else lo)))
             length = float(abs(np.log(step / p)))
-            if (not ((abs(d1) > 0.0 or at_knot) and length >= 0.1 * rtol and step != p)
+            if (not (abs(d1) > 0.0 and length >= 0.1 * rtol and step != p)
                     or modelled and abs(newton) < 0.1 * rtol):
                 return optimum, (lo, hi)
             p, prior, last = step, last, length
@@ -362,23 +320,15 @@ def test_lockstep_refinement_without_dark_counts_takes_the_scalar_steps(family):
     assert sweep.index.tolist() == [0, 1, 2, 3, 4][:5 if family is SourceFamily.MCS_BB84 else 4]
 
 
-#: A channel of the benchmark's sweep box (seed 11, op 1) where a stencil of mcs-sarg04's
-#: search at 31 km lies across a knot of ``TABLE`` that is not the optimum.
-OFF_KNOT_CHANNEL = {"loss_coeff_a": 0.24748920728391244, "detector_eff": 0.12321541102194494,
-                    "dark_prob_Pd": 0.00033431110308659764,
-                    "baseline_error_c": 0.008768971913868094}
-
-
-def test_lockstep_refinement_on_a_knot_of_f_takes_the_scalar_steps():
-    # at 14.9 km the maximum over alpha**2 sits on the kink of R_raw where e crosses the
-    # knot e = 0.03 of TABLE: a step goes to the knot and ends the search there
-    sweep = assert_scalar_steps(SourceFamily.COHERENT_BB84, {}, [0.0, 14.9, 20.0], f_policy=TABLE)
-    assert sweep.index.tolist() == [0, 1, 2]
-    assert abs(sweep.breakdown.e[1] - 0.03) < 1e-9
-    # a stencil across a knot below the optimum steps off it, on the optimum's piece
-    sweep = assert_scalar_steps(SourceFamily.MCS_SARG04, {}, [31.0], f_policy=TABLE,
-                                **OFF_KNOT_CHANNEL)
-    assert sweep.index.tolist() == [0] and abs(sweep.breakdown.e[0] - 0.03) > 1e-6
+@pytest.mark.parametrize("family", list(SourceFamily))
+def test_lockstep_refinement_with_an_f_table_takes_the_section_steps(family):
+    # R_raw has a kink wherever e crosses a knot of TABLE, and its maximum often sits on
+    # one: coherent-bb84's at 14.9 km on e = 0.03.  Rows with a TableF take section steps
+    distances = [0.0, 14.9, 20.0, 31.0, 60.0]
+    sweep = assert_scalar_steps(family, {}, distances, f_policy=TABLE)
+    if family is SourceFamily.COHERENT_BB84:
+        assert sweep.index.tolist() == [0, 1, 2]
+        assert abs(sweep.breakdown.e[1] - 0.03) < 1e-6
 
 
 def golden_reference(s, etas, rtol=1e-13):
