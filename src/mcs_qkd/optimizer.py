@@ -5,11 +5,11 @@ This module only searches; the source model, ``SourceFamily.source``, lives in
 number ``|alpha|**2`` (plain coherent state) or the squeeze magnitude ``nu``
 (interference-tuned sources).  A coarse logarithmic grid brackets the best rate
 over that parameter and safeguarded Newton steps in ``log(param)`` polish it, 3
-cells per row and step (see ``_newton_steps``): the first is centred on the best
-grid point, so the optimum is never below the grid.  The optimum is the first
-point evaluated with the largest unclamped rate ``R_raw``.  Rows with an f(e)
-table, under the paper-literal sign, faint rows and rough rows keep a section
-search (16 probes per step; see ``_optimize_rows``).  The coarse pass has two
+cells per row and step (see ``_newton_steps``).  Rows with an f(e) table, under
+the paper-literal sign and rough rows keep a section search (16 probes per step;
+see ``_optimize_rows``).  On every row the optimum is the first point evaluated
+with the largest unclamped rate ``R_raw``, the best grid point included, so it
+is never below the grid (see ``_keep_best``).  The coarse pass has two
 levels: about ``_SAMPLES`` grid points a stride apart, then the points around
 the best of them.  It finds the full grid's best point whenever that point lies
 within a stride of the best sample.  That held on every secure row checked, at 2
@@ -94,9 +94,9 @@ _SAMPLES = 25
 _FAINT = 1e-12
 
 #: Rows whose detection probability at the coarse winner, about ``eta * param + Pd``,
-#: is below this take section steps, as faint rows do: without dark counts ``1 - p0``
-#: and the multi-photon probability there keep too few digits for the second
-#: differences of a Newton stencil, whose step then follows rounding noise.
+#: is below this take section steps: without dark counts ``1 - p0`` and the
+#: multi-photon probability there keep too few digits for the second differences
+#: of a Newton stencil, whose step then follows rounding noise.
 _ROUGH = 1e-6
 
 #: Largest coarse parameter grid a search may ask for.
@@ -125,9 +125,10 @@ class Scenario:
 class OptimumPoint:
     """Refined maximum of the rate curve over the source parameter.
 
-    ``bracket`` holds the two params between which the last search step placed the
-    maximum: points whose slopes pointed inwards, or the best grid point's neighbours
-    (for a section search, the cells around its best probe).
+    ``param_value`` is the first point evaluated with the largest ``R_raw``.  ``bracket``
+    holds the two params between which the last search step placed the maximum: points
+    whose slopes pointed inwards, or the best grid point's neighbours (for a section
+    search, the cells around its last step's best probe).
     """
 
     param_value: float
@@ -233,14 +234,14 @@ def _check_resolution(resolution_km: float) -> None:
 def _row_best(scenario: Scenario, families, etas, params, names,
               curves: Sequence[str] = ()) -> tuple[np.ndarray, ...]:
     """Per row, the column of the first of ``params`` with the largest ``R_raw`` (nan lowest),
-    then each of the breakdown fields ``curves`` at every column (rows x columns), then each
-    of the fields ``names`` at the best column.
+    then each of the breakdown fields ``curves`` at every column (rows x columns), then the
+    fields ``names`` at the best column (names x rows).
 
     A row is a family and a total efficiency; ``params`` is shared by every row (1-D) or
     holds one row each (2-D).  Each kernel call takes at most ``_BLOCK_CELLS`` cells.
     """
     n = params.shape[-1]
-    best, fields = np.empty(len(etas), dtype=np.intp), [np.empty(len(etas)) for _ in names]
+    best, fields = np.empty(len(etas), dtype=np.intp), np.empty((len(names), len(etas)))
     wholes = [np.empty((len(etas), n)) for _ in curves]
     block = max(1, _BLOCK_CELLS // n)
     for start in range(0, len(etas), block):
@@ -253,12 +254,13 @@ def _row_best(scenario: Scenario, families, etas, params, names,
             field[rows] = getattr(rates, name).take(flat)
         for whole, name in zip(wholes, curves):
             whole[rows] = getattr(rates, name)
-    return best, *wholes, *fields
+    return best, *wholes, fields
 
 
 def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
-                grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and rate of the best grid point for each row: a family and a total efficiency.
+                grid: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the best grid point for each row (a family and a total efficiency), and its
+    breakdown fields ``names`` (names x rows).
 
     A row takes every grid point if the grid has under two points per sample
     (fewer than 50), under the paper-literal sign (whose ``R_raw`` can peak twice
@@ -273,9 +275,9 @@ def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
     whole = stride < 2 or scenario.paper_literal_sign or len(etas) * len(grid) <= _BLOCK_CELLS
     full = whole | (etas * grid[0] < _FAINT)
     best_i = np.empty(len(etas), dtype=np.intp)
-    best_r = np.empty(len(etas))
+    fields = np.empty((len(names), len(etas)))
     if full.any():
-        best_i[full], best_r[full] = _row_best(scenario, families[full], etas[full], grid, ("R",))
+        best_i[full], fields[:, full] = _row_best(scenario, families[full], etas[full], grid, names)
     rows = ~full
     if rows.any():
         families, etas = families[rows], etas[rows]
@@ -283,10 +285,10 @@ def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
         width = 2 * stride - 1
         best = samples[_row_best(scenario, families, etas, grid[samples], ())[0]]
         start = np.clip(best - (stride - 1), 0, len(grid) - width)
-        cell, best_r[rows] = _row_best(scenario, families, etas,
-                                       grid[start[:, None] + np.arange(width)], ("R",))
+        cell, fields[:, rows] = _row_best(scenario, families, etas,
+                                          grid[start[:, None] + np.arange(width)], names)
         best_i[rows] = start + cell
-    return best_i, best_r
+    return best_i, fields
 
 
 def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families: np.ndarray) -> np.ndarray:
@@ -297,7 +299,7 @@ def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families: np.nda
     ``_best_cells``'s rate, as for a sweep row.
     """
     etas = np.array([scenario.channel.eta_at(l) for l in distances])
-    return _best_cells(scenario, families, etas, grid)[1] > 0.0
+    return _best_cells(scenario, families, etas, grid, ("R",))[1][0] > 0.0
 
 
 def _optimize_rows(
@@ -306,32 +308,41 @@ def _optimize_rows(
     """The secure rows (a family and a total efficiency each), ascending, their optima in
     columns (the param, then each breakdown field) and their final brackets (n x 2).
 
-    Rows with a ``TableF``, whose ``R_raw`` has a kink wherever ``e`` crosses a knot and
-    often peaks on one, rows under the paper-literal sign, whose ``R_raw`` peaks on its jump
-    at ``rho = 0``, faint rows (see ``_FAINT``) and rough rows (see ``_ROUGH``) take section
-    steps; the others take Newton steps.
+    Each optimum starts at the row's coarse winner and moves only to a step's better cell
+    (see ``_keep_best``).  Rows with a ``TableF``, whose ``R_raw`` has a kink wherever ``e``
+    crosses a knot and often peaks on one, rows under the paper-literal sign, whose ``R_raw``
+    peaks on its jump at ``rho = 0``, and rough rows (see ``_ROUGH``) take section steps;
+    the others take Newton steps.
     """
-    best_i, best_r = _best_cells(scenario, families, etas, grid)
-    rows = np.flatnonzero(best_r > 0.0)
+    best_i, fields = _best_cells(scenario, families, etas, grid, _FIELDS)
+    rows = np.flatnonzero(fields[_FIELDS.index("R")] > 0.0)
     families, eta, cell = families[rows], etas[rows], best_i[rows]
-    optima = np.empty((1 + len(_FIELDS), len(rows)))  # the param, then each breakdown field
+    optima = np.vstack((grid[cell], fields[:, rows]))  # the param, then each breakdown field
     bracket = np.empty((len(rows), 2))
     section = isinstance(scenario.f_policy, TableF) | scenario.paper_literal_sign | (
-        eta * grid[0] < _FAINT) | (eta * grid[cell] + scenario.detector.dark_prob_Pd < _ROUGH)
-    if section.any():
-        optima[:, section], bracket[section] = _section_steps(
-            scenario, families[section], eta[section], grid, cell[section],
-            best_r[rows[section]], rtol)
-    newton = ~section
-    if newton.any():
-        optima[:, newton], bracket[newton] = _newton_steps(
-            scenario, families[newton], eta[newton], grid, cell[newton], rtol)
+        eta * grid[cell] + scenario.detector.dark_prob_Pd < _ROUGH)
+    for steps, part in ((_section_steps, section), (_newton_steps, ~section)):
+        if part.any():
+            optima[:, part], bracket[part] = steps(scenario, families[part], eta[part], grid,
+                                                   cell[part], optima[:, part], rtol)
     return rows, optima, bracket
 
 
+def _keep_best(optima: np.ndarray, rows: np.ndarray, cells: np.ndarray, best: np.ndarray,
+               fields: np.ndarray) -> None:
+    """Move the optima of ``rows`` (columns of ``optima``: the param, then each breakdown
+    field) to a step's best cells, ``cells[i, best[i]]`` with the breakdown ``fields``
+    (fields x rows), where that cell's ``R_raw`` is strictly larger (nan never is)."""
+    raw = _FIELDS.index("R_raw")
+    up = np.flatnonzero(fields[raw] > optima[1 + raw, rows])
+    optima[:, rows[up]] = [cells[up, best[up]], *fields[:, up]]
+
+
 def _newton_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, grid: np.ndarray,
-                  cell: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Optima in columns and final brackets (n x 2) of rows that step together in log param.
+                  cell: np.ndarray, optima: np.ndarray, rtol: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``optima`` in columns, refined, and final brackets (n x 2) of rows that step
+    together in log param.
 
     Each step is one row search over a stencil of 3 cells per row, ``p * exp(-h)``, ``p``
     and ``p * exp(h)`` (clipped to the grid), which gives ``d1`` and ``d2``, the first and
@@ -345,11 +356,8 @@ def _newton_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, gri
     to.  So Newton steps halve every second step at least and bisections halve the
     bracket, and every row stops: when the Newton step or the step taken is below
     ``rtol / 10`` in ``x``, when ``d1 == 0`` or when the new param rounds to the old one.
-    The optimum is the first point evaluated with the largest ``R_raw``.
     """
     lo, hi = grid[np.clip((cell - 1, cell + 1), 0, len(grid) - 1)]
-    optima = np.empty((1 + len(_FIELDS), len(cell)))
-    best = np.full(len(cell), -np.inf)  # the optimum's R_raw, nan ranking lowest
     p = grid[cell]
     last, prior = np.log(hi / lo), np.log(hi / lo)  # the lengths of each row's last two steps
     active = np.arange(len(cell))
@@ -357,14 +365,9 @@ def _newton_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, gri
         while active.size:
             q, a, b = p[active], lo[active], hi[active]
             cells = np.minimum(np.maximum(q[:, None] * _STENCIL, grid[0]), grid[-1])
-            k, rates, *fields = _row_best(scenario, families[active], eta[active], cells,
-                                          _FIELDS, curves=("R_raw",))
-            # the first stencil holds the coarse winner, whose R_raw is positive, so the
-            # best R_raw is never nan
-            raw = fields[_FIELDS.index("R_raw")]
-            up = np.flatnonzero(raw > best[active])
-            best[active[up]] = raw[up]
-            optima[:, active[up]] = [cells[up, k[up]], *(field[up] for field in fields)]
+            k, rates, fields = _row_best(scenario, families[active], eta[active], cells,
+                                         _FIELDS, curves=("R_raw",))
+            _keep_best(optima, active, cells, k, fields)
             d1, d2 = _slopes(rates, np.log(q / cells[:, 0]), np.log(cells[:, 2] / q))
             newton = -d1 / d2
             a = np.where(d1 > 0.0, np.maximum(a, q), a)
@@ -396,37 +399,27 @@ def _slopes(curve: np.ndarray, left: np.ndarray,
 
 
 def _section_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, grid: np.ndarray,
-                   cell: np.ndarray, coarse_r: np.ndarray, rtol: float
+                   cell: np.ndarray, optima: np.ndarray, rtol: float
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Optima in columns and final brackets (n x 2) of rows that take 16-probe section steps
-    together, from the coarse winner ``cell`` (whose ``R`` is ``coarse_r``) and its neighbours.
+    """The ``optima`` in columns, refined, and final brackets (n x 2) of rows that take
+    16-probe section steps together, from the coarse winner ``cell`` and its neighbours.
 
-    Each step keeps the two cells around its best probe, down to relative width ``rtol``.
-    The optimum is the best probe of the row's last step, or the coarse winner where its
-    ``R`` is higher (ties go to the probe).
+    Each step keeps the two cells around its best probe.  Every row takes one step, and
+    steps on while its bracket is wider than ``rtol`` relative and still shrinking.
     """
     lo, hi = grid[np.clip((cell - 1, cell + 1), 0, len(grid) - 1)]
-    width = hi - lo
-    active = width > rtol * 0.5 * (lo + hi)
-    pending, index = np.ones(len(cell), dtype=bool), np.arange(len(cell))  # rows with no optimum
-    optima = np.empty((1 + len(_FIELDS), len(cell)))
-    while pending.any():
-        # cells lo, the probes lo + (hi - lo) * j / 17 (j = 1..16), hi: active rows keep the
-        # two cells around their best probe, inactive rows their bracket; a row's optimum is
-        # the best probe of its last active call (of the first, if it never was active)
-        probes = lo[:, None] + (hi - lo)[:, None] * _PROBES / 17
-        best, *fields = _row_best(scenario, families, eta, probes, _FIELDS)
-        cells = np.concatenate((lo[:, None], probes, hi[:, None]), axis=1)
-        lo, hi = np.where(active, (cells[index, best], cells[index, best + 2]), (lo, hi))
+    active = np.arange(len(cell))
+    while active.size:
+        # cells a, the probes a + (b - a) * j / 17 (j = 1..16), b: keep the two around the best
+        a, b = lo[active], hi[active]
+        probes = a[:, None] + (b - a)[:, None] * _PROBES / 17
+        k, fields = _row_best(scenario, families[active], eta[active], probes, _FIELDS)
+        _keep_best(optima, active, probes, k, fields)
+        cells = np.concatenate((a[:, None], probes, b[:, None]), axis=1)
+        c, d = np.take_along_axis(cells, np.stack((k, k + 2), axis=1), axis=1).T
+        lo[active], hi[active] = c, d
         # a bracket down to adjacent floats stops shrinking before a tiny rtol is met
-        active &= (hi - lo > rtol * 0.5 * (lo + hi)) & (hi - lo < width)
-        width = hi - lo
-        done = pending & ~active
-        optima[:, done] = [probes[index, best][done], *(field[done] for field in fields)]
-        pending &= active
-    up = np.flatnonzero(coarse_r > optima[1 + _FIELDS.index("R")])
-    optima[:, up] = [grid[cell[up]], *_row_best(scenario, families[up], eta[up],
-                                                grid[cell[up], None], _FIELDS)[1:]]
+        active = active[(d - c > rtol * 0.5 * (c + d)) & (d - c < b - a)]
     return optima, np.stack((lo, hi), axis=1)
 
 
@@ -439,10 +432,9 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     call up to ``_BLOCK_CELLS`` points and in two levels beyond (see the module
     notes); Newton steps in ``log(param)``, bracketed by that cell's neighbours,
     go on until a step is below ``rtol / 10`` (a section search to relative width
-    ``rtol`` with an f(e) table, under the paper-literal sign and on faint and rough
-    rows).  The
-    optimum is the first point evaluated with the largest ``R_raw``, so never
-    below the grid.
+    ``rtol`` with an f(e) table, under the paper-literal sign and on rough rows).
+    The optimum is the first point evaluated with the largest ``R_raw``, the best
+    grid point included, so never below the grid.
     ``None`` (no grid point secure, past the cutoff) is a result, not an error.
     """
     grid, rtol = _search("optimize_param", **search)

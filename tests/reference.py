@@ -87,6 +87,24 @@ def optimum_oracle(s, param_min=1e-5, param_max=4.0, points=20_001, width=1e-13)
     return best
 
 
+def cutoff_oracle(s, l_max, points=2001, width=1e-6):
+    """The distance in ``[0, l_max]`` where ``optimum_oracle``'s ``R_raw`` turns from positive
+    to not, to within ``width`` km below it.
+
+    A brute-force reference that shares no search code with ``optimizer``: plain bisection
+    on the sign of the optimum over a ``points``-point oracle grid, from a secure 0 km to an
+    insecure ``l_max``.  Returns the last distance it found secure.
+    """
+    lo, hi = 0.0, l_max
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if optimum_oracle(s.at_distance(mid), points=points)[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def seeded_axes(seed=2024):
     """8 alphas, 6 nus and 6 etas, distinct and non-zero: the shape of the benchmark's
     oracle grids, drawn uniformly."""

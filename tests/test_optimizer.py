@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcs_qkd import (
     ConstantF,
@@ -16,7 +19,8 @@ from mcs_qkd import (
     rate_at,
     sweep_distance,
 )
-from reference import KTH15, TABLE, scenario
+from mcs_qkd import optimizer
+from reference import BOX, KTH15, TABLE, scenario
 
 FAST_SEARCH = {"grid_points": 80}
 
@@ -257,3 +261,64 @@ class TestCutoffDistance:
         assert optimize_param(scenario.at_distance(cutoff), **FAST_SEARCH) is not None
         after = optimize_param(scenario.at_distance(np.nextafter(cutoff, np.inf)), **FAST_SEARCH)
         assert after is None
+
+
+def evaluated_maxima(search):
+    """``search()``'s result, and the largest ``R_raw`` (nan lowest) that its kernel calls
+    evaluated for each (``optimizer._FAMILIES`` index, total efficiency)."""
+    maxima, kernel = {}, optimizer._breakdown
+
+    def recorded(s, eta, param, families=None):
+        rates = kernel(s, eta, param, families)
+        raw = np.where(np.isnan(rates.R_raw), -np.inf, rates.R_raw)
+        etas = np.broadcast_to(eta, raw.shape)[:, 0]
+        for key, top in zip(zip(np.asarray(families).tolist(), etas.tolist()),
+                            raw.max(axis=1).tolist()):
+            maxima[key] = max(maxima.get(key, -math.inf), top)
+        return rates
+
+    optimizer._breakdown = recorded
+    try:
+        return search(), maxima
+    finally:
+        optimizer._breakdown = kernel
+
+
+#: The dark counts of the channel (None) or none (0.0), and distances out past its cutoffs.
+REACH = st.one_of(
+    st.tuples(st.none(), st.lists(st.floats(0.0, 110.0), min_size=1, max_size=6)),
+    st.tuples(st.just(0.0), st.lists(st.floats(0.0, 800.0), min_size=1, max_size=6)))
+KTH15_KM = [float(l) for l in range(101)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(channel=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in BOX.items()}),
+       family=st.sampled_from(list(SourceFamily)), table=st.booleans(), literal=st.booleans(),
+       reach=REACH, sweep=st.booleans())
+# KTH15 rows whose section steps ended below a point they had evaluated
+@example(channel=KTH15, family=SourceFamily.MCS_SARG04, table=False, literal=True,
+         reach=(None, KTH15_KM), sweep=True)
+@example(channel=KTH15, family=SourceFamily.MCS_SARG04, table=True, literal=False,
+         reach=(None, KTH15_KM), sweep=True)
+@example(channel=KTH15, family=SourceFamily.MCS_BB84, table=False, literal=False,
+         reach=(0.0, [4.0 * k for k in range(501)]), sweep=True)
+def test_each_optimum_is_the_best_point_its_search_evaluated(channel, family, table, literal,
+                                                             reach, sweep):
+    dark, distances = reach
+    if dark is not None:
+        channel = {**channel, "dark_prob_Pd": dark}
+    s = scenario(family, 0.0, TABLE if table else ConstantF(1.16), literal, **channel)
+    code, distances = optimizer._FAMILIES.index(family), sorted(distances)
+    if sweep:
+        found, maxima = evaluated_maxima(lambda: sweep_distance([s], distances)[0])
+        optima = [(maxima, eta, raw) for eta, raw in zip(found.eta.tolist(),
+                                                          found.breakdown.R_raw.tolist())]
+    else:
+        optima = []
+        for distance in distances:
+            at = s.at_distance(distance)
+            point, maxima = evaluated_maxima(lambda: optimize_param(at))
+            if point is not None:
+                optima.append((maxima, at.channel.total_eta(), point.breakdown.R_raw))
+    for maxima, eta, raw in optima:
+        assert raw == maxima[code, eta], (eta, raw - maxima[code, eta])

@@ -13,15 +13,21 @@ with an f(e) table or the paper-literal sign still take:
   the oracle's rate below it (5.3e-7 at most over 8,000 drawn rows) where the optimum
   lies within one coarse grid cell of the oracle's.  Elsewhere the coarse grid found
   another peak (39 of those rows): at most 5e-2 below it (2.0e-2 at most).
+
+``reference.cutoff_oracle`` bisects on the sign of that optimum, over a 2,001-point grid,
+down to 1e-6 km.  No cutoff may lie past it, as a secure grid point means a secure
+optimum; how far each cutoff falls short of it is bounded per coarse grid size.
 """
 
 import math
+import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcs_qkd import ConstantF, SourceFamily, optimize_param, sweep_distance
-from reference import BOX, KTH15, TABLE, optimum_oracle, scenario
+from mcs_qkd import ConstantF, SourceFamily, cutoff_distance, optimize_param, sweep_distance
+from reference import BOX, KTH15, TABLE, cutoff_oracle, optimum_oracle, scenario
 
 #: The width in log param of a cell of the default coarse grid (200 points over 1e-5..4).
 CELL = math.log(4.0 / 1e-5) / 199
@@ -67,3 +73,25 @@ def test_each_optimum_reaches_the_brute_force_optimum(channel, family, table, li
             assert rate >= best * (1.0 - LITERAL_BOUND), (distance, param, best_param)
         else:
             assert rate >= best * (1.0 - OTHER_PEAK_BOUND), (distance, param, best_param)
+
+
+#: KTH15 and two channels drawn from the benchmark's sweep box.
+_rng = random.Random(3)
+CUTOFF_CHANNELS = [KTH15, *({key: _rng.uniform(*bounds) for key, bounds in BOX.items()}
+                            for _ in range(2))]
+
+#: Per coarse grid size, how far a cutoff may fall short of the oracle's, in km.  Measured
+#: over ``CUTOFF_CHANNELS``: at 200 points KTH15's fell 0.0138, 0.0166 and 0.0046 km short
+#: and the drawn channels' up to 0.0247 (mcs-sarg04); at 20 points up to 0.78 km on KTH15
+#: (mcs-sarg04) and 2.27 km on a drawn channel (mcs-sarg04).
+CUTOFF_SHORTFALL_KM = {200: 0.025, 20: 2.3}
+
+
+@pytest.mark.parametrize("family", list(SourceFamily))
+@pytest.mark.parametrize("channel", range(len(CUTOFF_CHANNELS)))
+def test_each_cutoff_is_at_most_the_brute_force_cutoff(channel, family):
+    s = scenario(family, **CUTOFF_CHANNELS[channel])
+    oracle = cutoff_oracle(s, 150.0)
+    for points, shortfall in CUTOFF_SHORTFALL_KM.items():
+        cutoff = cutoff_distance(s, 150.0, grid_points=points)
+        assert oracle - shortfall <= cutoff <= oracle + 1e-6, (points, cutoff, oracle)

@@ -160,35 +160,30 @@ def test_mixed_family_call_equals_one_family_calls(data, codes, per_row, channel
 def scalar_search(s, param_max=4.0, grid_points=200, rtol=1e-5, param_min=1e-5):
     """One-distance search as a scalar loop: the best grid cell, then the steps of its row.
 
-    Rows with a ``TableF``, under the paper-literal sign, faint rows and rows whose
-    detection probability at the best cell is below ``_ROUGH`` take
-    ``scalar_section_steps``, the others ``scalar_newton_steps``.  Returns the optimum's
-    param and the final bracket, or None where no grid point is secure.
+    Rows with a ``TableF``, under the paper-literal sign and rows whose detection
+    probability at the best cell is below ``_ROUGH`` take ``scalar_section_steps``, the
+    others ``scalar_newton_steps``.  Returns the optimum's param and the final bracket, or
+    None where no grid point is secure.
     """
     grid = [float(p) for p in np.geomspace(param_min, param_max, grid_points)]
     rates = [rate_at(s, p).R for p in grid]
     best_i = max(range(len(grid)), key=rates.__getitem__)
     if rates[best_i] <= 0.0:
         return None
-    eta = s.channel.total_eta()
-    rough = eta * grid[best_i] + s.detector.dark_prob_Pd < _ROUGH
-    section = (isinstance(s.f_policy, TableF) or s.paper_literal_sign or eta * grid[0] < _FAINT
-               or rough)
+    rough = s.channel.total_eta() * grid[best_i] + s.detector.dark_prob_Pd < _ROUGH
+    section = isinstance(s.f_policy, TableF) or s.paper_literal_sign or rough
     steps = scalar_section_steps if section else scalar_newton_steps
     return steps(s, grid, best_i, rtol)
 
 
 def scalar_section_steps(s, grid, best_i, rtol):
-    """16-probe section steps from the grid cell ``best_i`` and its neighbours.
+    """16-probe section steps from the grid cell ``best_i`` and its neighbours, one at least.
 
     Each step keeps the two cells around its first probe with the largest ``R_raw`` (nan
-    lowest).  The optimum is the best of the last step's 16 probes and the best grid
-    point (the first of them on ties); with a bracket too narrow for any step, of the
-    first step's.
+    lowest), and the row steps on while that bracket is wider than ``rtol`` relative and
+    narrower than the last.  The optimum is the best grid point, then each step's best
+    probe where its ``R_raw`` is strictly larger.
     """
-
-    def rate(param):
-        return rate_at(s, param).R
 
     def rank(param):
         r_raw = rate_at(s, param).R_raw
@@ -196,18 +191,15 @@ def scalar_section_steps(s, grid, best_i, rtol):
 
     lo = grid[max(best_i - 1, 0)]
     hi = grid[min(best_i + 1, len(grid) - 1)]
-    width = hi - lo
-    active = hi - lo > rtol * 0.5 * (lo + hi)
-    optimum = None
-    while optimum is None or active:
+    optimum, best = grid[best_i], rank(grid[best_i])
+    while True:
         cells = [lo, *(lo + (hi - lo) * j / 17 for j in range(1, 17)), hi]
-        optimum = max([*cells[1:17], grid[best_i]], key=rate)
-        if active:
-            best = max(range(1, 17), key=lambda j: rank(cells[j]))
-            lo, hi = cells[best - 1], cells[best + 1]
-            active = hi - lo > rtol * 0.5 * (lo + hi) and hi - lo < width  # or adjacent floats
-            width = hi - lo
-    return optimum, (lo, hi)
+        j = max(range(1, 17), key=lambda j: rank(cells[j]))
+        if rank(cells[j]) > best:
+            optimum, best = cells[j], rank(cells[j])
+        width, lo, hi = hi - lo, cells[j - 1], cells[j + 1]
+        if not (hi - lo > rtol * 0.5 * (lo + hi) and hi - lo < width):  # or adjacent floats
+            return optimum, (lo, hi)
 
 
 def scalar_newton_steps(s, grid, best_i, rtol):
@@ -313,11 +305,25 @@ def test_lockstep_refinement_at_the_param_min_edge(family):
 @pytest.mark.parametrize("family", [SourceFamily.COHERENT_BB84, SourceFamily.MCS_BB84])
 def test_lockstep_refinement_without_dark_counts_takes_the_scalar_steps(family):
     # without dark counts the rows at 200 km (coherent-bb84 from 120 km) are rough
-    # (optimizer._ROUGH) and those at 400 km faint: they take section steps, the others
+    # (optimizer._ROUGH), as are those at 400 km: they take section steps, the others
     # Newton steps (coherent-bb84 is insecure at 400 km)
     distances = [0.0, 60.0, 120.0, 200.0, 400.0]
     sweep = assert_scalar_steps(family, {}, distances, dark_prob_Pd=0.0)
     assert sweep.index.tolist() == [0, 1, 2, 3, 4][:5 if family is SourceFamily.MCS_BB84 else 4]
+
+
+def test_lockstep_refinement_of_faint_rows_takes_the_newton_steps():
+    # at param_min 1e-8 the mcs-sarg04 rows at 160 and 170 km are faint (optimizer._FAINT:
+    # they take the full coarse grid) but not rough, so they take Newton steps; those from
+    # 190 km on are rough and take section steps
+    distances = [150.0, 160.0, 170.0, 190.0, 200.0]
+    sweep = assert_scalar_steps(SourceFamily.MCS_SARG04, {"param_min": 1e-8}, distances,
+                                dark_prob_Pd=1e-7)
+    assert sweep.index.tolist() == [0, 1, 2, 3, 4]
+    faint = sweep.eta * 1e-8 < _FAINT
+    rough = sweep.eta * sweep.param_value + 1e-7 < _ROUGH
+    assert faint.tolist() == [False, True, True, True, True]
+    assert rough.tolist() == [False, False, False, True, True]
 
 
 @pytest.mark.parametrize("family", list(SourceFamily))

@@ -28,7 +28,7 @@ def full_grid(scenario, families, etas, grid):
 def assert_full_grid_cells(scenario, distances, grid):
     families = np.repeat(np.arange(len(SourceFamily)), len(distances))
     etas = np.tile([scenario.channel.eta_at(l) for l in distances], len(SourceFamily))
-    cell, rate = optimizer._best_cells(scenario, families, etas, grid)
+    cell, (rate,) = optimizer._best_cells(scenario, families, etas, grid, ("R",))
     want_cell, want_rate = full_grid(scenario, families, etas, grid)
     secure = want_rate > 0.0
     assert np.array_equal(cell[secure], want_cell[secure])
@@ -129,7 +129,7 @@ def test_best_cell_at_the_top_edge_of_the_grid():
     secure = assert_full_grid_cells(s, distances, grid)
     families = np.repeat(np.arange(len(SourceFamily)), len(distances))
     etas = np.tile([s.channel.eta_at(l) for l in distances], len(SourceFamily))
-    cell, _ = optimizer._best_cells(s, families, etas, grid)
+    cell, _ = optimizer._best_cells(s, families, etas, grid, ())
     assert secure.sum() >= 10 and (cell[secure] == 200).all()
 
 

@@ -215,6 +215,12 @@ CASES = [
           cfg="grid_points = 2000\ncutoff_resolution_km = 1e-4\n"),
     _case("figure2 no dark counts out to 2000 km at 500 points", "figure2 --config c.cfg",
           cfg="dark_prob_Pd = 0\nl_max_km = 2000\nl_step_km = 4\ngrid_points = 500\n"),
+    # the refinement's row classes: faint rows that are not rough (Newton steps), and an
+    # f(e) table at an rtol that every bracket starts narrower than (one section step)
+    _case("figure2 faint rows with dark counts", "figure2 --config c.cfg",
+          cfg="param_min = 1e-8\ndark_prob_Pd = 1e-7\nl_max_km = 250\n"),
+    _case("figure2 table policy at rtol 0.5", "figure2 --config c.cfg --f-policy table:f.csv",
+          cfg=FAST_FIGURE2 + "golden_rtol = 0.5\n", table=F_TABLE),
     # a span of about 1e600 multiples, whose exact ends no float product reaches
     _case("figure2 1e300 km range at a 1e-300 km resolution",
           "figure2 --config c.cfg --l-max 1e300 --l-step 1e298",
