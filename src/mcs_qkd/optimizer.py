@@ -35,7 +35,9 @@ where the optimum is secure, so the range searched does not move it.  One loop,
 ``_cutoffs``, finds it for every family at once: each round cuts every span of
 multiples, from the last known secure to the first known insecure, into
 ``_CUTS`` parts, and one ``_secure_at`` call evaluates the cut points that no
-bracket decides.  A span closes at adjacent multiples or adjacent floats.
+bracket decides; a sweep's first round probes the 4 multiples around the root
+through its last rows' coarse ``R_raw`` instead (see ``_root``), which mostly
+closes the span.  A span closes at adjacent multiples or adjacent floats.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ _STENCIL = np.exp([-1e-4, 0.0, 1e-4])
 
 #: Parts that a cutoff round cuts each span of multiples into.
 _CUTS = 16
+
+#: Offsets from a guessed cutoff's floor multiple that a sweep's first cutoff round probes.  On
+#: the 96 sweep pool ops of seeds 0-3: 1.00 cutoff calls per op (2 probes 1.55, 16 cuts 3.00).
+_AROUND = range(-1, 3)
 
 #: Largest source parameter; far above it ``nu * nu`` and ``alpha2`` overflow.
 PARAM_LIMIT = 100.0
@@ -304,9 +310,10 @@ def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families: np.nda
 
 def _optimize_rows(
     scenario: Scenario, families: np.ndarray, etas: np.ndarray, grid: np.ndarray, rtol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The secure rows (a family and a total efficiency each), ascending, their optima in
-    columns (the param, then each breakdown field) and their final brackets (n x 2).
+    columns (the param, then each breakdown field), their final brackets (n x 2), and the
+    coarse ``R_raw`` of every row.
 
     Each optimum starts at the row's coarse winner and moves only to a step's better cell
     (see ``_keep_best``).  Rows with a ``TableF``, whose ``R_raw`` has a kink wherever ``e``
@@ -325,7 +332,7 @@ def _optimize_rows(
         if part.any():
             optima[:, part], bracket[part] = steps(scenario, families[part], eta[part], grid,
                                                    cell[part], optima[:, part], rtol)
-    return rows, optima, bracket
+    return rows, optima, bracket, fields[_FIELDS.index("R_raw")]
 
 
 def _keep_best(optima: np.ndarray, rows: np.ndarray, cells: np.ndarray, best: np.ndarray,
@@ -439,7 +446,7 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     """
     grid, rtol = _search("optimize_param", **search)
     codes = np.array([_FAMILIES.index(scenario.source_family)])
-    rows, optima, bracket = _optimize_rows(
+    rows, optima, bracket, _ = _optimize_rows(
         scenario, codes, np.array([scenario.channel.total_eta()]), grid, rtol)
     if not len(rows):
         return None
@@ -460,8 +467,8 @@ def sweep_distance(
     family (and ``distance_l``, which is ignored), else ``DomainError``; each
     sweep equals that of its scenario alone.  If the final grid point is
     insecure, ``cutoff_l`` is :func:`cutoff_distance`'s cutoff, whatever the range;
-    the grid's flags decide the multiples around them without evaluation.
-    ``search`` is as for :func:`optimize_param`.
+    the grid's flags decide the multiples around them without evaluation, and the rows'
+    coarse ``R_raw`` guess it (see ``_root``).  ``search`` is as for :func:`optimize_param`.
     """
     scenarios = list(scenarios)
     if len({dataclasses.replace(s, source_family=SourceFamily.COHERENT_BB84,
@@ -480,7 +487,7 @@ def sweep_distance(
     codes = [_FAMILIES.index(s.source_family) for s in scenarios]
     etas = np.tile([scenario.channel.eta_at(l) for l in distances], len(codes))
     # scenario-major rows, so that each kernel call holds at most one run per scenario
-    rows, optima, bracket = _optimize_rows(scenario, np.repeat(codes, n), etas, grid, rtol)
+    rows, optima, bracket, raw = _optimize_rows(scenario, np.repeat(codes, n), etas, grid, rtol)
     secure = np.zeros(len(codes) * n, dtype=bool)
     secure[rows] = True
     # secure(l) is monotone, which the cutoff rounds assume: a scenario is secure up to
@@ -489,7 +496,9 @@ def sweep_distance(
     for k, flags in enumerate(secure.reshape(len(codes), n).tolist()):
         if flags and not flags[-1]:
             first = flags.index(False)
-            brackets[k] = distances[first - 1] if first else -math.inf, distances[first]
+            last = slice(max(first - 2, 0), first + 1)  # up to 2 secure rows, 1 insecure
+            brackets[k] = (distances[first - 1] if first else -math.inf, distances[first],
+                           _root(distances[last], raw[k * n:][last].tolist()))
     cutoffs = _cutoffs(scenario, grid, codes, brackets, cutoff_resolution_km)
     ends = np.searchsorted(rows, n * np.arange(len(codes) + 1)).tolist()
     return [DistanceSweep(rows[part] - k * n, etas[rows[part]], optima[0, part],
@@ -497,12 +506,30 @@ def sweep_distance(
             for k, (part, cutoff) in enumerate(zip(map(slice, ends, ends[1:]), cutoffs))]
 
 
+def _root(ls: list, rs: list) -> float | None:
+    """Where the parabola through the points ``(ls, rs)``, or the line through the last 2,
+    meets 0 strictly between the last two distances (``rs[-2] > 0 >= rs[-1]``), else None.
+    The line serves 2 points and a repeated distance; 1 point or a rate not finite has none."""
+    if len(rs) < 2 or not all(map(math.isfinite, rs)):
+        return None
+    (l2, l3), (r2, r3), a = ls[-2:], rs[-2:], 0.0
+    r = (l2 - ls[0]) / (l3 - l2)  # in u = (l - l2) / (l3 - l2) the points lie at -r, 0 and 1
+    if r > 0.0:  # r2 + b * u + a * u**2
+        a = (rs[0] - r2 + r * (r3 - r2)) / (r * (r + 1.0))
+    b = r3 - r2 - a
+    den = math.sqrt(max(b * b - 4.0 * a * r2, 0.0)) - b  # the smallest root u > 0, stably
+    root = l2 + (l3 - l2) * (2.0 * r2 / den) if den > 0.0 else math.nan
+    return root if l2 < root < l3 else None
+
+
 def _cutoffs(scenario: Scenario, grid: np.ndarray, families, brackets,
              resolution_km: float) -> list:
     """Per bracket, the last multiple of ``resolution_km`` where the optimum is secure, or None.
 
-    Distances up to a bracket's ``secure_to`` are secure and from its ``insecure_from`` on
-    insecure, and a ``None`` bracket has no cutoff; ``families`` holds their ``_FAMILIES``.
+    A bracket is ``(secure_to, insecure_from, guess)``: distances up to ``secure_to`` are
+    secure and from ``insecure_from`` on insecure; a ``None`` bracket has no cutoff, and
+    ``families`` holds their ``_FAMILIES``.  A round cuts each span into ``_CUTS`` equal
+    parts; the first probes the multiples ``_AROUND`` the floor of a ``guess`` instead.
     """
     num, den = resolution_km.as_integer_ratio()  # multiple j is j * num / den, rounded once
 
@@ -511,11 +538,12 @@ def _cutoffs(scenario: Scenario, grid: np.ndarray, families, brackets,
         return a * den // (b * num)
 
     cutoffs = [None] * len(brackets)
-    # lo: last multiple known secure (-1: none), hi: first known insecure, all insecure from hi_l
-    spans = {k: (floor_index(b[0]) if b[0] >= 0.0 else -1, -floor_index(-b[1]), b[1])
+    # lo: last multiple known secure (-1: none), hi: first known insecure, all insecure from
+    # hi_l, and the guess for the first round
+    spans = {k: (floor_index(b[0]) if b[0] >= 0.0 else -1, -floor_index(-b[1]), b[1], b[2])
              for k, b in enumerate(brackets) if b is not None}
     while True:
-        for k, (lo, hi, hi_l) in list(spans.items()):
+        for k, (lo, hi, hi_l, _) in list(spans.items()):
             # a span down to adjacent floats ends before a tiny resolution is met
             if hi - lo <= 1 or (lo >= 0 and math.nextafter(lo * num / den, math.inf) >= hi_l):
                 cutoffs[k] = lo * num / den if lo >= 0 else None
@@ -523,22 +551,23 @@ def _cutoffs(scenario: Scenario, grid: np.ndarray, families, brackets,
         if not spans:
             return cutoffs
         cuts, asks = {}, {}
-        for k, (lo, hi, _) in spans.items():
+        for k, (lo, hi, _, guess) in spans.items():
             base = max(lo, 0)  # nothing known secure: cut at 0 too, so 0 km insecure ends it
-            js = sorted({base + (hi - base) * i // _CUTS for i in range(_CUTS)} - {lo, hi})
-            cuts[k] = [(j, j * num / den) for j in js]
-            secure_to, insecure_from = brackets[k]
+            js = ({base + (hi - base) * i // _CUTS for i in range(_CUTS)} if guess is None
+                  else {floor_index(guess) + i for i in _AROUND})
+            cuts[k] = [(j, j * num / den) for j in sorted(js) if lo < j < hi]
+            secure_to, insecure_from, _ = brackets[k]
             asks.update(dict.fromkeys((k, l) for _, l in cuts[k] if secure_to < l < insecure_from))
         flags = _secure_at(scenario, [l for _, l in asks], grid,
                            np.array([families[k] for k, _ in asks]))
         asks = dict(zip(asks, flags.tolist()))
-        for k, (lo, hi, hi_l) in spans.items():
+        for k, (lo, hi, hi_l, _) in spans.items():
             for j, l in cuts[k]:  # ascending: keep the last secure cut before the first insecure
                 if not asks.get((k, l), l <= brackets[k][0]):
                     hi, hi_l = j, l
                     break
                 lo = j
-            spans[k] = lo, hi, hi_l
+            spans[k] = lo, hi, hi_l, None
 
 
 def cutoff_distance(
@@ -570,4 +599,4 @@ def cutoff_distance(
         raise DegenerateInputError("scenario is insecure even at zero distance")
     if secure_at_max:
         return l_max
-    return _cutoffs(scenario, grid, [code], [(0.0, l_max)], resolution_km)[0]
+    return _cutoffs(scenario, grid, [code], [(0.0, l_max, None)], resolution_km)[0]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mcs_qkd import (
     ChannelModel,
     ConstantF,
+    DegenerateInputError,
     SourceFamily,
     cutoff_distance,
     optimize_param,
@@ -78,10 +79,12 @@ def test_kth15_sweep_budget(kernel_calls):
     distances = [float(l) for l in range(101)]
     sweeps = sweep_distance([scenario(family) for family in SourceFamily], distances)
     assert all(sweep.cutoff_l is not None for sweep in sweeps)
-    # 3 coarse calls, 4 Newton steps of up to 150 rows x 3 cells, 3 cutoff rounds
-    assert len(kernel_calls) == 10
-    assert sum(kernel_calls) == 18_750
+    # 3 coarse calls, 4 Newton steps of up to 150 rows x 3 cells, then one cutoff round:
+    # the multiples around each family's guessed root, 10 distances x 200 cells
+    assert len(kernel_calls) == 8
+    assert sum(kernel_calls) == 15_905
     assert kernel_calls[3:7] == [450, 450, 435, 147]
+    assert kernel_calls[7:] == [10 * 200]
 
 
 #: A channel of the benchmark's sweep box (seed 5, op 22) where a row's stencil at 43 km
@@ -100,9 +103,10 @@ FLAT_CHANNEL = {"loss_coeff_a": 0.18821758613315126, "detector_eff": 0.156505695
                   "dark_prob_Pd": 0.00031704514242083956,
                   "baseline_error_c": 0.011691894252637915}, table=True)
 def test_newton_steps_take_no_more_calls_than_the_section_steps(channel, table):
-    # over 0-100 km in 1 km steps the 16-probe section search took 5 probe calls (a
-    # sweep 11, at times 12, with the coarse pass and the cutoff rounds, which did not
-    # change); the Newton steps may take no more.  A TableF keeps the section search
+    # over 0-100 km in 1 km steps the 16-probe section search took 5 probe calls; the
+    # Newton steps may take no more.  A TableF keeps the section search.  With the coarse
+    # pass and the cutoff round, whose probes around the guessed roots settle most
+    # spans, a sweep took at most 10 calls over 450 drawn channels (9 with TABLE)
     calls, kernel, steps = [], optimizer._breakdown, optimizer._newton_steps
 
     def counted(*args, **kwargs):
@@ -126,7 +130,7 @@ def test_newton_steps_take_no_more_calls_than_the_section_steps(channel, table):
         optimizer._breakdown, optimizer._newton_steps = kernel, steps
     assert bool(newton_calls) is not table
     assert max(newton_calls, default=0) <= 5
-    assert len(calls) <= 12
+    assert len(calls) <= 10
 
 
 def test_no_kernel_call_of_a_fine_kth15_sweep_exceeds_the_block(kernel_calls):
@@ -214,6 +218,66 @@ def test_sweep_cutoff_equals_cutoff_distance(channel, first_km, step_km):
                                                  **search), (family, channel)
 
 
+#: Draw 6 of ``random.Random(11)`` over ``BOX``: the parabola through mcs-bb84's last rows
+#: puts its root 2 multiples past the cutoff (50.47 km, cutoff 50.45 km), as the best coarse
+#: cell moves between those rows, so that span falls through to the equal cuts.
+FALLBACK_CHANNEL = {"loss_coeff_a": 0.19331457839585503, "detector_eff": 0.1362914520497822,
+                    "dark_prob_Pd": 0.00010902477676743658,
+                    "baseline_error_c": 0.009639344612232845}
+
+
+@st.composite
+def _sweep_grids(draw):
+    """An ascending grid of 1 to 80 multiples of a 0.25-10 km step from a start up to 120 km
+    (past every cutoff of ``BOX``), with up to 3 distances repeated."""
+    step = draw(st.floats(0.25, 10.0))
+    start = draw(st.one_of(st.just(0.0), st.floats(0.0, 120.0)))
+    count = draw(st.integers(1, 80))
+    repeats = draw(st.lists(st.integers(0, count - 1), max_size=3))
+    return sorted(start + step * k for k in [*range(count), *repeats])
+
+
+@settings(max_examples=30, deadline=None)
+@given(channel=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in BOX.items()}),
+       table=st.booleans(), literal=st.booleans(), distances=_sweep_grids(),
+       resolution_km=st.sampled_from([1e-6, 1e-3, 0.01, 0.1, 1e-300]),
+       grid_points=st.sampled_from([60, 200, 2000]))
+# a repeated distance: the root comes from the line through the last two rows
+@example(channel=KTH15, table=False, literal=False, distances=[0.0, 0.0, 169.0],
+         resolution_km=0.01, grid_points=200)
+# coherent-bb84 has one secure row (the line), mcs-bb84 and mcs-sarg04 a parabola each
+@example(channel=KTH15, table=False, literal=False, distances=[20.0 + 5.0 * k for k in range(20)],
+         resolution_km=0.01, grid_points=200)
+# coherent-bb84 is insecure from the first row on: its span takes the equal cuts
+@example(channel=KTH15, table=True, literal=False, distances=[30.0 + 5.0 * k for k in range(15)],
+         resolution_km=1e-3, grid_points=60)
+@example(channel=FALLBACK_CHANNEL, table=False, literal=False,
+         distances=[float(l) for l in range(101)], resolution_km=0.01, grid_points=200)
+def test_sweep_cutoffs_equal_the_equal_cut_rounds(channel, table, literal, distances,
+                                                 resolution_km, grid_points):
+    # a sweep's first cutoff round probes the multiples around the root through its last
+    # rows; cutoff_distance cuts each span into equal parts in every round.  Under the
+    # monotone predicate both find the same last secure multiple
+    f_policy = TABLE if table else ConstantF(1.16)
+    scenarios = [scenario(family, 0.0, f_policy, literal, **channel) for family in SourceFamily]
+    sweeps = sweep_distance(scenarios, distances, cutoff_resolution_km=resolution_km,
+                            grid_points=grid_points)
+    for s, sweep in zip(scenarios, sweeps):
+        if len(sweep.index) and sweep.index[-1] == len(distances) - 1:
+            # secure at the last distance: no cutoff in range
+            assert sweep.cutoff_l is None
+            if distances[-1] > 0.0:
+                assert cutoff_distance(s, distances[-1], resolution_km=resolution_km,
+                                       grid_points=grid_points) == distances[-1]
+            continue
+        try:
+            expected = cutoff_distance(s, max(distances[-1], resolution_km),
+                                       resolution_km=resolution_km, grid_points=grid_points)
+        except DegenerateInputError:  # insecure at 0 km
+            expected = None
+        assert sweep.cutoff_l == expected, s.source_family
+
+
 def test_lockstep_cutoffs_end_at_adjacent_floats():
     # at a 1e-300 km resolution every float is a multiple: the three lockstep searches
     # run until their spans end at adjacent floats
@@ -237,7 +301,7 @@ def test_kth15_figure2_kernel_calls_repeat_exactly(kernel_calls, tmp_path, capsy
         counts.append((len(kernel_calls) - start, sum(kernel_calls[start:])))
     assert counts[0] == counts[1]
     calls, cells = counts[0]
-    assert calls == 10 and cells == 18_750
+    assert calls == 8 and cells == 15_905
 
 
 def test_kth15_figure2_writes_the_efficiencies_the_sweep_searched(monkeypatch, tmp_path, capsys):
@@ -256,8 +320,8 @@ def test_kth15_figure2_writes_the_efficiencies_the_sweep_searched(monkeypatch, t
     monkeypatch.setattr(ChannelModel, "eta_at", counted)
     monkeypatch.setattr(cli, "sweep_distance", recorded)
     assert main(["figure2", "--out", str(tmp_path)]) == 0
-    # 101 for the sweep's distances and 60 for the cutoff rounds' probes
-    assert len(calls) == 161
+    # 101 for the sweep's distances and 10 for the cutoff round's probes
+    assert len(calls) == 111
     rows = [line.split(",") for line in (tmp_path / "figure2.csv").read_text().splitlines()
             if not line.startswith(("#", "family,"))]
     channel = scenario(SourceFamily.COHERENT_BB84).channel

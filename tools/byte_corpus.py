@@ -225,6 +225,12 @@ CASES = [
     _case("figure2 1e300 km range at a 1e-300 km resolution",
           "figure2 --config c.cfg --l-max 1e300 --l-step 1e298",
           cfg="cutoff_resolution_km = 1e-300\ngrid_points = 60\n"),
+    # draw 6 of random.Random(11) over the sweep box, at its exact floats: the root through
+    # mcs-bb84's last rows lies 2 multiples past its cutoff, so that span goes on to the
+    # equal cuts after the guided round (10 kernel calls, not 8)
+    _case("figure2 a guessed cutoff that misses", "figure2 --config c.cfg",
+          cfg="loss_coeff_a = 0.19331457839585503\ndetector_eff = 0.1362914520497822\n"
+              "dark_prob_Pd = 0.00010902477676743658\nbaseline_error_c = 0.009639344612232845\n"),
     _case("figure2 parameter bound", "figure2 --config c.cfg",
           cfg=FAST_FIGURE2 + "param_max = 100\n"),
     _case("figure2 above the parameter bound", "figure2 --config c.cfg",
