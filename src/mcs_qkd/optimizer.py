@@ -5,20 +5,20 @@ This module only searches; the source model, ``SourceFamily.source``, lives in
 number ``|alpha|**2`` (plain coherent state) or the squeeze magnitude ``nu``
 (interference-tuned sources).  A coarse logarithmic grid brackets the best rate
 over that parameter and safeguarded Newton steps in ``log(param)`` polish it, 3
-cells per row and step (see ``_newton_steps``).  Rows with an f(e) table, under
-the paper-literal sign and rough rows keep a section search (16 probes per step;
-see ``_optimize_rows``).  On every row the optimum is the first point evaluated
-with the largest unclamped rate ``R_raw``, the best grid point included, so it
-is never below the grid (see ``_keep_best``).  The coarse pass has two
-levels: about ``_SAMPLES`` grid points a stride apart, then the points around
-the best of them.  It finds the full grid's best point whenever that point lies
-within a stride of the best sample.  That held on every secure row checked, at 2
-to 2,000 grid points: ``R_raw`` has one interior maximum there, and its dip
-towards ``param_min`` stays below the samples by the peak.  Past the cutoff
-``R_raw`` may peak at ``param_min`` instead; every point is then <= 0, and the
-row is insecure whichever peak the pass finds.  So the pass gives the full
-grid's secure flag, the one predicate of the sweep rows and the cutoff search.
-``_best_cells`` says which rows evaluate every grid point.
+cells per row and step, from the coarse pass's seed (see ``_best_cells``).  Rows
+with an f(e) table, under the paper-literal sign and rough rows keep a section
+search (16 probes per step; see ``_optimize_rows``).  On every row the optimum is
+the first point evaluated with the largest unclamped rate ``R_raw``, the best
+grid point included, so it is never below the grid (see ``_keep_best``).  The
+coarse pass has two levels: about ``_SAMPLES`` grid points a stride apart, then
+the points around the best of them.  It finds the full grid's best point whenever
+that point lies within a stride of the best sample.  That held on every secure
+row checked, at 2 to 2,000 grid points: ``R_raw`` has one interior maximum
+there, and its dip towards ``param_min`` stays below the samples by the
+peak.  Past the cutoff ``R_raw`` may peak at ``param_min`` instead; every point
+is then <= 0, and the row is insecure whichever peak the pass finds.  So the pass
+gives the full grid's secure flag, the one predicate of the sweep rows and the
+cutoff search.  ``_best_cells`` says which rows evaluate every grid point.
 
 Every rate goes through one numpy kernel, ``_breakdown``, which evaluates the
 source statistics (``photon_source``'s ``SourceFamily.source`` and
@@ -238,18 +238,17 @@ def _check_resolution(resolution_km: float) -> None:
 
 
 def _row_best(scenario: Scenario, families, etas, params, names,
-              curves: Sequence[str] = ()) -> tuple[np.ndarray, ...]:
+              pick=None) -> tuple[np.ndarray, np.ndarray | float, np.ndarray]:
     """Per row, the column of the first of ``params`` with the largest ``R_raw`` (nan lowest),
-    then each of the breakdown fields ``curves`` at every column (rows x columns), then the
-    fields ``names`` at the best column (names x rows).
+    then ``pick(best, R_raw)`` of each kernel call's rows, joined (nan without ``pick``),
+    then the fields ``names`` at the best column (names x rows).
 
     A row is a family and a total efficiency; ``params`` is shared by every row (1-D) or
     holds one row each (2-D).  Each kernel call takes at most ``_BLOCK_CELLS`` cells.
     """
     n = params.shape[-1]
     best, fields = np.empty(len(etas), dtype=np.intp), np.empty((len(names), len(etas)))
-    wholes = [np.empty((len(etas), n)) for _ in curves]
-    block = max(1, _BLOCK_CELLS // n)
+    block, picked = max(1, _BLOCK_CELLS // n), []
     for start in range(0, len(etas), block):
         rows = slice(start, start + block)
         rates = _breakdown(scenario, etas[rows, None], params[rows] if params.ndim == 2 else params,
@@ -258,13 +257,12 @@ def _row_best(scenario: Scenario, families, etas, params, names,
         flat = k + n * np.arange(len(k))  # each row's best cell in the flat block
         for field, name in zip(fields, names):
             field[rows] = getattr(rates, name).take(flat)
-        for whole, name in zip(wholes, curves):
-            whole[rows] = getattr(rates, name)
-    return best, *wholes, fields
+        picked += [pick(k, rates.R_raw)] if pick else []
+    return best, np.concatenate(picked) if pick else np.nan, fields
 
 
-def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
-                grid: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray, grid: np.ndarray,
+                names: Sequence[str], offset=None) -> tuple[np.ndarray, np.ndarray]:
     """Index of the best grid point for each row (a family and a total efficiency), and its
     breakdown fields ``names`` (names x rows).
 
@@ -275,26 +273,66 @@ def _best_cells(scenario: Scenario, families: np.ndarray, etas: np.ndarray,
     others take two levels: about ``_SAMPLES`` grid points a stride apart, the last
     point among them, then the ``2 * stride - 1`` points around the best sample,
     shifted into the grid.  That finds the full grid's best point when it lies
-    within a stride of the best sample (see the module notes).
+    within a stride of the best sample (see the module notes).  A given ``offset`` receives
+    each row's seed (nan under 3 points): ``_peak``'s offset in grid points from the best
+    point through up to 7 points near it in the window of the best sample, the same in either
+    pass, as a whole row finds that window on its own curve.
     """
     stride = len(grid) // _SAMPLES
+    width, m = 2 * stride - 1, min(2 * stride - 1, 7)  # m: points of a seed's polynomial
     whole = stride < 2 or scenario.paper_literal_sign or len(etas) * len(grid) <= _BLOCK_CELLS
     full = whole | (etas * grid[0] < _FAINT)
     best_i = np.empty(len(etas), dtype=np.intp)
     fields = np.empty((len(names), len(etas)))
+    samples = np.append(np.arange(0, len(grid) - 1, max(stride, 1)), len(grid) - 1)
+
+    def seed(k, raw):  # from each row's best column k of raw, a whole row or a window
+        first = 0 if raw.shape[1] == width else np.clip(samples[np.argmax(np.nan_to_num(
+            raw[:, samples], nan=-np.inf), axis=1)] - (stride - 1), 0, len(grid) - width)
+        cols = np.clip(k - m // 2, first, first + width - m)[:, None]
+        return _peak(np.take_along_axis(raw, cols + np.arange(m), axis=1), k - cols[:, 0] - m // 2)
+
+    pick = offset is not None and m >= 3 and seed
+    offset = np.empty(len(etas)) if offset is None else offset
     if full.any():
-        best_i[full], fields[:, full] = _row_best(scenario, families[full], etas[full], grid, names)
+        best_i[full], offset[full], fields[:, full] = _row_best(
+            scenario, families[full], etas[full], grid, names, pick)
     rows = ~full
     if rows.any():
         families, etas = families[rows], etas[rows]
-        samples = np.append(np.arange(0, len(grid) - 1, stride), len(grid) - 1)
-        width = 2 * stride - 1
         best = samples[_row_best(scenario, families, etas, grid[samples], ())[0]]
         start = np.clip(best - (stride - 1), 0, len(grid) - width)
-        cell, fields[:, rows] = _row_best(scenario, families, etas,
-                                          grid[start[:, None] + np.arange(width)], names)
+        cell, offset[rows], fields[:, rows] = _row_best(
+            scenario, families, etas, grid[start[:, None] + np.arange(width)], names, pick)
         best_i[rows] = start + cell
     return best_i, fields
+
+
+def _basis(k: int, j: int) -> list:
+    """Coefficients, lowest first, of node ``j``'s Lagrange basis polynomial on ``-k .. k``."""
+    poly = [1.0]
+    for r in (r for r in range(-k, k + 1) if r != j):  # times (x - r) / (j - r)
+        poly = [(a - r * b) / (j - r) for a, b in zip([0.0, *poly], [*poly, 0.0])]
+    return poly
+
+
+#: Per m = 3, 5, 7 points (at ``m // 2 - 1``), the weights from values to coefficients.
+_FITS = tuple(np.array([_basis(k, j) for j in range(-k, k + 1)]).T for k in (1, 2, 3))
+
+
+def _peak(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per row of ``y`` (rows x m at the nodes of ``_FITS``), the offset from node ``t`` of 3
+    Newton steps towards the peak of the polynomial through ``y``, the same bits in any call."""
+    m = y.shape[1]
+    a = (y[:, None, :] * _FITS[m // 2 - 1]).sum(axis=2)  # coefficients, lowest first
+    d1, d2 = a[:, 1:] * np.arange(1, m), a[:, 2:] * np.arange(2, m) * np.arange(1, m - 1)
+    u = t.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(3):
+            powers = np.cumprod(np.repeat(u[:, None], m - 2, axis=1), axis=1)  # u .. u**(m - 2)
+            u = u - ((d1[:, 0] + (d1[:, 1:] * powers).sum(axis=1))
+                     / (d2[:, 0] + (d2[:, 1:] * powers[:, :-1]).sum(axis=1)))
+    return u - t
 
 
 def _secure_at(scenario: Scenario, distances, grid: np.ndarray, families: np.ndarray) -> np.ndarray:
@@ -319,19 +357,20 @@ def _optimize_rows(
     (see ``_keep_best``).  Rows with a ``TableF``, whose ``R_raw`` has a kink wherever ``e``
     crosses a knot and often peaks on one, rows under the paper-literal sign, whose ``R_raw``
     peaks on its jump at ``rho = 0``, and rough rows (see ``_ROUGH``) take section steps;
-    the others take Newton steps.
+    the others take Newton steps, from the coarse pass's seed.
     """
-    best_i, fields = _best_cells(scenario, families, etas, grid, _FIELDS)
+    kinked = isinstance(scenario.f_policy, TableF) or scenario.paper_literal_sign
+    seeds = np.full(len(etas), np.nan)  # each row's seed, in grid cells from its winner
+    best_i, fields = _best_cells(scenario, families, etas, grid, _FIELDS, None if kinked else seeds)
     rows = np.flatnonzero(fields[_FIELDS.index("R")] > 0.0)
-    families, eta, cell = families[rows], etas[rows], best_i[rows]
+    families, eta, cell, seeds = families[rows], etas[rows], best_i[rows], seeds[rows]
     optima = np.vstack((grid[cell], fields[:, rows]))  # the param, then each breakdown field
     bracket = np.empty((len(rows), 2))
-    section = isinstance(scenario.f_policy, TableF) | scenario.paper_literal_sign | (
-        eta * grid[cell] + scenario.detector.dark_prob_Pd < _ROUGH)
-    for steps, part in ((_section_steps, section), (_newton_steps, ~section)):
+    newton = (not kinked) & (eta * grid[cell] + scenario.detector.dark_prob_Pd >= _ROUGH)
+    for steps, part, *seed in ((_section_steps, ~newton), (_newton_steps, newton, seeds[newton])):
         if part.any():
             optima[:, part], bracket[part] = steps(scenario, families[part], eta[part], grid,
-                                                   cell[part], optima[:, part], rtol)
+                                                   cell[part], optima[:, part], rtol, *seed)
     return rows, optima, bracket, fields[_FIELDS.index("R_raw")]
 
 
@@ -346,7 +385,7 @@ def _keep_best(optima: np.ndarray, rows: np.ndarray, cells: np.ndarray, best: np
 
 
 def _newton_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, grid: np.ndarray,
-                  cell: np.ndarray, optima: np.ndarray, rtol: float
+                  cell: np.ndarray, optima: np.ndarray, rtol: float, offset: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The ``optima`` in columns, refined, and final brackets (n x 2) of rows that step
     together in log param.
@@ -354,9 +393,9 @@ def _newton_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, gri
     Each step is one row search over a stencil of 3 cells per row, ``p * exp(-h)``, ``p``
     and ``p * exp(h)`` (clipped to the grid), which gives ``d1`` and ``d2``, the first and
     second derivatives of ``R_raw`` in ``x = log(param)``.  The first stencil is centred on
-    the coarse winner, whose neighbours bracket the search.  A step moves the bracket's end
-    on the side that ``d1`` points away from to ``p``, then takes the Newton step
-    ``-d1 / d2`` where ``d2 < 0``.
+    the seed (``offset`` cells from the coarse winner, strictly between its neighbours, which
+    bracket the search; else the winner).  A step moves the bracket's end on the side that
+    ``d1`` points away from to ``p``, then takes the Newton step ``-d1 / d2`` where ``d2 < 0``.
 
     A step must land inside the bracket, at most half as long as the row's step before
     last; otherwise the row bisects, in ``x``, the part of the bracket that ``d1`` points
@@ -365,15 +404,16 @@ def _newton_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, gri
     ``rtol / 10`` in ``x``, when ``d1 == 0`` or when the new param rounds to the old one.
     """
     lo, hi = grid[np.clip((cell - 1, cell + 1), 0, len(grid) - 1)]
-    p = grid[cell]
     last, prior = np.log(hi / lo), np.log(hi / lo)  # the lengths of each row's last two steps
     active = np.arange(len(cell))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = grid[cell] * np.exp(offset * (math.log(grid[-1] / grid[0]) / (len(grid) - 1)))
+        p = np.where((lo < p) & (p < hi), p, grid[cell])  # the seed, else the winner
         while active.size:
             q, a, b = p[active], lo[active], hi[active]
             cells = np.minimum(np.maximum(q[:, None] * _STENCIL, grid[0]), grid[-1])
             k, rates, fields = _row_best(scenario, families[active], eta[active], cells,
-                                         _FIELDS, curves=("R_raw",))
+                                         _FIELDS, lambda k, raw: raw)
             _keep_best(optima, active, cells, k, fields)
             d1, d2 = _slopes(rates, np.log(q / cells[:, 0]), np.log(cells[:, 2] / q))
             newton = -d1 / d2
@@ -420,7 +460,7 @@ def _section_steps(scenario: Scenario, families: np.ndarray, eta: np.ndarray, gr
         # cells a, the probes a + (b - a) * j / 17 (j = 1..16), b: keep the two around the best
         a, b = lo[active], hi[active]
         probes = a[:, None] + (b - a)[:, None] * _PROBES / 17
-        k, fields = _row_best(scenario, families[active], eta[active], probes, _FIELDS)
+        k, _, fields = _row_best(scenario, families[active], eta[active], probes, _FIELDS)
         _keep_best(optima, active, probes, k, fields)
         cells = np.concatenate((a[:, None], probes, b[:, None]), axis=1)
         c, d = np.take_along_axis(cells, np.stack((k, k + 2), axis=1), axis=1).T
@@ -437,11 +477,11 @@ def optimize_param(scenario: Scenario, **search) -> OptimumPoint | None:
     ``param_max`` (4), the ends of a logarithmic grid of ``grid_points`` (200)
     points, and ``rtol`` (1e-5).  The grid locates the best cell, in one kernel
     call up to ``_BLOCK_CELLS`` points and in two levels beyond (see the module
-    notes); Newton steps in ``log(param)``, bracketed by that cell's neighbours,
-    go on until a step is below ``rtol / 10`` (a section search to relative width
-    ``rtol`` with an f(e) table, under the paper-literal sign and on rough rows).
-    The optimum is the first point evaluated with the largest ``R_raw``, the best
-    grid point included, so never below the grid.
+    notes); Newton steps in ``log(param)`` from its seed, bracketed by that cell's
+    neighbours, go on until a step is below ``rtol / 10`` (a section search to
+    relative width ``rtol`` with an f(e) table, under the paper-literal sign and
+    on rough rows).  The optimum is the first point evaluated with the largest
+    ``R_raw``, the best grid point included, so never below the grid.
     ``None`` (no grid point secure, past the cutoff) is a result, not an error.
     """
     grid, rtol = _search("optimize_param", **search)

@@ -14,6 +14,10 @@ with an f(e) table or the paper-literal sign still take:
   lies within one coarse grid cell of the oracle's.  Elsewhere the coarse grid found
   another peak (39 of those rows): at most 5e-2 below it (2.0e-2 at most).
 
+The property draws ``ConstantF(1.16)``, ``reference.TABLE`` and tables of 6 knots with
+``f`` in [1, 2], half of them with ``f`` unsorted.  On 148 optima of drawn tables under the
+standard sign the worst fell 2.2e-11 of the oracle's rate below it.
+
 ``reference.cutoff_oracle`` bisects on the sign of that optimum, over a 2,001-point grid,
 down to 1e-6 km.  No cutoff may lie past it, as a secure grid point means a secure
 optimum; how far each cutoff falls short of it is bounded per coarse grid size.
@@ -26,7 +30,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcs_qkd import ConstantF, SourceFamily, cutoff_distance, optimize_param, sweep_distance
+from mcs_qkd import (ConstantF, SourceFamily, TableF, cutoff_distance, optimize_param,
+                     sweep_distance)
 from reference import BOX, KTH15, TABLE, cutoff_oracle, optimum_oracle, scenario
 
 #: The width in log param of a cell of the default coarse grid (200 points over 1e-5..4).
@@ -43,19 +48,30 @@ KNOT_CHANNEL = {"loss_coeff_a": 0.24441100521586295, "detector_eff": 0.219296220
                 "dark_prob_Pd": 0.0002232437912456884, "baseline_error_c": 0.011084544784682755}
 
 
+@st.composite
+def f_tables(draw):
+    """An f(e) table of 6 knots over e in [0, 0.5] with f in [1, 2], half of them with f
+    unsorted."""
+    es = sorted(draw(st.lists(st.floats(0.0, 0.5), min_size=6, max_size=6, unique=True)))
+    fs = draw(st.lists(st.floats(1.0, 2.0), min_size=6, max_size=6))
+    return TableF(tuple(zip(es, sorted(fs) if draw(st.booleans()) else fs)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(channel=st.fixed_dictionaries({key: st.floats(*bounds) for key, bounds in BOX.items()}),
-       family=st.sampled_from(list(SourceFamily)), table=st.booleans(), literal=st.booleans(),
-       sweep=st.booleans(), distances=st.lists(st.floats(0.0, 110.0), min_size=1, max_size=3))
-@example(channel=KTH15, family=SourceFamily.COHERENT_BB84, table=True, literal=False,
+       family=st.sampled_from(list(SourceFamily)),
+       f_policy=st.one_of(st.just(ConstantF(1.16)), st.just(TABLE), f_tables()),
+       literal=st.booleans(), sweep=st.booleans(),
+       distances=st.lists(st.floats(0.0, 110.0), min_size=1, max_size=3))
+@example(channel=KTH15, family=SourceFamily.COHERENT_BB84, f_policy=TABLE, literal=False,
          sweep=True, distances=[14.9])
-@example(channel=KNOT_CHANNEL, family=SourceFamily.MCS_SARG04, table=True, literal=False,
+@example(channel=KNOT_CHANNEL, family=SourceFamily.MCS_SARG04, f_policy=TABLE, literal=False,
          sweep=False, distances=[65.0])
-@example(channel=KTH15, family=SourceFamily.COHERENT_BB84, table=False, literal=True,
-         sweep=True, distances=[40.0])
-def test_each_optimum_reaches_the_brute_force_optimum(channel, family, table, literal, sweep,
+@example(channel=KTH15, family=SourceFamily.COHERENT_BB84, f_policy=ConstantF(1.16),
+         literal=True, sweep=True, distances=[40.0])
+def test_each_optimum_reaches_the_brute_force_optimum(channel, family, f_policy, literal, sweep,
                                                       distances):
-    s = scenario(family, 0.0, TABLE if table else ConstantF(1.16), literal, **channel)
+    s = scenario(family, 0.0, f_policy, literal, **channel)
     distances = sorted(distances)
     if sweep:
         found = sweep_distance([s], distances)[0]

@@ -33,8 +33,8 @@ from mcs_qkd import (
     secure_rate,
     sweep_distance,
 )
-from mcs_qkd.optimizer import (_BLOCK_CELLS, _FAINT, _FAMILIES, _ROUGH, _STENCIL, _breakdown,
-                               _search, _secure_at, _slopes)
+from mcs_qkd.optimizer import (_BLOCK_CELLS, _FAINT, _FAMILIES, _ROUGH, _SAMPLES, _STENCIL,
+                               _breakdown, _peak, _search, _secure_at, _slopes)
 from reference import BOX, TABLE, bits_equal, scenario
 
 REL_TOL = 1e-11
@@ -202,18 +202,46 @@ def scalar_section_steps(s, grid, best_i, rtol):
             return optimum, (lo, hi)
 
 
+def scalar_seed(s, grid, best_i):
+    """Where the Newton steps of the row with the best grid cell ``best_i`` start.
+
+    The window is what a two-level coarse pass evaluates: the ``2 * stride - 1`` grid points
+    around the best of the points a stride apart (the last point among them), shifted into
+    the grid.  The polynomial runs through the up to 7 of them nearest ``best_i``, and
+    ``_peak`` gives its peak as an offset in cells from ``best_i``.  The seed is that point
+    on the log grid where it lies strictly between ``best_i``'s neighbours; the grid cell
+    itself where it does not, or where the window holds fewer than 3 points.
+    """
+    n = len(grid)
+    stride = n // _SAMPLES
+    width = 2 * stride - 1
+    m = min(width, 7)
+    if m < 3:
+        return grid[best_i]
+    raw = rate_at(s, np.array(grid)).R_raw
+    samples = [*range(0, n - 1, stride), n - 1]
+    best = max(samples, key=lambda j: -math.inf if math.isnan(raw[j]) else raw[j])  # the first
+    first = min(max(best - (stride - 1), 0), n - width)
+    start = min(max(best_i - m // 2, first), first + width - m)
+    offset = _peak(raw[None, start:start + m], np.array([best_i - start - m // 2]))
+    seed = float(grid[best_i] * np.exp(offset * (math.log(grid[-1] / grid[0]) / (n - 1)))[0])
+    return seed if grid[max(best_i - 1, 0)] < seed < grid[min(best_i + 1, n - 1)] else grid[best_i]
+
+
 def scalar_newton_steps(s, grid, best_i, rtol):
-    """Newton steps in log param from the grid cell ``best_i``, one scalar step at a time.
+    """Newton steps in log param from the seed of the grid cell ``best_i`` (``scalar_seed``),
+    one scalar step at a time.
 
     Each step evaluates ``p`` and its two stencil cells (kept inside the grid), and the
-    optimum is the first of them all with the largest ``R_raw`` (nan lowest).  The stencil
-    gives ``d1`` and ``d2`` of ``R_raw`` in log param.  ``d1`` moves an end of the bracket
-    to ``p``; a step must land inside the bracket within half the step before last, or the
-    row bisects towards the end ``d1`` points to.  The row stops at ``d1 == 0``, at a
-    Newton step or a step below ``rtol / 10``, or at a step that rounds to ``p``.
+    optimum is the first point with the largest ``R_raw`` (nan lowest) among the grid cell
+    and them all, the grid cell first.  The stencil gives ``d1`` and ``d2`` of ``R_raw`` in
+    log param.  ``d1`` moves an end of the bracket to ``p``; a step must land inside the
+    bracket within half the step before last, or the row bisects towards the end ``d1``
+    points to.  The row stops at ``d1 == 0``, at a Newton step or a step below
+    ``rtol / 10``, or at a step that rounds to ``p``.
     """
     lo, hi = grid[max(best_i - 1, 0)], grid[min(best_i + 1, len(grid) - 1)]
-    p, optimum, best = grid[best_i], None, -math.inf
+    p, optimum, best = scalar_seed(s, grid, best_i), grid[best_i], rate_at(s, grid[best_i]).R_raw
     last = prior = float(np.log(hi / lo))
     with np.errstate(all="ignore"):
         while True:

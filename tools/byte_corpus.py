@@ -196,9 +196,10 @@ CASES = [
     _case("figure2 one distance", "figure2 --l-max 0.5 --l-step 1"),
     _case("figure2 range past l_max", "figure2 --l-max 10 --l-step 6"),
     # the two-level coarse pass: where its stride switches on (50 points), a window
-    # clipped at the grid's top edge, the literal sign's full grid, and faint rows
+    # clipped at the grid's top edge, the literal sign's full grid, and faint rows; the
+    # Newton seeds' polynomials through 5 window points (75) and none (6: under 7 points)
     *(_case(f"figure2 {points} grid points", "figure2 --config c.cfg",
-            cfg=f"grid_points = {points}\n") for points in (49, 50, 51)),
+            cfg=f"grid_points = {points}\n") for points in (6, 49, 50, 51, 75)),
     _case("figure2 optima above param_max", "figure2 --config c.cfg",
           cfg="grid_points = 201\nparam_max = 0.01\nl_max_km = 30\n"),
     _case("figure2 literal sign at 200 points", "figure2 --paper-literal-sign"),
